@@ -9,7 +9,8 @@ the independent cross-check on the approximation and as the reference the
 Monte Carlo engine is tested against.
 
 Binomial coefficients are computed in exact integer arithmetic (math.comb)
-before conversion to float.
+before conversion to float. The serial-link closed form, the convolution of
+memory and teleportation errors (combined_failure_analytic), lives here too.
 """
 from __future__ import annotations
 
@@ -43,35 +44,21 @@ class ModelMode(str, Enum):
     EXACT_TAIL = "exact"
 
 
-def _check_prob(value: float, name: str, upper: float = 1.0) -> None:
-    if not 0.0 <= value <= upper:
-        raise ValueError(f"{name} must be in [0, {upper}], got {value}")
+class Multiplexing(str, Enum):
+    """Link style: one qubit per teleportation slot, or many lanes at once."""
+
+    SERIAL = "serial"
+    PARALLEL = "parallel"
 
 
-@dataclass(frozen=True)
-class FailureQuery:
-    """One whole-computation reliability question: stack, workload, rates."""
-
-    stack: CodeStack
-    t: float
-    target_pf: float
-    p_t: float | None = None
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError(f"need t >= 1, got {self.t}")
-        if not 0.0 < self.target_pf < 1.0:
-            raise ValueError(f"target_pf must be in (0, 1), got {self.target_pf}")
-        if self.p_t is not None and not 0.0 <= self.p_t < 0.5:
-            raise ValueError(f"p_t must be in [0, 0.5) for inversion queries, got {self.p_t}")
+def _check_prob(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-def p_success_unencoded(t: float, p_t: float) -> float:
-    """Probability that all t teleportations of a bare qubit succeed: (1-p_t)^t."""
-    _check_prob(p_t, "p_t")
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    return (1.0 - p_t) ** t
+def _exact_errors_term(n: int, j: int, p: float) -> float:
+    """Probability of exactly j errors among n qubits at rate p."""
+    return math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
 
 
 def p_block_error(n: int, m: int, p_t: float, mode: ModelMode = ModelMode.LEADING_ORDER) -> float:
@@ -90,7 +77,7 @@ def p_block_error(n: int, m: int, p_t: float, mode: ModelMode = ModelMode.LEADIN
         return 1.0
     total = 0.0
     for j in range(m, n + 1):
-        total += math.comb(n, j) * p_t**j * (1.0 - p_t) ** (n - j)
+        total += _exact_errors_term(n, j, p_t)
     return min(total, 1.0)
 
 
@@ -117,9 +104,9 @@ def p_stack_block_error(stack: CodeStack, p_t: float, mode: ModelMode = ModelMod
 class AlgorithmFailure:
     """Whole-computation failure estimate for t logical teleportations."""
 
+    block_error: float      # p_e fed into both below
     p_f: float              # 1 - (1 - p_e)^t
     linearized: float       # t * p_e
-    block_error: float      # p_e fed into both
     linearization_valid: bool
 
 
@@ -133,9 +120,9 @@ def p_algorithm_failure(
     linearized = t * p_e
     p_f = 1.0 - (1.0 - min(p_e, 1.0)) ** t
     return AlgorithmFailure(
+        block_error=p_e,
         p_f=p_f,
         linearized=linearized,
-        block_error=p_e,
         linearization_valid=linearized <= LINEARIZATION_LIMIT,
     )
 
@@ -172,6 +159,26 @@ def allowable_pt(
         else:
             hi = mid
     return lo
+
+
+def combined_failure_analytic(n: int, m: int, p_t: float, p_m: float) -> float:
+    """Probability of m total error events, memory and teleportation combined.
+
+    Convolves the exact binomial term for i memory errors (at the aggregated
+    waiting rate p'_m = 1 - (1 - p_m)^(n-1)) with the exact term for m - i
+    teleportation errors. This counts events, not faulty qubits: a qubit hit
+    by both error kinds contributes two events here but one faulty qubit in
+    the simulation, a difference of second order in the error rates.
+    """
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    _check_prob(p_t, "p_t")
+    _check_prob(p_m, "p_m")
+    pm_wait = 1.0 - (1.0 - p_m) ** (n - 1)
+    total = 0.0
+    for i in range(m + 1):
+        total += _exact_errors_term(n, i, pm_wait) * _exact_errors_term(n, m - i, p_t)
+    return total
 
 
 @dataclass(frozen=True)

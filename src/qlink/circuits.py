@@ -369,6 +369,8 @@ def inmotion_dqec_cost(
     """
     if circuit.n_qubits < 2:
         raise ValueError("in-motion correction needs at least two qubits")
+    if syndromes < 1 or repeats < 1:
+        raise ValueError("syndromes and repeats must be >= 1")
     table = cut_table(circuit)
     if method is TransferMethod.TELEGATE:
         per_syndrome = sum(row.telegate_eprs for row in table)

@@ -8,15 +8,32 @@ byte-identical output.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import sys
+from enum import Enum
 
 import click
 
 from . import analytic, circuits, montecarlo, timing, workload
 from .codes import CodeStack, builtin_codes, parse_stack
+
+
+def _finite(number: float, kind: click.ParamType, value, param, ctx) -> float:
+    """The one rule for every numeric input: nan and infinities are rejected."""
+    if not math.isfinite(number):
+        kind.fail(f"{value!r} is not a finite number", param, ctx)
+    return number
+
+
+class FiniteFloat(click.types.FloatParamType):
+    """A finite real number."""
+
+    def convert(self, value, param, ctx):
+        return _finite(super().convert(value, param, ctx), self, value, param, ctx)
 
 
 class ScientificInt(click.ParamType):
@@ -31,13 +48,14 @@ class ScientificInt(click.ParamType):
             as_float = float(value)
         except ValueError:
             self.fail(f"{value!r} is not an integer", param, ctx)
+        _finite(as_float, self, value, param, ctx)
         if as_float != int(as_float):
             self.fail(f"{value!r} is not a whole number", param, ctx)
         return int(as_float)
 
 
 class FloatList(click.ParamType):
-    """Comma-separated list of reals (scientific notation welcome)."""
+    """Comma-separated list of finite reals (scientific notation welcome)."""
 
     name = "float-list"
 
@@ -45,24 +63,16 @@ class FloatList(click.ParamType):
         if isinstance(value, tuple):
             return value
         try:
-            return tuple(float(item) for item in str(value).split(","))
+            numbers = tuple(float(item) for item in str(value).split(","))
         except ValueError:
             self.fail(f"{value!r} is not a comma-separated list of reals", param, ctx)
+        return tuple(_finite(number, self, value, param, ctx) for number in numbers)
 
 
+FLOAT = FiniteFloat()
 SCI_INT = ScientificInt()
 FLOAT_LIST = FloatList()
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json", "text"]), default=None,
-    help="Output format (each command has a natural default).",
-)
-_out_option = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                           help="Write output to a file instead of stdout.")
-_seed_option = click.option("--seed", type=SCI_INT, default=0, envvar="QLINK_SEED",
-                            show_default=True, help="Master RNG seed (or env QLINK_SEED).")
-_workers_option = click.option("--workers", type=SCI_INT, default=lambda: os.cpu_count() or 1,
-                               help="Worker threads for trial blocks [default: all cores].")
 _mode_option = click.option("--mode", type=click.Choice(["leading", "exact"]), default="leading",
                             show_default=True, help="leading: lowest failure mode; exact: full binomial tail.")
 
@@ -75,20 +85,22 @@ def _fmt_number(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        click.echo(f"wrote {out}", err=True)
-    else:
-        click.echo(text, nl=False)
+def _fields(record) -> dict:
+    """A dataclass's fields in declaration order, with enums as values and tuples as lists."""
+    payload = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        payload[field.name] = value
+    return payload
 
 
-def _emit_rows(header: list[str], rows: list[list], fmt: str, out: str | None) -> None:
+def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-        return
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2, allow_nan=False) + "\n"
     buffer = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(buffer, lineterminator="\n")
@@ -100,18 +112,16 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out: str | None) -
         widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
         for r in cells:
             buffer.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
-    _emit(buffer.getvalue(), out)
+    return buffer.getvalue()
 
 
-def _emit_report(payload: dict, fmt: str, out: str | None) -> None:
+def _render_report(payload: dict, fmt: str) -> str:
     if fmt == "csv":
-        _emit_rows(list(payload), [list(payload.values())], "csv", out)
-    elif fmt == "text":
+        return _render_table(list(payload), [list(payload.values())], "csv")
+    if fmt == "text":
         width = max(len(k) for k in payload)
-        text = "".join(f"{k.ljust(width)}  {_fmt_number(v)}\n" for k, v in payload.items())
-        _emit(text, out)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", out)
+        return "".join(f"{k.ljust(width)}  {_fmt_number(v)}\n" for k, v in payload.items())
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _load_stack(spec: str) -> CodeStack:
@@ -135,30 +145,81 @@ def cli():
     """Failure probabilities and EPR-pair costs for teleported logical qubits."""
 
 
-@cli.command("codes")
-@_format_option
-@_out_option
-def codes_cmd(fmt, out):
+def _command(name: str, default_fmt: str):
+    """Register a subcommand whose body returns a report dict or a (header, rows) table.
+
+    The command gains --format and --out after its own options and writes
+    what the body returns in the chosen format.
+    """
+
+    def register(body):
+        @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default=default_fmt,
+                      help="Output format (each command has a natural default).")
+        @click.option("--out", type=click.Path(dir_okay=False), default=None,
+                      help="Write output to a file instead of stdout.")
+        def run(fmt, out, **options):
+            result = body(**options)
+            text = _render_report(result, fmt) if isinstance(result, dict) else _render_table(*result, fmt)
+            if out:
+                with open(out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                click.echo(f"wrote {out}", err=True)
+            else:
+                click.echo(text, nl=False)
+
+        # click keeps a function's options last-declared first.
+        run.__click_params__ += getattr(body, "__click_params__", [])
+        run.__doc__ = body.__doc__
+        return cli.command(name)(run)
+
+    return register
+
+
+def _simulation_options(body):
+    """Options shared by mc and sweep: --stack leads, --trials, --seed and --workers close."""
+    body.__click_params__[:0] = [
+        click.Option(["--workers"], type=SCI_INT, default=lambda: os.cpu_count() or 1,
+                     help="Worker threads for trial blocks [default: all cores]."),
+        click.Option(["--seed"], type=SCI_INT, default=0, envvar="QLINK_SEED", show_default=True,
+                     help="Master RNG seed (or env QLINK_SEED)."),
+        click.Option(["--trials"], type=SCI_INT, default=100_000, show_default=True),
+    ]
+    return click.option("--stack", default="7-1-3", show_default=True)(body)
+
+
+def _simulate(stack: CodeStack, pt, pm, serial, lanes, trials, seed, workers) -> dict:
+    """One simulated link configuration: its inputs, then its estimate."""
+    mux = analytic.Multiplexing.SERIAL if serial else analytic.Multiplexing.PARALLEL
+    if not serial and lanes is None:
+        lanes = stack.scale_up
+    link = montecarlo.LinkParams(p_t=pt, p_m=pm, multiplexing=mux, lanes=lanes or 1)
+    estimate = montecarlo.simulate_block_transfer(
+        montecarlo.McConfig(stack=stack, link=link, trials=trials, seed=seed, workers=workers)
+    )
+    row = {"stack": stack.spec(), "mode": mux.value, "p_t": pt, "p_m": pm, "lanes": link.lanes,
+           **_fields(estimate)}
+    del row["elapsed"]
+    return row
+
+
+@_command("codes", "text")
+def codes_cmd():
     """List the built-in error-correcting codes."""
     header = ["name", "n", "k", "d", "correctable"]
-    rows = [[c.name, c.n, c.k, c.d, c.correctable] for c in builtin_codes()]
-    _emit_rows(header, rows, fmt or "text", out)
+    return header, [[c.name, c.n, c.k, c.d, c.correctable] for c in builtin_codes()]
 
 
-@cli.command("analyze")
+@_command("analyze", "json")
 @click.option("--stack", default="none", show_default=True, help="Code stack spec, inner first.")
-@click.option("--t", type=float, required=True, help="Total logical teleportations.")
-@click.option("--target-pf", type=float, default=0.1, show_default=True,
+@click.option("--t", type=FLOAT, required=True, help="Total logical teleportations.")
+@click.option("--target-pf", type=FLOAT, default=0.1, show_default=True,
               help="Acceptable whole-computation failure probability.")
-@click.option("--pt", type=float, default=None, help="Also evaluate the failure at this error rate.")
+@click.option("--pt", type=FLOAT, default=None, help="Also evaluate the failure at this error rate.")
 @_mode_option
-@_format_option
-@_out_option
-def analyze_cmd(stack, t, target_pf, pt, mode, fmt, out):
+def analyze_cmd(stack, t, target_pf, pt, mode):
     """Allowable teleportation error rate for a stack and workload."""
     stack_obj = _load_stack(stack)
     model = analytic.ModelMode(mode)
-    query = analytic.FailureQuery(stack=stack_obj, t=t, target_pf=target_pf, p_t=pt)
     payload = {
         "stack": stack_obj.spec(),
         "scale_up": stack_obj.scale_up,
@@ -167,145 +228,93 @@ def analyze_cmd(stack, t, target_pf, pt, mode, fmt, out):
         "mode": model.value,
         "allowable_pt": analytic.allowable_pt(stack_obj, t, target_pf, model),
     }
-    if query.p_t is not None:
-        failure = analytic.p_algorithm_failure(stack_obj, t, query.p_t, model)
-        payload.update(
-            p_t=query.p_t,
-            block_error=failure.block_error,
-            p_f=failure.p_f,
-            linearized=failure.linearized,
-            linearization_valid=failure.linearization_valid,
-        )
-    _emit_report(payload, fmt or "json", out)
+    if pt is not None:
+        if not 0.0 <= pt < 0.5:
+            raise ValueError(f"p_t must be in [0, 0.5) for inversion queries, got {pt}")
+        payload["p_t"] = pt
+        payload.update(_fields(analytic.p_algorithm_failure(stack_obj, t, pt, model)))
+    return payload
 
 
-@cli.command("table3")
+@_command("table3", "csv")
 @click.option("--t", "t_values", type=FLOAT_LIST, default=None,
               help="Comma-separated workload sizes [default: 1e5,1e8,1e11].")
 @click.option("--stack", "stack_specs", default=None,
               help="Comma-separated stack specs [default: the seven reference stacks].")
-@click.option("--target-pf", type=float, default=0.1, show_default=True)
+@click.option("--target-pf", type=FLOAT, default=0.1, show_default=True)
 @_mode_option
-@_format_option
-@_out_option
-def table3_cmd(t_values, stack_specs, target_pf, mode, fmt, out):
+def table3_cmd(t_values, stack_specs, target_pf, mode):
     """Allowable error rate per stack and workload size (reference table)."""
     stacks = None
     if stack_specs is not None:
         stacks = [_load_stack(s) for s in stack_specs.split(",")]
     rows = analytic.table3(t_values, stacks, target_pf, analytic.ModelMode(mode))
-    header = ["stack", "scale_up", "t", "mode", "allowable_pt"]
-    data = [[r.stack, r.scale_up, r.t, r.mode.value, r.allowable_pt] for r in rows]
-    _emit_rows(header, data, fmt or "csv", out)
+    header = [field.name for field in dataclasses.fields(analytic.Table3Row)]
+    return header, [list(_fields(row).values()) for row in rows]
 
 
-def _mc_config(stack, pt, pm, serial, lanes, trials, seed, workers) -> montecarlo.McConfig:
-    stack_obj = _load_stack(stack)
-    mux = montecarlo.Multiplexing.SERIAL if serial else montecarlo.Multiplexing.PARALLEL
-    if not serial and lanes is None:
-        lanes = stack_obj.scale_up
-    link = montecarlo.LinkParams(p_t=pt, p_m=pm, multiplexing=mux, lanes=lanes or 1)
-    return montecarlo.McConfig(stack=stack_obj, link=link, trials=trials, seed=seed, workers=workers)
-
-
-@cli.command("mc")
-@click.option("--stack", default="7-1-3", show_default=True)
-@click.option("--pt", type=float, required=True, help="Per-qubit teleportation failure probability.")
-@click.option("--pm", type=float, default=0.0, show_default=True,
+@_command("mc", "json")
+@_simulation_options
+@click.option("--pt", type=FLOAT, required=True, help="Per-qubit teleportation failure probability.")
+@click.option("--pm", type=FLOAT, default=0.0, show_default=True,
               help="Per-qubit memory error probability per waiting slot.")
 @click.option("--serial/--parallel", "serial", default=False,
               help="Link multiplexing [default: parallel].")
 @click.option("--lanes", type=SCI_INT, default=None,
               help="Parallel lane count [default: full block width].")
-@click.option("--trials", type=SCI_INT, default=100_000, show_default=True)
-@_seed_option
-@_workers_option
-@_format_option
-@_out_option
-def mc_cmd(stack, pt, pm, serial, lanes, trials, seed, workers, fmt, out):
+def mc_cmd(stack, pt, pm, serial, lanes, trials, seed, workers):
     """Simulate logical-block transfers and estimate the failure probability."""
-    config = _mc_config(stack, pt, pm, serial, lanes, trials, seed, workers)
-    estimate = montecarlo.simulate_block_transfer(config)
-    payload = {
-        "stack": config.stack.spec(),
-        "mode": config.link.multiplexing.value,
-        "p_t": pt,
-        "p_m": pm,
-        "lanes": config.link.lanes,
-        "trials": estimate.trials,
-        "failures": estimate.failures,
-        "p_hat": estimate.p_hat,
-        "ci_low": estimate.ci_low,
-        "ci_high": estimate.ci_high,
-        "seed": estimate.seed,
-        "workers": config.workers,
-    }
-    _emit_report(payload, fmt or "json", out)
+    row = _simulate(_load_stack(stack), pt, pm, serial, lanes, trials, seed, workers)
+    return {**row, "workers": workers}
 
 
-@cli.command("sweep")
-@click.option("--stack", default="7-1-3", show_default=True)
+SWEEP_HEADER = ["stack", "mode", "p_t", "p_m", "trials", "failures", "p_hat", "ci_low", "ci_high", "seed"]
+
+
+@_command("sweep", "csv")
+@_simulation_options
 @click.option("--pt", "pt_values", type=FLOAT_LIST, default=(0.003, 0.01, 0.03),
               help="Comma-separated teleportation error rates [default: 0.003,0.01,0.03].")
 @click.option("--pm", "pm_values", type=FLOAT_LIST, default=(0.0,),
               help="Comma-separated memory error rates [default: 0].")
 @click.option("--serial/--parallel", "serial", default=None,
               help="Restrict to one link style [default: both].")
-@click.option("--trials", type=SCI_INT, default=100_000, show_default=True)
-@_seed_option
-@_workers_option
-@_format_option
-@_out_option
-def sweep_cmd(stack, pt_values, pm_values, serial, trials, seed, workers, fmt, out):
+def sweep_cmd(stack, pt_values, pm_values, serial, trials, seed, workers):
     """Grid of simulations over error rates, as plot-ready rows."""
-    if serial is None:
-        modes = [True, False]
-    else:
-        modes = [serial]
-    header = ["stack", "mode", "p_t", "p_m", "trials", "failures", "p_hat", "ci_low", "ci_high", "seed"]
-    rows = []
-    for pt in pt_values:
-        for pm in pm_values:
-            for is_serial in modes:
-                config = _mc_config(stack, pt, pm, is_serial, None, trials, seed, workers)
-                est = montecarlo.simulate_block_transfer(config)
-                rows.append([
-                    config.stack.spec(), config.link.multiplexing.value, pt, pm,
-                    est.trials, est.failures, est.p_hat, est.ci_low, est.ci_high, est.seed,
-                ])
-    _emit_rows(header, rows, fmt or "csv", out)
+    stack_obj = _load_stack(stack)
+    modes = [True, False] if serial is None else [serial]
+    rows = [
+        _simulate(stack_obj, pt, pm, is_serial, None, trials, seed, workers)
+        for pt in pt_values for pm in pm_values for is_serial in modes
+    ]
+    return SWEEP_HEADER, [[row[key] for key in SWEEP_HEADER] for row in rows]
 
 
-@cli.command("cut")
+@_command("cut", "csv")
 @click.option("--circuit", "circuit_ref", default="default", show_default=True,
               help="Encoder circuit: 'default' or a JSON file path.")
-@_format_option
-@_out_option
-def cut_cmd(circuit_ref, fmt, out):
+def cut_cmd(circuit_ref):
     """EPR cost of telegate vs teledata at every breakpoint of an encoder."""
     circuit = _load_circuit(circuit_ref)
     header = ["breakpoint", "telegate", "teledata", "direction"]
-    rows = [
+    return header, [
         [row.cut.label, row.telegate_eprs, row.teledata_eprs, row.teledata_direction.value]
         for row in circuits.cut_table(circuit)
     ]
-    _emit_rows(header, rows, fmt or "csv", out)
 
 
-@cli.command("dqec-cost")
+@_command("dqec-cost", "json")
 @click.option("--circuit", "circuit_ref", default="default", show_default=True)
 @click.option("--syndromes", type=SCI_INT, default=6, show_default=True)
 @click.option("--repeats", type=SCI_INT, default=2, show_default=True)
-@_format_option
-@_out_option
-def dqec_cost_cmd(circuit_ref, syndromes, repeats, fmt, out):
+def dqec_cost_cmd(circuit_ref, syndromes, repeats):
     """EPR budgets for distributed error correction, static and in motion."""
     circuit = _load_circuit(circuit_ref)
     telegate = circuits.inmotion_dqec_cost(circuit, circuits.TransferMethod.TELEGATE, syndromes, repeats)
     teledata = circuits.inmotion_dqec_cost(circuit, circuits.TransferMethod.TELEDATA, syndromes, repeats)
     center = circuits.CutPoint((circuit.n_qubits + 1) // 2)
     static_center, _ = circuits.teledata_cost(circuit, center)
-    payload = {
+    return {
         "per_syndrome_telegate": telegate.per_syndrome,
         "per_syndrome_teledata": teledata.per_syndrome,
         "per_cycle_telegate": telegate.per_cycle,
@@ -315,68 +324,41 @@ def dqec_cost_cmd(circuit_ref, syndromes, repeats, fmt, out):
         "syndromes": syndromes,
         "repeats": repeats,
     }
-    _emit_report(payload, fmt or "json", out)
 
 
-@cli.command("workload")
+@_command("workload", "json")
 @click.option("--bits", type=SCI_INT, required=True, help="Problem size in bits.")
 @click.option("--adder", type=click.Choice(["ripple", "lookahead"]), default=None,
               help="Adder choice [default: report the full range].")
-@_format_option
-@_out_option
-def workload_cmd(bits, adder, fmt, out):
+def workload_cmd(bits, adder):
     """Teleportation count for the modular-exponentiation workload."""
     spec = workload.WorkloadSpec(bits=bits, adder=workload.AdderKind(adder) if adder else None)
-    estimate = workload.teleport_count(spec)
-    payload = {
-        "bits": bits,
-        "adder": adder or "range",
-        "t_low": estimate.t_low,
-        "t_high": estimate.t_high,
-        "extrapolated": estimate.extrapolated,
-        "anchor_bits": estimate.anchor_bits,
-    }
-    _emit_report(payload, fmt or "json", out)
+    return {"bits": bits, "adder": adder or "range", **_fields(workload.teleport_count(spec))}
 
 
-@cli.command("link-timing")
-@click.option("--tt", type=float, required=True, help="Single teleportation time.")
-@click.option("--tlqec", type=float, required=True, help="Local correction cycle time.")
+@_command("link-timing", "json")
+@click.option("--tt", type=FLOAT, required=True, help="Single teleportation time.")
+@click.option("--tlqec", type=FLOAT, required=True, help="Local correction cycle time.")
 @click.option("--n", type=SCI_INT, required=True, help="Physical qubits per transferred block.")
 @click.option("--lanes", type=SCI_INT, default=1, show_default=True)
-@_format_option
-@_out_option
-def link_timing_cmd(tt, tlqec, n, lanes, fmt, out):
+def link_timing_cmd(tt, tlqec, n, lanes):
     """Cycle times of serial vs parallel links for one block transfer."""
     params = timing.TimingParams(t_t=tt, t_lqec=tlqec, n=n, lanes=lanes)
-    times = timing.cycle_times(params)
-    payload = {
-        "t_t": tt,
-        "t_lqec": tlqec,
-        "n": n,
-        "lanes": lanes,
-        "serial": times.serial,
-        "parallel": times.parallel,
-        "slowdown": times.slowdown,
-        "start_delay_factor": times.start_delay_factor,
-    }
-    _emit_report(payload, fmt or "json", out)
+    return {**_fields(params), **_fields(timing.cycle_times(params))}
 
 
-@cli.command("recommend")
+@_command("recommend", "json")
 @click.option("--stack", default="7-1-3", show_default=True, help="Single-level code spec.")
-@click.option("--tt", type=float, required=True)
-@click.option("--tlqec", type=float, required=True)
-@click.option("--pt", type=float, required=True)
-@click.option("--pm", type=float, default=None,
+@click.option("--tt", type=FLOAT, required=True)
+@click.option("--tlqec", type=FLOAT, required=True)
+@click.option("--pt", type=FLOAT, required=True)
+@click.option("--pm", type=FLOAT, default=None,
               help="Memory error rate per slot [default: pt / (10 (n - 1))].")
-@click.option("--slowdown-threshold", type=float, default=timing.DEFAULT_SLOWDOWN_THRESHOLD,
+@click.option("--slowdown-threshold", type=FLOAT, default=timing.DEFAULT_SLOWDOWN_THRESHOLD,
               show_default=True)
-@click.option("--reliability-threshold", type=float, default=timing.DEFAULT_RELIABILITY_THRESHOLD,
+@click.option("--reliability-threshold", type=FLOAT, default=timing.DEFAULT_RELIABILITY_THRESHOLD,
               show_default=True)
-@_format_option
-@_out_option
-def recommend_cmd(stack, tt, tlqec, pt, pm, slowdown_threshold, reliability_threshold, fmt, out):
+def recommend_cmd(stack, tt, tlqec, pt, pm, slowdown_threshold, reliability_threshold):
     """Recommend serial or parallel links for one code's block transfers."""
     stack_obj = _load_stack(stack)
     if len(stack_obj) != 1:
@@ -386,20 +368,7 @@ def recommend_cmd(stack, tt, tlqec, pt, pm, slowdown_threshold, reliability_thre
         pm = pt / (10 * (code.n - 1))
     params = timing.TimingParams(t_t=tt, t_lqec=tlqec, n=code.n)
     rec = timing.recommend(params, code, pt, pm, slowdown_threshold, reliability_threshold)
-    payload = {
-        "code": code.spec(),
-        "t_t": tt,
-        "t_lqec": tlqec,
-        "p_t": pt,
-        "p_m": pm,
-        "choice": rec.choice.value,
-        "slowdown": rec.slowdown,
-        "reliability_ratio": rec.reliability_ratio,
-        "slowdown_threshold": rec.slowdown_threshold,
-        "reliability_threshold": rec.reliability_threshold,
-        "reasons": list(rec.reasons),
-    }
-    _emit_report(payload, fmt or "json", out)
+    return {"code": code.spec(), "t_t": tt, "t_lqec": tlqec, "p_t": pt, "p_m": pm, **_fields(rec)}
 
 
 def main(argv=None) -> int:
@@ -411,10 +380,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except Exception as exc:  # noqa: BLE001 - anything else is an internal failure

@@ -21,20 +21,14 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from .analytic import Multiplexing, _check_prob, combined_failure_analytic
 from .codes import CodeStack, QecCode
 
 TRIAL_BLOCK = 1 << 14
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
-Z_3SIGMA = 3.0
-
-
-class Multiplexing(str, Enum):
-    SERIAL = "serial"
-    PARALLEL = "parallel"
 
 
 @dataclass(frozen=True)
@@ -54,10 +48,8 @@ class LinkParams:
     lanes: int = 1
 
     def __post_init__(self):
-        for name in ("p_t", "p_m"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        _check_prob(self.p_t, "p_t")
+        _check_prob(self.p_m, "p_m")
         if self.lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
         if self.multiplexing is Multiplexing.SERIAL and self.lanes != 1:
@@ -143,16 +135,20 @@ def _run_blocks(config: McConfig, per_block) -> list:
         return list(pool.map(per_block, range(n_blocks)))
 
 
+def _faulty(config: McConfig, j: int) -> np.ndarray:
+    """Fault mask of trial block j: one uniform per qubit, faulty below the link's fault rate."""
+    block_size = config.stack.scale_up
+    rows = min(TRIAL_BLOCK, config.trials - j * TRIAL_BLOCK)
+    uniforms = _block_rng(config.seed, j).random((rows, block_size))
+    return uniforms < config.link.fault_probability(block_size)
+
+
 def simulate_block_transfer(config: McConfig) -> McEstimate:
     """Estimate the logical-block transfer failure probability by simulation."""
     start = time.perf_counter()
-    block_size = config.stack.scale_up
-    q = config.link.fault_probability(block_size)
 
     def per_block(j: int) -> int:
-        rows = min(TRIAL_BLOCK, config.trials - j * TRIAL_BLOCK)
-        uniforms = _block_rng(config.seed, j).random((rows, block_size))
-        return int(_decode(uniforms < q, config.stack).sum())
+        return int(_decode(_faulty(config, j), config.stack).sum())
 
     failures = sum(_run_blocks(config, per_block))
     ci_low, ci_high = wilson_interval(failures, config.trials)
@@ -174,41 +170,12 @@ def simulate_fault_histogram(config: McConfig) -> np.ndarray:
     index k counts trials in which exactly k of the block's qubits were
     faulty.
     """
-    block_size = config.stack.scale_up
-    q = config.link.fault_probability(block_size)
+    minlength = config.stack.scale_up + 1
 
     def per_block(j: int) -> np.ndarray:
-        rows = min(TRIAL_BLOCK, config.trials - j * TRIAL_BLOCK)
-        uniforms = _block_rng(config.seed, j).random((rows, block_size))
-        counts = (uniforms < q).sum(axis=1)
-        return np.bincount(counts, minlength=block_size + 1)
+        return np.bincount(_faulty(config, j).sum(axis=1), minlength=minlength)
 
     return np.sum(_run_blocks(config, per_block), axis=0)
-
-
-def _exact_errors_term(n: int, j: int, p: float) -> float:
-    return math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
-
-
-def combined_failure_analytic(n: int, m: int, p_t: float, p_m: float) -> float:
-    """Probability of m total error events, memory and teleportation combined.
-
-    Convolves the exact binomial term for i memory errors (at the aggregated
-    waiting rate p'_m = 1 - (1 - p_m)^(n-1)) with the exact term for m - i
-    teleportation errors. This counts events, not faulty qubits: a qubit hit
-    by both error kinds contributes two events here but one faulty qubit in
-    the simulation, a difference of second order in the error rates.
-    """
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    for name, value in (("p_t", p_t), ("p_m", p_m)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    pm_wait = 1.0 - (1.0 - p_m) ** (n - 1)
-    total = 0.0
-    for i in range(m + 1):
-        total += _exact_errors_term(n, i, pm_wait) * _exact_errors_term(n, m - i, p_t)
-    return total
 
 
 @dataclass(frozen=True)

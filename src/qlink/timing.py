@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analytic import Multiplexing, combined_failure_analytic
 from .codes import QecCode
-from .montecarlo import Multiplexing, combined_failure_analytic
 
 DEFAULT_SLOWDOWN_THRESHOLD = 1.5
 DEFAULT_RELIABILITY_THRESHOLD = 1.5

@@ -25,15 +25,19 @@ import pytest
 from click.testing import CliRunner
 from helpers import round_sig, weight_tail
 
-from qlink.analytic import ModelMode, allowable_pt, p_block_error
+from qlink.analytic import (
+    ModelMode,
+    Multiplexing,
+    allowable_pt,
+    combined_failure_analytic,
+    p_block_error,
+)
 from qlink.circuits import default_steane_encoder, validate_encoder, without_gate
 from qlink.cli import cli
 from qlink.codes import parse_code, parse_stack
 from qlink.montecarlo import (
     LinkParams,
     McConfig,
-    Multiplexing,
-    combined_failure_analytic,
     serial_penalty_report,
     simulate_block_transfer,
     wilson_interval,

@@ -5,13 +5,11 @@ import pytest
 from helpers import pattern_tail, round_sig, weight_tail
 
 from qlink.analytic import (
-    FailureQuery,
     ModelMode,
     allowable_pt,
     p_algorithm_failure,
     p_block_error,
     p_stack_block_error,
-    p_success_unencoded,
     table3,
 )
 from qlink.codes import CodeStack, parse_stack
@@ -21,12 +19,14 @@ EXACT = ModelMode.EXACT_TAIL
 
 
 # ----------------------------------------------------------------- p_success
+# The success probability of t teleportations of a bare qubit, (1 - p_t)^t,
+# is 1 - p_f on the empty stack.
 def test_p_success_no_errors_is_certain():
-    assert p_success_unencoded(12345, 0.0) == 1.0
+    assert p_algorithm_failure(CodeStack(), 12345, 0.0).p_f == 0.0
 
 
 def test_p_success_single_teleport():
-    assert p_success_unencoded(1, 0.3) == pytest.approx(0.7, rel=1e-15)
+    assert p_algorithm_failure(CodeStack(), 1, 0.3).p_f == pytest.approx(0.3, rel=1e-15)
 
 
 def test_p_success_uses_exact_power_not_linearization():
@@ -34,7 +34,7 @@ def test_p_success_uses_exact_power_not_linearization():
     survival = 1.0
     for _ in range(100_000):
         survival *= 1.0 - 1e-6
-    value = p_success_unencoded(1e5, 1e-6)
+    value = 1.0 - p_algorithm_failure(CodeStack(), 1e5, 1e-6).p_f
     assert value == pytest.approx(survival, rel=1e-10)
     assert value == pytest.approx(0.9048373727914577, rel=1e-12)
     # The linearized 1 - t*p would give 0.9 instead.
@@ -42,10 +42,9 @@ def test_p_success_uses_exact_power_not_linearization():
 
 
 def test_p_success_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        p_success_unencoded(10, 1.5)
-    with pytest.raises(ValueError):
-        p_success_unencoded(10, -0.1)
+    for t, p_t in ((10, 1.5), (10, -0.1), (-1, 0.1)):
+        with pytest.raises(ValueError):
+            p_algorithm_failure(CodeStack(), t, p_t)
 
 
 # -------------------------------------------------------------- p_block_error
@@ -226,6 +225,8 @@ def test_allowable_pt_validates_inputs():
         allowable_pt(CodeStack(), 0.5, 0.1)
     with pytest.raises(ValueError):
         allowable_pt(CodeStack(), 1e5, 1.5)
+    with pytest.raises(ValueError):
+        allowable_pt(parse_stack("7-1-3"), 10, 1.0)
 
 
 # -------------------------------------------------------------------- table3
@@ -248,15 +249,3 @@ def test_table3_reordered_stacks_nearly_agree():
         a = rows[("23-1-7+7-1-3", t)]
         b = rows[("7-1-3+23-1-7", t)]
         assert abs(a - b) / a < 0.006
-
-
-# ------------------------------------------------------------- failure query
-def test_failure_query_validation():
-    stack = parse_stack("7-1-3")
-    FailureQuery(stack=stack, t=10, target_pf=0.1, p_t=0.01)
-    with pytest.raises(ValueError):
-        FailureQuery(stack=stack, t=0.5, target_pf=0.1)
-    with pytest.raises(ValueError):
-        FailureQuery(stack=stack, t=10, target_pf=1.0)
-    with pytest.raises(ValueError):
-        FailureQuery(stack=stack, t=10, target_pf=0.1, p_t=0.5)

@@ -183,6 +183,16 @@ def test_inmotion_costs():
     assert data.worst_case_block_teleports == 36
 
 
+def test_cycle_costs_reject_zero_counts():
+    circuit = default_steane_encoder()
+    for syndromes, repeats in ((0, 2), (6, 0)):
+        with pytest.raises(ValueError, match="syndromes and repeats must be >= 1"):
+            static_dqec_cycle_cost(STEANE, CutPoint.from_label("d"), syndromes, repeats)
+        for method in TransferMethod:
+            with pytest.raises(ValueError, match="syndromes and repeats must be >= 1"):
+                inmotion_dqec_cost(circuit, method, syndromes, repeats)
+
+
 # --------------------------------------------------------------- persistence
 def test_circuit_json_round_trip(tmp_path):
     circuit = default_steane_encoder()

@@ -231,5 +231,38 @@ def test_bad_probability_exits_one(capsys):
     assert main(["mc", "--stack", "7-1-3", "--pt", "1.5", "--trials", "100"]) == 1
 
 
+def test_analyze_rejects_pt_outside_inversion_range(capsys):
+    assert main(["analyze", "--stack", "7-1-3", "--t", "10", "--pt", "0.01"]) == 0
+    capsys.readouterr()
+    for pt in ("0.5", "-0.1"):
+        assert main(["analyze", "--stack", "7-1-3", "--t", "10", "--pt", pt]) == 1
+        message = f"p_t must be in [0, 0.5) for inversion queries, got {float(pt)}"
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--t", "nan"],
+    ["analyze", "--t", "inf"],
+    ["analyze", "--t", "1e5", "--pt", "-inf"],
+    ["analyze", "--t", "1e400"],
+    ["link-timing", "--tt", "nan", "--tlqec", "100", "--n", "7"],
+    ["link-timing", "--tt", "1", "--tlqec", "inf", "--n", "7"],
+    ["table3", "--t", "nan"],
+    ["table3", "--t", "1e5,inf"],
+    ["sweep", "--pt", "0.01,nan", "--trials", "100", "--workers", "1"],
+    ["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3", "--slowdown-threshold", "nan"],
+    ["mc", "--pt", "0.01", "--trials", "inf", "--workers", "1"],
+    ["workload", "--bits", "nan"],
+    ["workload", "--bits", "1e400"],
+    ["dqec-cost", "--syndromes", "0"],
+    ["dqec-cost", "--repeats", "0"],
+], ids=" ".join)
+def test_invalid_input_exits_one_with_nothing_on_stdout(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err
+
+
 def test_success_exit_zero(capsys):
     assert main(["codes"]) == 0

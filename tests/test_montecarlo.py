@@ -2,13 +2,11 @@ import math
 
 import pytest
 
-from qlink.analytic import ModelMode, p_block_error
+from qlink.analytic import ModelMode, Multiplexing, combined_failure_analytic, p_block_error
 from qlink.codes import parse_code, parse_stack
 from qlink.montecarlo import (
     LinkParams,
     McConfig,
-    Multiplexing,
-    combined_failure_analytic,
     serial_penalty_report,
     simulate_block_transfer,
     simulate_fault_histogram,

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from qlink.analytic import Multiplexing
 from qlink.codes import parse_code
-from qlink.montecarlo import Multiplexing
 from qlink.timing import TimingParams, cycle_times, recommend
 
 STEANE = parse_code("7-1-3")
