@@ -71,13 +71,18 @@ def p_block_error(n: int, m: int, p_t: float, mode: ModelMode = ModelMode.LEADIN
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     _check_prob(p_t, "p_t")
+    return _block_error(n, m, p_t, mode)
+
+
+def _block_error(n: int, m: int, q: float, mode: ModelMode) -> float:
+    """p_block_error without validation: leading-order values may exceed 1."""
     if mode is ModelMode.LEADING_ORDER:
-        return math.comb(n, m) * p_t**m
+        return math.comb(n, m) * q**m
     if m == 0:
         return 1.0
     total = 0.0
     for j in range(m, n + 1):
-        total += _exact_errors_term(n, j, p_t)
+        total += _exact_errors_term(n, j, q)
     return min(total, 1.0)
 
 
@@ -93,10 +98,7 @@ def p_stack_block_error(stack: CodeStack, p_t: float, mode: ModelMode = ModelMod
     _check_prob(p_t, "p_t")
     q = p_t
     for code in stack.levels:
-        if mode is ModelMode.LEADING_ORDER:
-            q = math.comb(code.n, code.min_fail) * q**code.min_fail
-        else:
-            q = p_block_error(code.n, code.min_fail, q, mode)
+        q = _block_error(code.n, code.min_fail, q, mode)
     return q
 
 

@@ -38,11 +38,6 @@ class Direction(str, Enum):
     B_TO_A = "B->A"
 
 
-class TransferMethod(str, Enum):
-    TELEGATE = "telegate"
-    TELEDATA = "teledata"
-
-
 @dataclass(frozen=True)
 class Gate:
     kind: GateKind
@@ -299,90 +294,59 @@ def validate_encoder(
 
     prepared_rref = _rref_gf2(tableau)
     expected_rref = _rref_gf2(expected)
-    if prepared_rref.shape == expected_rref.shape and np.array_equal(prepared_rref, expected_rref):
-        return EncoderValidation(ok=True, missing=(), extra=())
-
     missing = tuple(
         _pauli_string(row, n) for row in expected if not _in_row_space(row, prepared_rref)
     )
     extra = tuple(
         _pauli_string(row, n) for row in tableau if not _in_row_space(row, expected_rref)
     )
-    return EncoderValidation(ok=False, missing=missing, extra=extra)
-
-
-def static_dqec_cycle_cost(
-    code: QecCode,
-    cut: CutPoint,
-    syndromes: int = 6,
-    repeats: int = 2,
-    method: TransferMethod = TransferMethod.TELEDATA,
-    circuit: EncoderCircuit | None = None,
-) -> int:
-    """EPR pairs per error-correction cycle on a block split at the cut.
-
-    Each syndrome measurement consumes one distributed logical zero, and
-    each syndrome is measured `repeats` times, so a cycle costs
-    syndromes * repeats logical zeros at the per-zero cost of the chosen
-    strategy. Telegate pricing needs the encoder circuit; the seven-qubit
-    default is used when none is given.
-    """
-    if syndromes < 1 or repeats < 1:
-        raise ValueError("syndromes and repeats must be >= 1")
-    if method is TransferMethod.TELEDATA:
-        if not 1 <= cut.index <= code.n - 1:
-            raise ValueError(f"cut index {cut.index} out of range 1..{code.n - 1}")
-        per_zero = min(cut.index, code.n - cut.index)
-    else:
-        if circuit is None:
-            if code.n != 7:
-                raise ValueError("telegate pricing needs an encoder circuit for this code")
-            circuit = default_steane_encoder()
-        if circuit.n_qubits != code.n:
-            raise ValueError("encoder circuit width does not match the code")
-        per_zero = telegate_cost(circuit, cut)
-    return syndromes * repeats * per_zero
+    return EncoderValidation(ok=not (missing or extra), missing=missing, extra=extra)
 
 
 @dataclass(frozen=True)
-class InMotionCost:
-    """EPR budget for correcting a block while it migrates across the link."""
+class DqecBudget:
+    """EPR budgets for distributed error correction on one encoder, static and in motion."""
 
-    method: TransferMethod
-    per_syndrome: int
-    per_cycle: int
+    per_syndrome_telegate: int
+    per_syndrome_teledata: int
+    per_cycle_telegate: int
+    per_cycle_teledata: int
+    static_cycle_at_center_cut: int
     worst_case_block_teleports: int
+    syndromes: int
+    repeats: int
 
 
-def inmotion_dqec_cost(
-    circuit: EncoderCircuit,
-    method: TransferMethod,
-    syndromes: int = 6,
-    repeats: int = 2,
-) -> InMotionCost:
-    """Cost of running distributed correction between the block's teleports.
+def dqec_budget(circuit: EncoderCircuit, syndromes: int = 6, repeats: int = 2) -> DqecBudget:
+    """EPR pairs to correct a block split between two nodes.
 
-    While a block moves one qubit at a time, the split walks through every
-    cut, so a full sweep of syndrome measurements pays the chosen strategy's
-    cost summed over all n - 1 cuts. The worst single correction block sits
-    at the widest cut and pays its teledata cost for every measurement.
+    Each syndrome measurement consumes one distributed logical zero, and
+    each syndrome is measured `repeats` times, so a cycle costs
+    syndromes * repeats logical zeros. A block that stays split at the
+    centre cut pays that cut's teledata cost per zero. While a block moves
+    one qubit at a time, the split walks through every cut, so a syndrome
+    measured in motion pays a strategy's cost summed over all n - 1 cuts.
+    The worst single correction block sits at the widest cut and pays its
+    teledata cost for every measurement.
     """
     if circuit.n_qubits < 2:
         raise ValueError("in-motion correction needs at least two qubits")
     if syndromes < 1 or repeats < 1:
         raise ValueError("syndromes and repeats must be >= 1")
     table = cut_table(circuit)
-    if method is TransferMethod.TELEGATE:
-        per_syndrome = sum(row.telegate_eprs for row in table)
-    else:
-        per_syndrome = sum(row.teledata_eprs for row in table)
     measurements = syndromes * repeats
-    worst = max(row.teledata_eprs for row in table) * measurements
-    return InMotionCost(
-        method=method,
-        per_syndrome=per_syndrome,
-        per_cycle=measurements * per_syndrome,
-        worst_case_block_teleports=worst,
+    telegate = sum(row.telegate_eprs for row in table)
+    teledata = sum(row.teledata_eprs for row in table)
+    center = table[(circuit.n_qubits - 1) // 2]   # cut index (n + 1) // 2
+    return DqecBudget(
+        per_syndrome_telegate=telegate,
+        per_syndrome_teledata=teledata,
+        per_cycle_telegate=measurements * telegate,
+        per_cycle_teledata=measurements * teledata,
+        static_cycle_at_center_cut=measurements * center.teledata_eprs,
+        worst_case_block_teleports=measurements * max(row.teledata_eprs for row in table),
+        syndromes=syndromes,
+        repeats=repeats,
     )
 
 

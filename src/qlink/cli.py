@@ -190,9 +190,9 @@ def _simulation_options(body):
 def _simulate(stack: CodeStack, pt, pm, serial, lanes, trials, seed, workers) -> dict:
     """One simulated link configuration: its inputs, then its estimate."""
     mux = analytic.Multiplexing.SERIAL if serial else analytic.Multiplexing.PARALLEL
-    if not serial and lanes is None:
-        lanes = stack.scale_up
-    link = montecarlo.LinkParams(p_t=pt, p_m=pm, multiplexing=mux, lanes=lanes or 1)
+    if lanes is None:
+        lanes = 1 if serial else stack.scale_up
+    link = montecarlo.LinkParams(p_t=pt, p_m=pm, multiplexing=mux, lanes=lanes)
     estimate = montecarlo.simulate_block_transfer(
         montecarlo.McConfig(stack=stack, link=link, trials=trials, seed=seed, workers=workers)
     )
@@ -309,21 +309,7 @@ def cut_cmd(circuit_ref):
 @click.option("--repeats", type=SCI_INT, default=2, show_default=True)
 def dqec_cost_cmd(circuit_ref, syndromes, repeats):
     """EPR budgets for distributed error correction, static and in motion."""
-    circuit = _load_circuit(circuit_ref)
-    telegate = circuits.inmotion_dqec_cost(circuit, circuits.TransferMethod.TELEGATE, syndromes, repeats)
-    teledata = circuits.inmotion_dqec_cost(circuit, circuits.TransferMethod.TELEDATA, syndromes, repeats)
-    center = circuits.CutPoint((circuit.n_qubits + 1) // 2)
-    static_center, _ = circuits.teledata_cost(circuit, center)
-    return {
-        "per_syndrome_telegate": telegate.per_syndrome,
-        "per_syndrome_teledata": teledata.per_syndrome,
-        "per_cycle_telegate": telegate.per_cycle,
-        "per_cycle_teledata": teledata.per_cycle,
-        "static_cycle_at_center_cut": syndromes * repeats * static_center,
-        "worst_case_block_teleports": teledata.worst_case_block_teleports,
-        "syndromes": syndromes,
-        "repeats": repeats,
-    }
+    return _fields(circuits.dqec_budget(_load_circuit(circuit_ref), syndromes, repeats))
 
 
 @_command("workload", "json")

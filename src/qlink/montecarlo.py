@@ -56,12 +56,11 @@ class LinkParams:
             raise ValueError("serial links have exactly one lane")
 
     def wait_slots(self, block_size: int) -> int:
-        """Memory wait slots each qubit spends while the rest of the block moves."""
-        if self.multiplexing is Multiplexing.SERIAL:
-            return block_size - 1
-        if self.lanes >= block_size:
-            return 0
-        return math.ceil(block_size / self.lanes) - 1
+        """Memory wait slots each qubit spends while the rest of the block moves.
+
+        ceil(N / lanes) - 1 rounds: N - 1 on a serial link, 0 once lanes >= N.
+        """
+        return (block_size - 1) // self.lanes
 
     def fault_probability(self, block_size: int) -> float:
         """Per-qubit probability of at least one error event during transfer."""

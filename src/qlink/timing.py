@@ -29,6 +29,9 @@ class TimingParams:
     lanes: int = 1
 
     def __post_init__(self):
+        for name in ("t_t", "t_lqec"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_t <= 0:
             raise ValueError(f"t_t must be > 0, got {self.t_t}")
         if self.t_lqec < 0:
@@ -95,6 +98,11 @@ def recommend(
         ratio = combined / teleport_only
     else:
         ratio = 1.0 if combined == 0 else math.inf
+    if math.isinf(ratio):
+        raise ValueError(
+            f"failure-probability ratio is unbounded: at p_t = {p_t:g} the teleportation-only "
+            f"block failure is {teleport_only:g} but the combined one is {combined:g}"
+        )
 
     reasons = []
     if times.slowdown > slowdown_threshold:

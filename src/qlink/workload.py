@@ -56,10 +56,15 @@ def _scaled(bits: int, anchor: int, column: int) -> float:
 
 def teleport_count(spec: WorkloadSpec) -> TeleportEstimate:
     """Teleportations needed for a full modular exponentiation at this size."""
-    anchor = _nearest_anchor(spec.bits)
+    try:
+        anchor = _nearest_anchor(spec.bits)
+        low = _scaled(spec.bits, anchor, 0)
+        high = _scaled(spec.bits, anchor, 1)
+    except OverflowError:
+        high = math.inf
+    if math.isinf(high):   # the lookahead count is the larger one
+        raise ValueError("the teleportation count overflows a float at this problem size")
     extrapolated = spec.bits not in ANCHORS
-    low = _scaled(spec.bits, anchor, 0)
-    high = _scaled(spec.bits, anchor, 1)
     if spec.adder is AdderKind.CARRY_RIPPLE:
         high = low
     elif spec.adder is AdderKind.CARRY_LOOKAHEAD:

@@ -10,15 +10,13 @@ from qlink.circuits import (
     EncoderCircuit,
     Gate,
     GateKind,
-    TransferMethod,
     circuit_from_dict,
     circuit_to_dict,
     cut_table,
     default_steane_encoder,
-    inmotion_dqec_cost,
+    dqec_budget,
     load_circuit,
     save_circuit,
-    static_dqec_cycle_cost,
     steane_stabilizers,
     teledata_cost,
     telegate_cost,
@@ -153,44 +151,38 @@ def test_cut_range_enforced():
 
 # ---------------------------------------------------------------- cycle costs
 def test_static_cycle_cost_at_center_cut():
-    assert static_dqec_cycle_cost(STEANE, CutPoint.from_label("d")) == 36
-
-
-def test_static_cycle_cost_at_edge_cut():
-    assert static_dqec_cycle_cost(STEANE, CutPoint.from_label("a")) == 12
+    assert dqec_budget(default_steane_encoder()).static_cycle_at_center_cut == 36
 
 
 def test_static_cycle_cost_single_measurement():
-    cut = CutPoint.from_label("d")
-    assert static_dqec_cycle_cost(STEANE, cut, syndromes=1, repeats=1) == 3
+    budget = dqec_budget(default_steane_encoder(), syndromes=1, repeats=1)
+    assert budget.static_cycle_at_center_cut == 3
 
 
-def test_static_teledata_never_beats_telegate():
-    for index in range(1, 7):
-        cut = CutPoint(index)
-        data = static_dqec_cycle_cost(STEANE, cut, method=TransferMethod.TELEDATA)
-        gate = static_dqec_cycle_cost(STEANE, cut, method=TransferMethod.TELEGATE)
-        assert data <= gate
+def test_even_width_budget_uses_cut_at_half_width():
+    budget = dqec_budget(EncoderCircuit(8, tuple(range(8)), ()), syndromes=1, repeats=1)
+    # Cut 4 of 8 ships 4 qubits; the cut after it would ship 3.
+    assert budget.static_cycle_at_center_cut == 4
 
 
 def test_inmotion_costs():
-    circuit = default_steane_encoder()
-    gate = inmotion_dqec_cost(circuit, TransferMethod.TELEGATE)
-    data = inmotion_dqec_cost(circuit, TransferMethod.TELEDATA)
-    assert (gate.per_syndrome, gate.per_cycle) == (17, 204)
-    assert (data.per_syndrome, data.per_cycle) == (12, 144)
-    assert gate.worst_case_block_teleports == 36
-    assert data.worst_case_block_teleports == 36
+    budget = dqec_budget(default_steane_encoder())
+    assert (budget.per_syndrome_telegate, budget.per_cycle_telegate) == (17, 204)
+    assert (budget.per_syndrome_teledata, budget.per_cycle_teledata) == (12, 144)
+    assert budget.worst_case_block_teleports == 36
+    assert (budget.syndromes, budget.repeats) == (6, 2)
 
 
 def test_cycle_costs_reject_zero_counts():
     circuit = default_steane_encoder()
     for syndromes, repeats in ((0, 2), (6, 0)):
         with pytest.raises(ValueError, match="syndromes and repeats must be >= 1"):
-            static_dqec_cycle_cost(STEANE, CutPoint.from_label("d"), syndromes, repeats)
-        for method in TransferMethod:
-            with pytest.raises(ValueError, match="syndromes and repeats must be >= 1"):
-                inmotion_dqec_cost(circuit, method, syndromes, repeats)
+            dqec_budget(circuit, syndromes, repeats)
+
+
+def test_budget_needs_two_qubits():
+    with pytest.raises(ValueError, match="in-motion correction needs at least two qubits"):
+        dqec_budget(EncoderCircuit(1, (0,), ()))
 
 
 # --------------------------------------------------------------- persistence

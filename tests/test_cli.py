@@ -105,6 +105,15 @@ def test_dqec_cost_constants(runner):
     assert payload["worst_case_block_teleports"] == 36
 
 
+def test_dqec_cost_rejects_single_qubit_circuit(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "order": [0], "gates": []}))
+    assert main(["dqec-cost", "--circuit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "in-motion correction needs at least two qubits" in captured.err
+
+
 def test_mc_reports_estimate_and_config(runner):
     result = invoke(
         runner, "mc", "--stack", "7-1-3", "--pt", "0.01",
@@ -256,6 +265,11 @@ def test_analyze_rejects_pt_outside_inversion_range(capsys):
     ["workload", "--bits", "1e400"],
     ["dqec-cost", "--syndromes", "0"],
     ["dqec-cost", "--repeats", "0"],
+    ["mc", "--lanes", "0", "--pt", "0.1", "--trials", "100", "--workers", "1"],
+    ["mc", "--serial", "--lanes", "0", "--pt", "0.1", "--trials", "100", "--workers", "1"],
+    ["workload", "--bits", "1e300"],
+    ["recommend", "--tt", "1", "--tlqec", "100", "--pt", "0", "--pm", "0.01"],
+    ["recommend", "--tt", "1", "--tlqec", "100", "--pt", "0", "--pm", "0.01", "--format", "text"],
 ], ids=" ".join)
 def test_invalid_input_exits_one_with_nothing_on_stdout(argv, capsys):
     assert main(argv) == 1

@@ -54,3 +54,12 @@ def test_imports_follow_layering(module):
     assert module in ALLOWED, f"{module} has no place in the layering"
     imported = package_imports(PACKAGE / f"{module}.py")
     assert imported <= ALLOWED[module], f"{module} imports {sorted(imported - ALLOWED[module])}"
+
+
+def test_public_names_resolve_without_duplicates():
+    import qlink
+
+    namespace = {}
+    exec("from qlink import *", namespace)
+    assert len(set(qlink.__all__)) == len(qlink.__all__)
+    assert set(qlink.__all__) <= set(namespace)

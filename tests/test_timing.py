@@ -53,6 +53,24 @@ def test_params_validation():
         TimingParams(t_t=1.0, t_lqec=1.0, n=0)
 
 
+@pytest.mark.parametrize("t_t, t_lqec", [
+    (float("nan"), 1.0),
+    (float("inf"), 1.0),
+    (1.0, float("nan")),
+    (1.0, float("inf")),
+])
+def test_params_reject_non_finite_times(t_t, t_lqec):
+    with pytest.raises(ValueError, match="must be finite"):
+        TimingParams(t_t, t_lqec, 7)
+
+
+def test_recommend_rejects_unbounded_reliability_ratio():
+    # p_t = 0 makes the teleportation-only failure 0 while memory errors remain.
+    with pytest.raises(ValueError, match="ratio is unbounded"):
+        recommend(TimingParams(1.0, 100.0, 7), STEANE, p_t=0.0, p_m=0.01)
+    assert recommend(TimingParams(1.0, 100.0, 7), STEANE, p_t=0.0, p_m=0.0).reliability_ratio == 1.0
+
+
 # ----------------------------------------------------------------- recommend
 def test_recommend_serial_in_the_friendly_regime():
     rec = recommend(TimingParams(1.0, 100.0, 7), STEANE, p_t=1e-3, p_m=1e-3 / 60)

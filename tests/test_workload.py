@@ -70,3 +70,9 @@ def test_rejects_tiny_sizes():
         WorkloadSpec(1)
     with pytest.raises(ValueError):
         WorkloadSpec(0, RIPPLE)
+
+
+@pytest.mark.parametrize("bits", [10**103, 10**300, 10**400], ids=["1e103", "1e300", "1e400"])
+def test_count_beyond_float_range_is_rejected(bits):
+    with pytest.raises(ValueError, match="overflows"):
+        teleport_count(WorkloadSpec(bits))
