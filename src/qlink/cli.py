@@ -187,17 +187,20 @@ def _simulation_options(body):
     return click.option("--stack", default="7-1-3", show_default=True)(body)
 
 
-def _simulate(stack: CodeStack, pt, pm, serial, lanes, trials, seed, workers) -> dict:
-    """One simulated link configuration: its inputs, then its estimate."""
+def _mc_config(stack: CodeStack, pt, pm, serial, lanes, trials, seed, workers) -> montecarlo.McConfig:
+    """One simulated link configuration; lanes None means the link style's natural width."""
     mux = analytic.Multiplexing.SERIAL if serial else analytic.Multiplexing.PARALLEL
     if lanes is None:
         lanes = 1 if serial else stack.scale_up
     link = montecarlo.LinkParams(p_t=pt, p_m=pm, multiplexing=mux, lanes=lanes)
-    estimate = montecarlo.simulate_block_transfer(
-        montecarlo.McConfig(stack=stack, link=link, trials=trials, seed=seed, workers=workers)
-    )
-    row = {"stack": stack.spec(), "mode": mux.value, "p_t": pt, "p_m": pm, "lanes": link.lanes,
-           **_fields(estimate)}
+    return montecarlo.McConfig(stack=stack, link=link, trials=trials, seed=seed, workers=workers)
+
+
+def _mc_row(config: montecarlo.McConfig, estimate: montecarlo.McEstimate) -> dict:
+    """A simulated configuration's inputs, then its estimate."""
+    link = config.link
+    row = {"stack": config.stack.spec(), "mode": link.multiplexing.value, "p_t": link.p_t,
+           "p_m": link.p_m, "lanes": link.lanes, **_fields(estimate)}
     del row["elapsed"]
     return row
 
@@ -264,8 +267,8 @@ def table3_cmd(t_values, stack_specs, target_pf, mode):
               help="Parallel lane count [default: full block width].")
 def mc_cmd(stack, pt, pm, serial, lanes, trials, seed, workers):
     """Simulate logical-block transfers and estimate the failure probability."""
-    row = _simulate(_load_stack(stack), pt, pm, serial, lanes, trials, seed, workers)
-    return {**row, "workers": workers}
+    config = _mc_config(_load_stack(stack), pt, pm, serial, lanes, trials, seed, workers)
+    return {**_mc_row(config, montecarlo.simulate_block_transfer(config)), "workers": workers}
 
 
 SWEEP_HEADER = ["stack", "mode", "p_t", "p_m", "trials", "failures", "p_hat", "ci_low", "ci_high", "seed"]
@@ -283,10 +286,11 @@ def sweep_cmd(stack, pt_values, pm_values, serial, trials, seed, workers):
     """Grid of simulations over error rates, as plot-ready rows."""
     stack_obj = _load_stack(stack)
     modes = [True, False] if serial is None else [serial]
-    rows = [
-        _simulate(stack_obj, pt, pm, is_serial, None, trials, seed, workers)
+    configs = [
+        _mc_config(stack_obj, pt, pm, is_serial, None, trials, seed, workers)
         for pt in pt_values for pm in pm_values for is_serial in modes
     ]
+    rows = map(_mc_row, configs, montecarlo.simulate_block_transfers(configs))
     return SWEEP_HEADER, [[row[key] for key in SWEEP_HEADER] for row in rows]
 
 

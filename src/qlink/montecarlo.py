@@ -6,7 +6,7 @@ teleportation error (probability p_t), or, when qubits wait their turn on a
 narrower link, a memory error during the wait (probability
 p'_m = 1 - (1 - p_m)^slots over the wait slots). Because only the union of
 the two events is observable, each qubit consumes exactly one uniform draw,
-compared against the combined fault probability; serial and parallel runs
+compared against the combined fault probability q; serial and parallel runs
 with the same seed therefore share draws, and the serial failure set
 dominates the parallel one trial by trial.
 
@@ -14,11 +14,27 @@ Reproducibility contract: trials are grouped in fixed blocks of 2**14, and
 block j draws from the Philox substream jumped(j) of the master seed. The
 mapping from trial index to draws never depends on worker count, so any
 partitioning of blocks across workers gives bit-identical failure counts.
+
+One draw answers every rate of a batch. The draws depend only on the seed,
+so configs that share stack, trials, seed and workers (a sweep's grid, or a
+serial/parallel pair) see the same uniforms, and simulate_block_transfers
+draws each block once for all of them. The majority decoder is monotone in
+q: a trial fails at q iff q exceeds its critical rate c, where an innermost
+code block's c is its min_fail-th smallest uniform, and each higher level
+takes the min_fail-th smallest c of its sub-blocks, up to the one top-level
+block (an uncoded qubit's c is its uniform). So `c < q` holds exactly when
+decoding `uniforms < q` fails. Each block is thresholded and decoded once,
+at the largest requested q; only the trials that fail there can fail at a
+smaller q, and only they are ranked by critical rate, then counted below
+every rate with one sort and a binary search. They are ranked in chunks of
+RANK_CHUNK rows, because copying them out of the block all at once would add
+up to one more block-sized buffer to the peak memory.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +44,7 @@ from .analytic import Multiplexing, _check_prob, combined_failure_analytic
 from .codes import CodeStack, QecCode
 
 TRIAL_BLOCK = 1 << 14
+RANK_CHUNK = TRIAL_BLOCK // 8   # failing trials ranked per partition pass
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
 
@@ -126,6 +143,22 @@ def _decode(faulty: np.ndarray, stack: CodeStack) -> np.ndarray:
     return faulty.any(axis=1)
 
 
+def _critical_rates(uniforms: np.ndarray, stack: CodeStack) -> np.ndarray:
+    """Per-trial critical rate: the trial's block fails at q iff its rate is < q.
+
+    Partitions `uniforms` in place. Reshapes name every size, because -1 is
+    ambiguous on zero rows.
+    """
+    rows, width = uniforms.shape
+    rates = uniforms
+    for code in stack.levels:
+        width //= code.n
+        rates = rates.reshape(rows, width, code.n)
+        rates.partition(code.min_fail - 1, axis=2)
+        rates = rates[:, :, code.min_fail - 1]
+    return rates[:, 0]   # widths multiply to N, so one block is left
+
+
 def _run_blocks(config: McConfig, per_block) -> list:
     n_blocks = (config.trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
     if config.workers == 1 or n_blocks == 1:
@@ -134,32 +167,64 @@ def _run_blocks(config: McConfig, per_block) -> list:
         return list(pool.map(per_block, range(n_blocks)))
 
 
-def _faulty(config: McConfig, j: int) -> np.ndarray:
-    """Fault mask of trial block j: one uniform per qubit, faulty below the link's fault rate."""
-    block_size = config.stack.scale_up
+def _uniforms(config: McConfig, j: int) -> np.ndarray:
+    """Draws of trial block j: one uniform per qubit, faulty below the link's fault rate q."""
     rows = min(TRIAL_BLOCK, config.trials - j * TRIAL_BLOCK)
-    uniforms = _block_rng(config.seed, j).random((rows, block_size))
-    return uniforms < config.link.fault_probability(block_size)
+    return _block_rng(config.seed, j).random((rows, config.stack.scale_up))
+
+
+def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
+    """Estimate the transfer failure probability of every config from one draw.
+
+    The configs must share stack, trials, seed and workers; their links may
+    differ. Each estimate's failures are those that simulate_block_transfer
+    gives for its config alone, and its elapsed time is the whole batch's.
+    """
+    if not configs:
+        raise ValueError("need at least one config")
+    first = configs[0]
+    shared = (first.stack, first.trials, first.seed, first.workers)
+    for config in configs[1:]:
+        if (config.stack, config.trials, config.seed, config.workers) != shared:
+            raise ValueError("batched configs must share stack, trials, seed and workers")
+    start = time.perf_counter()
+    stack = first.stack
+    rates = np.array([config.link.fault_probability(stack.scale_up) for config in configs])
+    top = rates.max()
+    ranked = bool((rates < top).any())
+
+    def per_block(j: int) -> np.ndarray:
+        if not ranked:   # every rate is the top one: decoding alone counts them
+            return np.full(len(rates), _decode(_uniforms(first, j) < top, stack).sum())
+        uniforms = _uniforms(first, j)
+        failing = np.flatnonzero(_decode(uniforms < top, stack))
+        critical = np.empty(failing.size)
+        for lo in range(0, failing.size, RANK_CHUNK):
+            chunk = failing[lo:lo + RANK_CHUNK]
+            critical[lo:lo + chunk.size] = _critical_rates(uniforms[chunk], stack)
+        critical.sort()
+        return np.searchsorted(critical, rates, side="left")
+
+    counts = np.sum(_run_blocks(first, per_block), axis=0)
+    elapsed = time.perf_counter() - start
+    estimates = []
+    for config, failures in zip(configs, counts.tolist()):
+        ci_low, ci_high = wilson_interval(failures, config.trials)
+        estimates.append(McEstimate(
+            trials=config.trials,
+            failures=failures,
+            p_hat=failures / config.trials,
+            ci_low=ci_low,
+            ci_high=ci_high,
+            seed=config.seed,
+            elapsed=elapsed,
+        ))
+    return estimates
 
 
 def simulate_block_transfer(config: McConfig) -> McEstimate:
     """Estimate the logical-block transfer failure probability by simulation."""
-    start = time.perf_counter()
-
-    def per_block(j: int) -> int:
-        return int(_decode(_faulty(config, j), config.stack).sum())
-
-    failures = sum(_run_blocks(config, per_block))
-    ci_low, ci_high = wilson_interval(failures, config.trials)
-    return McEstimate(
-        trials=config.trials,
-        failures=failures,
-        p_hat=failures / config.trials,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        seed=config.seed,
-        elapsed=time.perf_counter() - start,
-    )
+    return simulate_block_transfers([config])[0]
 
 
 def simulate_fault_histogram(config: McConfig) -> np.ndarray:
@@ -169,10 +234,11 @@ def simulate_fault_histogram(config: McConfig) -> np.ndarray:
     index k counts trials in which exactly k of the block's qubits were
     faulty.
     """
-    minlength = config.stack.scale_up + 1
+    block_size = config.stack.scale_up
+    q = config.link.fault_probability(block_size)
 
     def per_block(j: int) -> np.ndarray:
-        return np.bincount(_faulty(config, j).sum(axis=1), minlength=minlength)
+        return np.bincount((_uniforms(config, j) < q).sum(axis=1), minlength=block_size + 1)
 
     return np.sum(_run_blocks(config, per_block), axis=0)
 
@@ -207,8 +273,8 @@ def serial_penalty_report(
     convention, so memory_ratio = 0.1 makes the aggregated waiting error
     roughly one tenth of the teleportation error. The analytic ratio uses
     the event-count convolution; the simulated ratio compares serial and
-    parallel runs sharing the same seed, with a conservative (independence
-    assumed) log-normal confidence interval.
+    parallel estimates from one batch (the same draws), with a conservative
+    (independence assumed) log-normal confidence interval.
     """
     if memory_ratio < 0:
         raise ValueError(f"memory_ratio must be >= 0, got {memory_ratio}")
@@ -219,12 +285,10 @@ def serial_penalty_report(
     teleport_only = combined_failure_analytic(code.n, code.min_fail, p_t, 0.0)
     analytic_ratio = combined / teleport_only if teleport_only > 0 else math.nan
 
-    serial = simulate_block_transfer(
-        McConfig(stack, LinkParams(p_t, p_m, Multiplexing.SERIAL), trials, seed, workers)
-    )
-    parallel = simulate_block_transfer(
-        McConfig(stack, LinkParams(p_t, p_m, Multiplexing.PARALLEL, lanes=code.n), trials, seed, workers)
-    )
+    serial, parallel = simulate_block_transfers([
+        McConfig(stack, LinkParams(p_t, p_m, Multiplexing.SERIAL), trials, seed, workers),
+        McConfig(stack, LinkParams(p_t, p_m, Multiplexing.PARALLEL, lanes=code.n), trials, seed, workers),
+    ])
     if serial.failures > 0 and parallel.failures > 0:
         mc_ratio = serial.p_hat / parallel.p_hat
         spread = Z_95 * math.sqrt(

@@ -59,6 +59,9 @@ def cycle_times(params: TimingParams) -> CycleTimes:
     rounds = math.ceil(params.n / params.lanes)
     serial = rounds * params.t_t + params.t_lqec
     parallel = params.t_t + params.t_lqec
+    if math.isinf(serial):   # serial >= parallel, so parallel is finite too
+        raise ValueError(f"the serial cycle time overflows a float: {rounds} rounds of t_t = "
+                         f"{params.t_t:g} plus t_lqec = {params.t_lqec:g}")
     return CycleTimes(
         serial=serial,
         parallel=parallel,

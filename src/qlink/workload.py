@@ -32,6 +32,8 @@ class WorkloadSpec:
     adder: AdderKind | None = None
 
     def __post_init__(self):
+        if isinstance(self.bits, float) and not math.isfinite(self.bits):
+            raise ValueError(f"bits must be finite, got {self.bits}")
         if self.bits < 2:
             raise ValueError(f"bits must be >= 2, got {self.bits}")
 

@@ -270,6 +270,9 @@ def test_analyze_rejects_pt_outside_inversion_range(capsys):
     ["workload", "--bits", "1e300"],
     ["recommend", "--tt", "1", "--tlqec", "100", "--pt", "0", "--pm", "0.01"],
     ["recommend", "--tt", "1", "--tlqec", "100", "--pt", "0", "--pm", "0.01", "--format", "text"],
+    ["link-timing", "--tt", "1e308", "--tlqec", "1e308", "--n", "7"],
+    ["link-timing", "--tt", "1e308", "--tlqec", "1e308", "--n", "7", "--format", "text"],
+    ["link-timing", "--tt", "1e308", "--tlqec", "1e308", "--n", "7", "--format", "csv"],
 ], ids=" ".join)
 def test_invalid_input_exits_one_with_nothing_on_stdout(argv, capsys):
     assert main(argv) == 1

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from qlink.analytic import ModelMode, Multiplexing, combined_failure_analytic, p_block_error
 from qlink.codes import parse_code, parse_stack
 from qlink.montecarlo import (
+    TRIAL_BLOCK,
     LinkParams,
     McConfig,
     serial_penalty_report,
     simulate_block_transfer,
+    simulate_block_transfers,
     simulate_fault_histogram,
     wilson_interval,
 )
@@ -173,6 +176,72 @@ def test_serial_ratio_matches_union_model():
     assert observed == pytest.approx(expected_ratio, rel=0.05)
 
 
+# ------------------------------------------------------------------- batches
+# Unsorted, with p_t = 0 and 1, a duplicate, and serial and parallel at the
+# same fault probability (p_m = 0 leaves serial links no extra fault).
+BATCH_LINKS = (
+    (0.05, 0.0, PARALLEL),
+    (0.0, 0.0, SERIAL),
+    (0.1, 1e-4, SERIAL),
+    (1.0, 0.0, PARALLEL),
+    (0.01, 0.0, PARALLEL),
+    (0.05, 0.0, SERIAL),
+    (0.1, 1e-4, SERIAL),
+)
+
+
+def _batch(stack, links, trials, seed=11, workers=1):
+    return [_config(stack, p_t, p_m, mux, trials, seed, workers) for p_t, p_m, mux in links]
+
+
+@pytest.mark.parametrize("spec", ["none", "7-1-3", "23-1-7", "7-1-3+7-1-3", "23-1-7+23-1-7"])
+def test_batch_matches_one_run_per_config(spec):
+    # A single config is only thresholded and decoded; a batch also ranks
+    # the trials that fail at its largest rate. Both must count the same
+    # failures, here over one full and one partial trial block.
+    configs = _batch(parse_stack(spec), BATCH_LINKS, trials=TRIAL_BLOCK + 1000)
+    estimates = simulate_block_transfers(configs)
+    for config, est in zip(configs, estimates):
+        assert replace(est, elapsed=0.0) == replace(simulate_block_transfer(config), elapsed=0.0)
+    batch = [est.failures for est in estimates]
+    assert batch[1] == 0 and batch[3] == TRIAL_BLOCK + 1000
+    assert batch[0] == batch[5] and batch[2] == batch[6]
+    assert len(set(batch)) >= 4
+
+
+def test_batch_with_no_failure_at_its_largest_rate():
+    configs = _batch(STEANE, [(1e-4, 0.0, PARALLEL), (3e-4, 0.0, SERIAL)], trials=1000)
+    assert [est.failures for est in simulate_block_transfers(configs)] == [0, 0]
+
+
+def test_batch_determinism_across_workers():
+    stack = parse_stack("7-1-3+7-1-3")
+    runs = {
+        tuple(est.failures for est in simulate_block_transfers(
+            _batch(stack, BATCH_LINKS, trials=3 * TRIAL_BLOCK + 7, workers=workers)))
+        for workers in (1, 2, 8)
+    }
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"stack": parse_stack("23-1-7")},
+    {"trials": 999},
+    {"seed": 12},
+    {"workers": 2},
+])
+def test_batch_rejects_configs_that_cannot_share_draws(change):
+    configs = _batch(STEANE, BATCH_LINKS[:2], trials=1000)
+    configs.append(McConfig(**{**vars(configs[0]), **change}))
+    with pytest.raises(ValueError, match="must share"):
+        simulate_block_transfers(configs)
+
+
+def test_batch_rejects_empty():
+    with pytest.raises(ValueError):
+        simulate_block_transfers([])
+
+
 # ------------------------------------------------------------ fault histogram
 def test_fault_histogram_totals_and_determinism():
     cfg = _config(STEANE, 0.01, trials=50_000, seed=12)
@@ -236,6 +305,10 @@ def test_combined_validates_inputs():
 # ------------------------------------------------------------- penalty report
 def test_serial_penalty_report_steane():
     report = serial_penalty_report(parse_code("7-1-3"), 1e-3, trials=400_000, seed=21)
+    # One batch, and the same counts as two separate runs.
+    for est, mux in ((report.serial, SERIAL), (report.parallel, PARALLEL)):
+        single = simulate_block_transfer(_config(STEANE, 1e-3, report.p_m, mux, trials=400_000, seed=21))
+        assert est.failures == single.failures
     assert report.p_m == pytest.approx(1e-3 / 60, rel=1e-15)
     assert 1.24 <= report.analytic_ratio <= 1.26
     assert report.serial.failures >= report.parallel.failures

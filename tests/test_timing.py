@@ -64,6 +64,13 @@ def test_params_reject_non_finite_times(t_t, t_lqec):
         TimingParams(t_t, t_lqec, 7)
 
 
+@pytest.mark.parametrize("t_t, t_lqec, n", [(1e308, 1e308, 7), (1e308, 0.0, 2), (1e300, 0.0, 10**9)])
+def test_cycle_times_reject_overflowing_times(t_t, t_lqec, n):
+    # Each time is finite, but the serial cycle overflows to inf.
+    with pytest.raises(ValueError, match="overflows"):
+        cycle_times(TimingParams(t_t, t_lqec, n))
+
+
 def test_recommend_rejects_unbounded_reliability_ratio():
     # p_t = 0 makes the teleportation-only failure 0 while memory errors remain.
     with pytest.raises(ValueError, match="ratio is unbounded"):

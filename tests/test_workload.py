@@ -72,6 +72,12 @@ def test_rejects_tiny_sizes():
         WorkloadSpec(0, RIPPLE)
 
 
+@pytest.mark.parametrize("bits", [float("nan"), float("inf"), float("-inf")])
+def test_rejects_non_finite_sizes(bits):
+    with pytest.raises(ValueError, match="finite"):
+        WorkloadSpec(bits)
+
+
 @pytest.mark.parametrize("bits", [10**103, 10**300, 10**400], ids=["1e103", "1e300", "1e400"])
 def test_count_beyond_float_range_is_rejected(bits):
     with pytest.raises(ValueError, match="overflows"):
