@@ -11,8 +11,9 @@ with the same seed therefore share draws, and the serial failure set
 dominates the parallel one trial by trial.
 
 Reproducibility contract: trials are grouped in fixed blocks of 2**14, and
-block j draws from the Philox substream jumped(j) of the master seed. The
-mapping from trial index to draws never depends on worker count, so any
+block j draws from the Philox substream jumped(j) of the master seed. Philox
+is counter-based, so that substream starts at counter [0, 0, j, 0] and is
+built there directly. The mapping from trial index to draws never depends on worker count, so any
 partitioning of blocks across workers gives bit-identical failure counts.
 
 One draw answers every rate of a batch. The draws depend only on the seed,
@@ -26,9 +27,14 @@ block (an uncoded qubit's c is its uniform). So `c < q` holds exactly when
 decoding `uniforms < q` fails. Each block is thresholded and decoded once,
 at the largest requested q; only the trials that fail there can fail at a
 smaller q, and only they are ranked by critical rate, then counted below
-every rate with one sort and a binary search. They are ranked in chunks of
-RANK_CHUNK rows, because copying them out of the block all at once would add
-up to one more block-sized buffer to the peak memory.
+every rate with one sort and a binary search per tile (see below).
+
+A block is drawn in row tiles of at most TILE_BYTES of uniforms (one row if
+a row is larger), one after the other from the block's generator into one
+reused buffer, so the draws are byte-identical to drawing the whole block at
+once. Each tile is thresholded, decoded and ranked before the next one is
+drawn, so a worker's draw memory is bounded by TILE_BYTES, not by a block of
+2**14 * N doubles (69 MB for N = 529).
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ from .analytic import Multiplexing, _check_prob, combined_failure_analytic
 from .codes import CodeStack, QecCode
 
 TRIAL_BLOCK = 1 << 14
-RANK_CHUNK = TRIAL_BLOCK // 8   # failing trials ranked per partition pass
+TILE_BYTES = 1 << 22   # most bytes of uniforms per drawn tile (one row at least)
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
 
@@ -132,15 +138,27 @@ def wilson_interval(failures: int, trials: int, z: float = Z_95) -> tuple[float,
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(block_index))
+    """Trial block j's generator, in the state Philox(key=seed).jumped(j) gives."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block_index, 0]))
 
 
 def _decode(faulty: np.ndarray, stack: CodeStack) -> np.ndarray:
-    """Hierarchical majority-of-blocks decode: True where the top level fails."""
+    """Hierarchical majority-of-blocks decode: True where the top level fails.
+
+    Counts each code block's faulty members by adding its n member columns,
+    which is much faster than a sum over a short last axis. The counts are
+    just wide enough for n, so codes with n >= 256 do not wrap. Reshapes name
+    every size, because -1 is ambiguous on zero rows.
+    """
+    rows, width = faulty.shape
     for code in stack.levels:
-        counts = faulty.reshape(faulty.shape[0], -1, code.n).sum(axis=2)
+        width //= code.n
+        members = faulty.view(np.uint8).reshape(rows, width, code.n)
+        counts = members[:, :, 0].astype(np.min_scalar_type(code.n))
+        for i in range(1, code.n):
+            counts += members[:, :, i]
         faulty = counts >= code.min_fail
-    return faulty.any(axis=1)
+    return faulty[:, 0]   # widths multiply to N, so one block is left
 
 
 def _critical_rates(uniforms: np.ndarray, stack: CodeStack) -> np.ndarray:
@@ -167,12 +185,6 @@ def _run_blocks(config: McConfig, per_block) -> list:
         return list(pool.map(per_block, range(n_blocks)))
 
 
-def _uniforms(config: McConfig, j: int) -> np.ndarray:
-    """Draws of trial block j: one uniform per qubit, faulty below the link's fault rate q."""
-    rows = min(TRIAL_BLOCK, config.trials - j * TRIAL_BLOCK)
-    return _block_rng(config.seed, j).random((rows, config.stack.scale_up))
-
-
 def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
     """Estimate the transfer failure probability of every config from one draw.
 
@@ -189,21 +201,27 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
             raise ValueError("batched configs must share stack, trials, seed and workers")
     start = time.perf_counter()
     stack = first.stack
-    rates = np.array([config.link.fault_probability(stack.scale_up) for config in configs])
+    width = stack.scale_up
+    rates = np.array([config.link.fault_probability(width) for config in configs])
     top = rates.max()
     ranked = bool((rates < top).any())
+    tile_rows = max(1, min(TRIAL_BLOCK, TILE_BYTES // (8 * width)))
 
     def per_block(j: int) -> np.ndarray:
-        if not ranked:   # every rate is the top one: decoding alone counts them
-            return np.full(len(rates), _decode(_uniforms(first, j) < top, stack).sum())
-        uniforms = _uniforms(first, j)
-        failing = np.flatnonzero(_decode(uniforms < top, stack))
-        critical = np.empty(failing.size)
-        for lo in range(0, failing.size, RANK_CHUNK):
-            chunk = failing[lo:lo + RANK_CHUNK]
-            critical[lo:lo + chunk.size] = _critical_rates(uniforms[chunk], stack)
-        critical.sort()
-        return np.searchsorted(critical, rates, side="left")
+        rng = _block_rng(first.seed, j)
+        rows = min(TRIAL_BLOCK, first.trials - j * TRIAL_BLOCK)
+        buf = np.empty((min(rows, tile_rows), width))
+        counts = np.zeros(len(rates), dtype=np.int64)
+        for lo in range(0, rows, tile_rows):
+            tile = buf[:min(tile_rows, rows - lo)]
+            rng.random(out=tile)
+            failing = _decode(tile < top, stack)
+            if ranked:   # np.sort copies, so no view pins the tile's failing rows
+                critical = np.sort(_critical_rates(tile[failing], stack))
+                counts += np.searchsorted(critical, rates, side="left")
+            else:   # every rate is the top one: decoding alone counts them
+                counts += np.count_nonzero(failing)
+        return counts
 
     counts = np.sum(_run_blocks(first, per_block), axis=0)
     elapsed = time.perf_counter() - start
@@ -225,22 +243,6 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
 def simulate_block_transfer(config: McConfig) -> McEstimate:
     """Estimate the logical-block transfer failure probability by simulation."""
     return simulate_block_transfers([config])[0]
-
-
-def simulate_fault_histogram(config: McConfig) -> np.ndarray:
-    """Histogram of faulty physical-qubit counts per trial (before decoding).
-
-    Shares the stream layout of simulate_block_transfer, so histogram[k] at
-    index k counts trials in which exactly k of the block's qubits were
-    faulty.
-    """
-    block_size = config.stack.scale_up
-    q = config.link.fault_probability(block_size)
-
-    def per_block(j: int) -> np.ndarray:
-        return np.bincount((_uniforms(config, j) < q).sum(axis=1), minlength=block_size + 1)
-
-    return np.sum(_run_blocks(config, per_block), axis=0)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ penalty stay under configurable thresholds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .analytic import Multiplexing, combined_failure_analytic
@@ -56,7 +57,9 @@ def cycle_times(params: TimingParams) -> CycleTimes:
     With `lanes` channels the block crosses in ceil(n / lanes) rounds; one
     lane is the serial case, n lanes the parallel one.
     """
-    rounds = math.ceil(params.n / params.lanes)
+    rounds = -(-params.n // params.lanes)   # integer ceil: n may lie past float range
+    if rounds > sys.float_info.max:
+        raise ValueError("the number of transfer rounds overflows a float")
     serial = rounds * params.t_t + params.t_lqec
     parallel = params.t_t + params.t_lqec
     if math.isinf(serial):   # serial >= parallel, so parallel is finite too

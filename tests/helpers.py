@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the library's own code paths: binomial
 coefficients come from Pascal's triangle, tails from explicit enumeration,
-and rounding from decimal arithmetic.
+rounding from decimal arithmetic, and Monte Carlo counts from whole-block
+draws decoded once per rate.
 """
 import math
 from decimal import ROUND_HALF_UP, Decimal
+
+import numpy as np
 
 
 def round_sig(value: float, figs: int) -> float:
@@ -39,3 +42,34 @@ def pattern_tail(n: int, m: int, p: float) -> float:
         if weight >= m:
             total += p**weight * (1.0 - p) ** (n - weight)
     return total
+
+
+def reference_decode(faulty, levels):
+    """Trials whose top-level block fails under majority decoding.
+
+    `levels` lists (n, d) per code level, innermost first; a block fails
+    with at least (d + 1) // 2 failed members, counted in int64.
+    """
+    rows, width = faulty.shape
+    for n, d in levels:
+        width //= n
+        faulty = faulty.reshape(rows, width, n).sum(axis=2, dtype=np.int64) >= (d + 1) // 2
+    return faulty.any(axis=1)
+
+
+def reference_failures(levels, rates, trials: int, seed: int) -> list[int]:
+    """Failure counts of a trial run, one count per fault rate, by brute force.
+
+    Trials come in blocks of 2**14; block j is drawn whole from
+    Philox(key=seed).jumped(j), one uniform per qubit, and every rate
+    thresholds and decodes the block on its own.
+    """
+    block = 1 << 14
+    width = math.prod(n for n, _ in levels)
+    counts = [0] * len(rates)
+    for j in range(-(-trials // block)):
+        rows = min(block, trials - j * block)
+        uniforms = np.random.Generator(np.random.Philox(key=seed).jumped(j)).random((rows, width))
+        for k, q in enumerate(rates):
+            counts[k] += int(reference_decode(uniforms < q, levels).sum())
+    return counts

@@ -1,18 +1,24 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from helpers import reference_decode, reference_failures
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qlink import montecarlo
 from qlink.analytic import ModelMode, Multiplexing, combined_failure_analytic, p_block_error
-from qlink.codes import parse_code, parse_stack
+from qlink.codes import CodeStack, QecCode, builtin_codes, parse_code, parse_stack
 from qlink.montecarlo import (
     TRIAL_BLOCK,
     LinkParams,
     McConfig,
+    _block_rng,
+    _decode,
     serial_penalty_report,
     simulate_block_transfer,
     simulate_block_transfers,
-    simulate_fault_histogram,
     wilson_interval,
 )
 
@@ -243,13 +249,26 @@ def test_batch_rejects_empty():
 
 
 # ------------------------------------------------------------ fault histogram
+def _fault_histogram(config):
+    """Trials per faulty-qubit count, tallied over the engine's own draws."""
+    width = config.stack.scale_up
+    q = config.link.fault_probability(width)
+    hist = np.zeros(width + 1, dtype=np.int64)
+    for j in range(-(-config.trials // TRIAL_BLOCK)):
+        rows = min(TRIAL_BLOCK, config.trials - j * TRIAL_BLOCK)
+        faulty = _block_rng(config.seed, j).random((rows, width)) < q
+        hist += np.bincount(faulty.sum(axis=1), minlength=width + 1)
+    return hist
+
+
 def test_fault_histogram_totals_and_determinism():
     cfg = _config(STEANE, 0.01, trials=50_000, seed=12)
-    hist = simulate_fault_histogram(cfg)
+    hist = _fault_histogram(cfg)
     assert hist.sum() == cfg.trials
     assert hist.shape == (8,)
-    again = simulate_fault_histogram(cfg)
-    assert (hist == again).all()
+    assert (hist == _fault_histogram(cfg)).all()
+    # The trials with at least min_fail faulty qubits are the engine's failures.
+    assert hist[2:].sum() == simulate_block_transfer(cfg).failures
 
 
 def test_event_convolution_tracks_faulty_qubit_frequency():
@@ -259,10 +278,84 @@ def test_event_convolution_tracks_faulty_qubit_frequency():
     # stays inside 10%.
     p_t, p_m = 0.01, 0.01 / 60
     cfg = _config(STEANE, p_t, p_m, SERIAL, trials=1_000_000, seed=8)
-    hist = simulate_fault_histogram(cfg)
-    exactly_two = hist[2] / cfg.trials
+    exactly_two = _fault_histogram(cfg)[2] / cfg.trials
     convolution = combined_failure_analytic(7, 2, p_t, p_m)
     assert abs(convolution - exactly_two) / convolution < 0.10
+
+
+# --------------------------------------------------------------------- engine
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("block", [0, 1, 610, 2**40])
+def test_block_rng_is_the_jumped_substream(seed, block):
+    jumped = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    assert (_block_rng(seed, block).random(1000) == jumped.random(1000)).all()
+
+
+def _levels(stack):
+    return [(code.n, code.d) for code in stack]
+
+
+@pytest.mark.parametrize("spec", [code.spec() for code in builtin_codes()]
+                         + ["7-1-3+7-1-3", "23-1-7+23-1-7"])
+@pytest.mark.parametrize("rows", [0, 1, 3000])
+def test_decode_matches_reference(spec, rows):
+    stack = parse_stack(spec)
+    rng = np.random.default_rng(rows)
+    for q in (0.02, 0.2, 0.6):
+        faulty = rng.random((rows, stack.scale_up)) < q
+        decoded = _decode(faulty, stack)
+        assert decoded.shape == (rows,)
+        assert (decoded == reference_decode(faulty, _levels(stack))).all()
+
+
+def test_decode_counts_past_255_members():
+    stack = CodeStack((QecCode("257-1-255", 257, 1, 255),))   # min_fail 128
+    faulty = np.random.default_rng(3).random((500, 257)) < 0.5
+    faulty[0] = True   # 257 faulty members: a uint8 count wraps to 1
+    faulty[1] = np.arange(257) < 128
+    faulty[2] = np.arange(257) < 127
+    decoded = _decode(faulty, stack)
+    assert decoded[:3].tolist() == [True, True, False]
+    assert (decoded == reference_decode(faulty, _levels(stack))).all()
+
+
+@pytest.mark.parametrize("spec, p_ts", [
+    ("7-1-3+7-1-3", (0.1, 0.02, 0.05)),       # N = 49: two tiles per block
+    ("23-1-7+23-1-7", (0.15, 0.05, 0.1)),     # N = 529: 17 tiles per block
+])
+@pytest.mark.parametrize("tile_bytes, trials", [
+    (montecarlo.TILE_BYTES, TRIAL_BLOCK + 1000),   # a partial last block and tile
+    (1, 40),                                       # one row per tile
+])
+def test_tiled_draws_match_whole_block_draws(spec, p_ts, tile_bytes, trials, monkeypatch):
+    monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
+    stack = parse_stack(spec)
+    configs = [_config(stack, p_t, trials=trials, seed=31) for p_t in p_ts]
+    rates = [config.link.fault_probability(stack.scale_up) for config in configs]
+    expected = reference_failures(_levels(stack), rates, trials, 31)
+    assert [est.failures for est in simulate_block_transfers(configs)] == expected
+    assert [simulate_block_transfer(configs[0]).failures] == expected[:1]
+    assert len(set(expected)) == 3
+
+
+_BUILTIN = st.sampled_from([code.spec() for code in builtin_codes()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.one_of(st.just("none"), _BUILTIN, st.tuples(_BUILTIN, _BUILTIN).map("+".join)),
+    p_ts=st.lists(st.one_of(st.just(0.0), st.sampled_from([0.01, 0.05, 0.2]), st.floats(0.0, 1.0)),
+                  min_size=1, max_size=4),
+    trials=st.integers(1, 40_000),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(spec="23-1-7+7-1-3", p_ts=[0.05, 0.0, 0.05, 0.2], trials=40_000, seed=2**64 - 1)
+def test_engine_matches_brute_force_reference(spec, p_ts, trials, seed):
+    stack = parse_stack(spec)
+    configs = [McConfig(stack, LinkParams(p_t), trials, seed) for p_t in p_ts]
+    rates = [config.link.fault_probability(stack.scale_up) for config in configs]
+    expected = reference_failures(_levels(stack), rates, trials, seed)
+    assert [est.failures for est in simulate_block_transfers(configs)] == expected
 
 
 # ------------------------------------------------------- combined failure rate
@@ -280,6 +373,21 @@ def test_combined_ratio_frozen_values():
     )
     assert r7 == pytest.approx(1.2422249034245232, rel=1e-12)
     assert r23 == pytest.approx(1.5328696685977423, rel=1e-12)
+
+
+def test_faulty_qubit_union_ratio_frozen_values():
+    # The simulator's model: a qubit is faulty iff at least one event hits
+    # it, so the serial/parallel ratio is the exact tail at the union rate.
+    # It sits below the event convolution's 1.2422 and 1.5329, because the
+    # convolution counts n same-qubit pairs among its n^2 as two faults.
+    for spec, expected in (("7-1-3", 1.2094), ("23-1-7", 1.4613)):
+        code = parse_code(spec)
+        p_m = 1e-3 * 0.1 / (code.n - 1)
+        q_serial = LinkParams(1e-3, p_m, SERIAL).fault_probability(code.n)
+        ratio = p_block_error(code.n, code.min_fail, q_serial, ModelMode.EXACT_TAIL) / p_block_error(
+            code.n, code.min_fail, 1e-3, ModelMode.EXACT_TAIL
+        )
+        assert ratio == pytest.approx(expected, abs=5e-5)
 
 
 def test_combined_ratio_leading_order_limits():

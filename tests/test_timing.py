@@ -71,6 +71,13 @@ def test_cycle_times_reject_overflowing_times(t_t, t_lqec, n):
         cycle_times(TimingParams(t_t, t_lqec, n))
 
 
+def test_cycle_times_reject_round_count_past_float_range():
+    # An integer n past float range must not reach float division.
+    with pytest.raises(ValueError, match="overflows"):
+        cycle_times(TimingParams(1.0, 1.0, 10**400))
+    assert cycle_times(TimingParams(1.0, 0.0, 10**300 + 1, lanes=10**300)).start_delay_factor == 2
+
+
 def test_recommend_rejects_unbounded_reliability_ratio():
     # p_t = 0 makes the teleportation-only failure 0 while memory errors remain.
     with pytest.raises(ValueError, match="ratio is unbounded"):
