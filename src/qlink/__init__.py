@@ -1,100 +1,75 @@
-"""Failure-probability and EPR-pair-cost models for teleported logical qubits."""
+"""Failure-probability and EPR-pair-cost models for teleported logical qubits.
 
-from .analytic import (
-    AlgorithmFailure,
-    ModelMode,
-    Multiplexing,
-    Table3Row,
-    allowable_pt,
-    combined_failure_analytic,
-    p_algorithm_failure,
-    p_block_error,
-    p_stack_block_error,
-    table3,
-)
-from .circuits import (
-    CutCost,
-    CutPoint,
-    Direction,
-    DqecBudget,
-    EncoderCircuit,
-    EncoderValidation,
-    Gate,
-    GateKind,
-    cut_table,
-    default_steane_encoder,
-    dqec_budget,
-    load_circuit,
-    save_circuit,
-    steane_stabilizers,
-    teledata_cost,
-    telegate_cost,
-    validate_encoder,
-)
-from .codes import CodeStack, QecCode, builtin_codes, parse_code, parse_stack
-from .montecarlo import (
-    LinkParams,
-    McConfig,
-    McEstimate,
-    SerialPenaltyReport,
-    serial_penalty_report,
-    simulate_block_transfer,
-    simulate_block_transfers,
-    wilson_interval,
-)
-from .timing import CycleTimes, Recommendation, TimingParams, cycle_times, recommend
-from .workload import AdderKind, TeleportEstimate, WorkloadSpec, teleport_count
+Each public name is imported from its owning module on first use (PEP 562),
+so `import qlink` loads no submodule: the closed forms start without numpy,
+which only the Monte Carlo engine and the circuit layer import.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdderKind",
-    "AlgorithmFailure",
-    "CodeStack",
-    "CutCost",
-    "CutPoint",
-    "CycleTimes",
-    "Direction",
-    "DqecBudget",
-    "EncoderCircuit",
-    "EncoderValidation",
-    "Gate",
-    "GateKind",
-    "LinkParams",
-    "McConfig",
-    "McEstimate",
-    "ModelMode",
-    "Multiplexing",
-    "QecCode",
-    "Recommendation",
-    "SerialPenaltyReport",
-    "Table3Row",
-    "TeleportEstimate",
-    "TimingParams",
-    "WorkloadSpec",
-    "allowable_pt",
-    "builtin_codes",
-    "combined_failure_analytic",
-    "cut_table",
-    "cycle_times",
-    "default_steane_encoder",
-    "dqec_budget",
-    "load_circuit",
-    "p_algorithm_failure",
-    "p_block_error",
-    "p_stack_block_error",
-    "parse_code",
-    "parse_stack",
-    "recommend",
-    "save_circuit",
-    "serial_penalty_report",
-    "simulate_block_transfer",
-    "simulate_block_transfers",
-    "steane_stabilizers",
-    "table3",
-    "teledata_cost",
-    "telegate_cost",
-    "teleport_count",
-    "validate_encoder",
-    "wilson_interval",
-]
+_EXPORTS = {
+    "analytic": (
+        "AlgorithmFailure",
+        "ModelMode",
+        "Multiplexing",
+        "Table3Row",
+        "allowable_pt",
+        "combined_failure_analytic",
+        "p_algorithm_failure",
+        "p_block_error",
+        "p_stack_block_error",
+        "table3",
+    ),
+    "circuits": (
+        "CutCost",
+        "CutPoint",
+        "Direction",
+        "DqecBudget",
+        "EncoderCircuit",
+        "EncoderValidation",
+        "Gate",
+        "GateKind",
+        "cut_table",
+        "default_steane_encoder",
+        "dqec_budget",
+        "load_circuit",
+        "save_circuit",
+        "steane_stabilizers",
+        "teledata_cost",
+        "telegate_cost",
+        "validate_encoder",
+    ),
+    "codes": ("CodeStack", "QecCode", "builtin_codes", "parse_code", "parse_stack"),
+    "montecarlo": (
+        "LinkParams",
+        "McConfig",
+        "McEstimate",
+        "SerialPenaltyReport",
+        "serial_penalty_report",
+        "simulate_block_transfer",
+        "simulate_block_transfers",
+        "wilson_interval",
+    ),
+    "timing": ("CycleTimes", "Recommendation", "TimingParams", "cycle_times", "recommend"),
+    "workload": ("AdderKind", "TeleportEstimate", "WorkloadSpec", "teleport_count"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import a submodule, or a public name's owning module, and cache the result."""
+    if name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _OWNER:
+        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

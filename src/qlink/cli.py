@@ -15,11 +15,15 @@ import math
 import os
 import sys
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import click
 
-from . import analytic, circuits, montecarlo, timing, workload
+from . import analytic, timing, workload
 from .codes import CodeStack, builtin_codes, parse_stack
+
+if TYPE_CHECKING:  # numpy-backed layers, imported by the commands that compute with them
+    from . import circuits, montecarlo
 
 
 def _finite(number: float, kind: click.ParamType, value, param, ctx) -> float:
@@ -135,6 +139,8 @@ def _load_stack(spec: str) -> CodeStack:
 
 
 def _load_circuit(ref: str) -> circuits.EncoderCircuit:
+    from . import circuits
+
     if ref == "default":
         return circuits.default_steane_encoder()
     return circuits.load_circuit(ref)
@@ -189,6 +195,8 @@ def _simulation_options(body):
 
 def _mc_config(stack: CodeStack, pt, pm, serial, lanes, trials, seed, workers) -> montecarlo.McConfig:
     """One simulated link configuration; lanes None means the link style's natural width."""
+    from . import montecarlo
+
     mux = analytic.Multiplexing.SERIAL if serial else analytic.Multiplexing.PARALLEL
     if lanes is None:
         lanes = 1 if serial else stack.scale_up
@@ -267,6 +275,8 @@ def table3_cmd(t_values, stack_specs, target_pf, mode):
               help="Parallel lane count [default: full block width].")
 def mc_cmd(stack, pt, pm, serial, lanes, trials, seed, workers):
     """Simulate logical-block transfers and estimate the failure probability."""
+    from . import montecarlo
+
     config = _mc_config(_load_stack(stack), pt, pm, serial, lanes, trials, seed, workers)
     return {**_mc_row(config, montecarlo.simulate_block_transfer(config)), "workers": workers}
 
@@ -284,6 +294,8 @@ SWEEP_HEADER = ["stack", "mode", "p_t", "p_m", "trials", "failures", "p_hat", "c
               help="Restrict to one link style [default: both].")
 def sweep_cmd(stack, pt_values, pm_values, serial, trials, seed, workers):
     """Grid of simulations over error rates, as plot-ready rows."""
+    from . import montecarlo
+
     stack_obj = _load_stack(stack)
     modes = [True, False] if serial is None else [serial]
     configs = [
@@ -299,6 +311,8 @@ def sweep_cmd(stack, pt_values, pm_values, serial, trials, seed, workers):
               help="Encoder circuit: 'default' or a JSON file path.")
 def cut_cmd(circuit_ref):
     """EPR cost of telegate vs teledata at every breakpoint of an encoder."""
+    from . import circuits
+
     circuit = _load_circuit(circuit_ref)
     header = ["breakpoint", "telegate", "teledata", "direction"]
     return header, [
@@ -313,6 +327,8 @@ def cut_cmd(circuit_ref):
 @click.option("--repeats", type=SCI_INT, default=2, show_default=True)
 def dqec_cost_cmd(circuit_ref, syndromes, repeats):
     """EPR budgets for distributed error correction, static and in motion."""
+    from . import circuits
+
     return _fields(circuits.dqec_budget(_load_circuit(circuit_ref), syndromes, repeats))
 
 

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qlink
 from qlink.cli import cli, main
 
 
@@ -283,3 +288,43 @@ def test_invalid_input_exits_one_with_nothing_on_stdout(argv, capsys):
 
 def test_success_exit_zero(capsys):
     assert main(["codes"]) == 0
+
+
+# ------------------------------------------------------------------ start-up
+FRESH_MAIN = ("import sys\nfrom qlink.cli import main\ncode = main(sys.argv[1:])\n"
+              "print('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)")
+
+
+def run_fresh(argv):
+    """main(argv) in a new interpreter on the tree under test: (stdout, whether numpy was imported)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qlink.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, done.stderr.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["codes"],
+    ["analyze", "--t", "1e8"],
+    ["table3"],
+    ["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"],
+    ["workload", "--bits", "1024"],
+    ["link-timing", "--tt", "1", "--tlqec", "100", "--n", "7"],
+    ["--help"],
+    ["mc", "--help"],
+], ids=" ".join)
+def test_closed_form_commands_start_without_numpy(argv):
+    stdout, numpy_imported = run_fresh(argv)
+    assert stdout
+    assert not numpy_imported
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--pt", "0.01", "--trials", "100", "--workers", "1"],
+    ["cut"],
+], ids=" ".join)
+def test_fresh_interpreter_prints_what_the_in_process_call_prints(argv, capsys):
+    stdout, _ = run_fresh(argv)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout

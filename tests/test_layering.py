@@ -3,22 +3,30 @@
 codes <- analytic <- {montecarlo, timing, circuits, workload} <- cli: the
 closed forms depend only on the code descriptors, each model depends only
 on those two, and only the CLI sees every model. The package __init__
-re-exports everything and is exempt.
+imports no submodule: it resolves each public name, and each submodule,
+from its owning module on first attribute access.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qlink
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlink"
 MODELS = {"montecarlo", "timing", "circuits", "workload"}
 ALLOWED = {
+    "__init__": set(),
     "codes": set(),
     "analytic": {"codes"},
     **{model: {"codes", "analytic"} for model in MODELS},
     "cli": {"codes", "analytic"} | MODELS,
 }
-MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
 def package_imports(path: Path) -> set[str]:
@@ -57,9 +65,46 @@ def test_imports_follow_layering(module):
 
 
 def test_public_names_resolve_without_duplicates():
-    import qlink
-
     namespace = {}
     exec("from qlink import *", namespace)
     assert len(set(qlink.__all__)) == len(qlink.__all__)
     assert set(qlink.__all__) <= set(namespace)
+
+
+def test_bare_import_loads_no_submodule_until_an_attribute_is_used():
+    script = (
+        "import json, sys\nimport qlink\n"
+        "before = sorted(m for m in sys.modules if m.startswith('qlink.') or m == 'numpy')\n"
+        "modules = [qlink.montecarlo.__name__, qlink.circuits.__name__]\n"
+        "names = [name for name in qlink.__all__ if not hasattr(qlink, name)]\n"
+        "print(json.dumps([before, modules, names]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, modules, unresolved = json.loads(done.stdout)
+    assert before == []
+    assert modules == ["qlink.montecarlo", "qlink.circuits"]
+    assert unresolved == []
+
+
+@pytest.mark.parametrize("name", sorted(set(qlink.__all__) | {"montecarlo", "circuits"}))
+def test_lazy_name_is_the_owning_modules_object(name):
+    value = qlink.__getattr__(name)
+    assert vars(qlink)[name] is value
+    if name in {"montecarlo", "circuits"}:
+        assert value is sys.modules[f"qlink.{name}"]
+    else:
+        assert value.__module__.startswith("qlink.")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_dir_lists_every_public_name():
+    assert set(qlink.__all__) <= set(dir(qlink))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qlink.no_such_name
+    assert not hasattr(qlink, "__no_such_dunder__")
