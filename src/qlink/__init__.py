@@ -1,8 +1,8 @@
 """Failure-probability and EPR-pair-cost models for teleported logical qubits.
 
 Each public name is imported from its owning module on first use (PEP 562),
-so `import qlink` loads no submodule: the closed forms start without numpy,
-which only the Monte Carlo engine and the circuit layer import.
+so `import qlink` loads no submodule: only names from the Monte Carlo engine
+pay for its array-library import.
 """
 import importlib
 

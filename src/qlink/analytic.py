@@ -120,7 +120,10 @@ def p_algorithm_failure(
         raise ValueError(f"need t >= 0, got {t}")
     p_e = p_stack_block_error(stack, p_t, mode)
     linearized = t * p_e
-    p_f = 1.0 - (1.0 - min(p_e, 1.0)) ** t
+    if p_e >= 1.0:
+        p_f = 1.0 if t > 0 else 0.0
+    else:   # 1 - (1 - p_e)^t without cancelling p_e against 1
+        p_f = -math.expm1(t * math.log1p(-p_e))
     return AlgorithmFailure(
         block_error=p_e,
         p_f=p_f,
@@ -156,6 +159,8 @@ def allowable_pt(
     # p_f(0) = 0 < target, p_f(hi) > target: the root is bracketed.
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # adjacent subnormals: the bracket cannot shrink further
+            break
         if p_algorithm_failure(stack, t, mid, mode).p_f <= target_pf:
             lo = mid
         else:

@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from .codes import QecCode
 
 
@@ -190,56 +188,47 @@ def default_steane_encoder() -> EncoderCircuit:
     )
 
 
-def steane_stabilizers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X checks, Z checks, and logical Z of the seven-qubit CSS code.
+def steane_stabilizers() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """X checks, Z checks, and logical Z (one row) of the seven-qubit CSS code, as 0/1 ints.
 
     Check rows are the binary representations of 1..7 read down the columns
     (the classical Hamming parity-check matrix); both Pauli types share it.
     """
-    h = np.array(
-        [
-            [0, 0, 0, 1, 1, 1, 1],
-            [0, 1, 1, 0, 0, 1, 1],
-            [1, 0, 1, 0, 1, 0, 1],
-        ],
-        dtype=np.uint8,
+    h = (
+        (0, 0, 0, 1, 1, 1, 1),
+        (0, 1, 1, 0, 0, 1, 1),
+        (1, 0, 1, 0, 1, 0, 1),
     )
-    logical_z = np.ones(7, dtype=np.uint8)
-    return h.copy(), h.copy(), logical_z
+    return h, h, (1,) * 7
 
 
-def _rref_gf2(matrix: np.ndarray) -> np.ndarray:
-    """Reduced row echelon form over GF(2), zero rows dropped."""
-    mat = matrix.astype(np.uint8).copy() % 2
-    n_rows, n_cols = mat.shape
-    pivot_row = 0
-    for col in range(n_cols):
-        hit = np.nonzero(mat[pivot_row:, col])[0]
-        if hit.size == 0:
-            continue
-        swap = pivot_row + hit[0]
-        mat[[pivot_row, swap]] = mat[[swap, pivot_row]]
-        others = np.nonzero(mat[:, col])[0]
-        for r in others:
-            if r != pivot_row:
-                mat[r] ^= mat[pivot_row]
-        pivot_row += 1
-        if pivot_row == n_rows:
-            break
-    return mat[mat.any(axis=1)]
+def _bit_rows(matrix, n: int) -> list[int]:
+    """A 0/1 matrix, or a single 0/1 row, as ints with column q in bit q."""
+    rows = matrix if all(hasattr(row, "__len__") for row in matrix) else [matrix]
+    if any(len(row) != n for row in rows):
+        raise ValueError("stabilizer row length does not match the circuit width")
+    return [sum(1 << q for q, bit in enumerate(row) if bit) for row in rows]
 
 
-def _in_row_space(vector: np.ndarray, rref: np.ndarray) -> bool:
-    stacked = np.vstack([rref, vector % 2])
-    return _rref_gf2(stacked).shape[0] == rref.shape[0]
+def _reduce(row: int, basis: list[int]) -> int:
+    """The row with every pivot of a descending basis cleared: 0 iff it lies in the span."""
+    for vector in basis:
+        row = min(row, row ^ vector)
+    return row
 
 
-def _pauli_string(row: np.ndarray, n: int) -> str:
-    chars = []
-    for q in range(n):
-        x, z = row[q], row[n + q]
-        chars.append("IXZY"[x + 2 * z])
-    return "".join(chars)
+def _basis(rows: list[int]) -> list[int]:
+    """A GF(2) pivot basis of the rows' span: distinct leading bits, descending."""
+    basis: list[int] = []
+    for row in rows:
+        row = _reduce(row, basis)
+        if row:
+            basis = sorted(basis + [row], reverse=True)
+    return basis
+
+
+def _pauli_string(row: int, n: int) -> str:
+    return "".join("IXZY"[(row >> q & 1) + 2 * (row >> (n + q) & 1)] for q in range(n))
 
 
 @dataclass(frozen=True)
@@ -249,11 +238,8 @@ class EncoderValidation:
     extra: tuple[str, ...]     # prepared generators outside the expected group
 
 
-def validate_encoder(
-    circuit: EncoderCircuit,
-    code: QecCode,
-    stabilizers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> EncoderValidation:
+def validate_encoder(circuit: EncoderCircuit, code: QecCode,
+                     stabilizers: tuple | None = None) -> EncoderValidation:
     """Check that the circuit prepares the code's logical zero.
 
     Simulates the all-zeros stabilizer tableau through the gates using the
@@ -261,45 +247,32 @@ def validate_encoder(
     membership here) and compares row spaces: the prepared group must equal
     the group generated by the code's stabilizers plus logical Z. Generators
     are compared as groups, not lists, since presentations are not unique.
+    Each Pauli row is one int, its X part in bits 0..n-1 and its Z part in
+    bits n..2n-1. `stabilizers` holds (X checks, Z checks, logical Z) as 0/1
+    matrices; any of them may be a single row.
     """
     if stabilizers is None:
         if (code.n, code.k, code.d) != (7, 1, 3):
-            raise ValueError(
-                f"no stabilizer fixture for {code.spec()}; pass stabilizers explicitly"
-            )
+            raise ValueError(f"no stabilizer fixture for {code.spec()}; pass stabilizers explicitly")
         stabilizers = steane_stabilizers()
-    h_x, h_z, logical_z = (np.atleast_2d(np.asarray(m, dtype=np.uint8)) for m in stabilizers)
     n = circuit.n_qubits
-    if h_x.shape[1] != n or h_z.shape[1] != n or logical_z.shape[1] != n:
-        raise ValueError("stabilizer row length does not match the circuit width")
+    h_x, h_z, logical_z = (_bit_rows(matrix, n) for matrix in stabilizers)
 
-    # Start from |0...0>: generators Z_0 .. Z_{n-1}, rows laid out as (x | z).
-    tableau = np.zeros((n, 2 * n), dtype=np.uint8)
-    tableau[:, n:] = np.eye(n, dtype=np.uint8)
+    # Start from |0...0>: generators Z_0 .. Z_{n-1}.
+    tableau = [1 << (n + q) for q in range(n)]
     for gate in circuit.gates:
-        if gate.kind is GateKind.H:
+        if gate.kind is GateKind.H:   # swap x_q and z_q
             (q,) = gate.qubits
-            tableau[:, [q, n + q]] = tableau[:, [n + q, q]]
-        elif gate.kind is GateKind.CNOT:
+            flip = 1 << q | 1 << (n + q)
+            tableau = [row ^ flip if (row >> q ^ row >> (n + q)) & 1 else row for row in tableau]
+        else:   # CNOT: x_t ^= x_c, z_c ^= z_t
             c, t = gate.qubits
-            tableau[:, t] ^= tableau[:, c]
-            tableau[:, n + c] ^= tableau[:, n + t]
-        else:  # pragma: no cover - GateKind is closed
-            raise ValueError(f"unsupported gate kind {gate.kind}")
+            tableau = [row ^ (row >> c & 1) << t ^ (row >> (n + t) & 1) << (n + c) for row in tableau]
 
-    expected = np.zeros((h_x.shape[0] + h_z.shape[0] + logical_z.shape[0], 2 * n), dtype=np.uint8)
-    expected[: h_x.shape[0], :n] = h_x
-    expected[h_x.shape[0] : h_x.shape[0] + h_z.shape[0], n:] = h_z
-    expected[h_x.shape[0] + h_z.shape[0] :, n:] = logical_z
-
-    prepared_rref = _rref_gf2(tableau)
-    expected_rref = _rref_gf2(expected)
-    missing = tuple(
-        _pauli_string(row, n) for row in expected if not _in_row_space(row, prepared_rref)
-    )
-    extra = tuple(
-        _pauli_string(row, n) for row in tableau if not _in_row_space(row, expected_rref)
-    )
+    expected = h_x + [row << n for row in h_z + logical_z]
+    prepared, wanted = _basis(tableau), _basis(expected)
+    missing = tuple(_pauli_string(row, n) for row in expected if _reduce(row, prepared))
+    extra = tuple(_pauli_string(row, n) for row in tableau if _reduce(row, wanted))
     return EncoderValidation(ok=not (missing or extra), missing=missing, extra=extra)
 
 

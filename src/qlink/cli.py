@@ -22,7 +22,7 @@ import click
 from . import analytic, timing, workload
 from .codes import CodeStack, builtin_codes, parse_stack
 
-if TYPE_CHECKING:  # numpy-backed layers, imported by the commands that compute with them
+if TYPE_CHECKING:  # the simulation and circuit layers, imported by the commands that use them
     from . import circuits, montecarlo
 
 
@@ -41,13 +41,20 @@ class FiniteFloat(click.types.FloatParamType):
 
 
 class ScientificInt(click.ParamType):
-    """Integer that also accepts scientific notation, e.g. 1e7."""
+    """Integer that also accepts scientific notation, e.g. 1e7.
+
+    Integer literals are parsed exactly; only other forms go through float.
+    """
 
     name = "integer"
 
     def convert(self, value, param, ctx):
         if isinstance(value, int):
             return value
+        try:
+            return int(value)
+        except ValueError:
+            pass
         try:
             as_float = float(value)
         except ValueError:
@@ -370,8 +377,8 @@ def recommend_cmd(stack, tt, tlqec, pt, pm, slowdown_threshold, reliability_thre
     if len(stack_obj) != 1:
         raise click.UsageError("recommend needs a single-level stack, e.g. --stack 7-1-3")
     code = stack_obj.levels[0]
-    if pm is None:
-        pm = pt / (10 * (code.n - 1))
+    if pm is None:   # a one-qubit block never waits, so its memory rate is moot
+        pm = pt / (10 * (code.n - 1)) if code.n > 1 else 0.0
     params = timing.TimingParams(t_t=tt, t_lqec=tlqec, n=code.n)
     rec = timing.recommend(params, code, pt, pm, slowdown_threshold, reliability_threshold)
     return {"code": code.spec(), "t_t": tt, "t_lqec": tlqec, "p_t": pt, "p_m": pm, **_fields(rec)}

@@ -204,7 +204,6 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
     width = stack.scale_up
     rates = np.array([config.link.fault_probability(width) for config in configs])
     top = rates.max()
-    ranked = bool((rates < top).any())
     tile_rows = max(1, min(TRIAL_BLOCK, TILE_BYTES // (8 * width)))
 
     def per_block(j: int) -> np.ndarray:
@@ -216,11 +215,9 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
             tile = buf[:min(tile_rows, rows - lo)]
             rng.random(out=tile)
             failing = _decode(tile < top, stack)
-            if ranked:   # np.sort copies, so no view pins the tile's failing rows
-                critical = np.sort(_critical_rates(tile[failing], stack))
-                counts += np.searchsorted(critical, rates, side="left")
-            else:   # every rate is the top one: decoding alone counts them
-                counts += np.count_nonzero(failing)
+            # np.sort copies, so no view pins the tile's failing rows.
+            critical = np.sort(_critical_rates(tile[failing], stack))
+            counts += np.searchsorted(critical, rates, side="left")
         return counts
 
     counts = np.sum(_run_blocks(first, per_block), axis=0)
@@ -280,7 +277,7 @@ def serial_penalty_report(
     """
     if memory_ratio < 0:
         raise ValueError(f"memory_ratio must be >= 0, got {memory_ratio}")
-    p_m = p_t * memory_ratio / (code.n - 1)
+    p_m = p_t * memory_ratio / (code.n - 1) if code.n > 1 else 0.0   # one qubit never waits
     stack = CodeStack((code,))
 
     combined = combined_failure_analytic(code.n, code.min_fail, p_t, p_m)

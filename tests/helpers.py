@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the library's own code paths: binomial
 coefficients come from Pascal's triangle, tails from explicit enumeration,
-rounding from decimal arithmetic, and Monte Carlo counts from whole-block
-draws decoded once per rate.
+rounding and compounded failure from decimal arithmetic, Monte Carlo counts
+from whole-block draws decoded once per rate, and encoder validity from a
+numpy stabilizer tableau reduced to row echelon form.
 """
 import math
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
 
@@ -18,6 +19,20 @@ def round_sig(value: float, figs: int) -> float:
     exponent = math.floor(math.log10(abs(value)))
     quantum = Decimal(1).scaleb(exponent - figs + 1)
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+
+
+def exact_failure(p_e: float, t: float) -> float:
+    """1 - (1 - p_e)^t for p_e in [0, 1), in decimal arithmetic.
+
+    The float inputs convert to Decimal exactly, and the working precision
+    grows as p_e and t shrink, so p_e does not vanish against 1 and
+    1 - exp(t * ln(1 - p_e)) keeps 40 significant digits; the only rounding
+    left that matters is the final conversion to float.
+    """
+    p, count = Decimal(p_e), Decimal(t)
+    with localcontext() as ctx:
+        ctx.prec = 40 + max(0, -p.adjusted()) + max(0, -count.adjusted())
+        return float(1 - ((1 - p).ln() * count).exp())
 
 
 def pascal_row(n: int) -> list[int]:
@@ -73,3 +88,79 @@ def reference_failures(levels, rates, trials: int, seed: int) -> list[int]:
         for k, q in enumerate(rates):
             counts[k] += int(reference_decode(uniforms < q, levels).sum())
     return counts
+
+
+def _rref_gf2(matrix: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form over GF(2), zero rows dropped."""
+    mat = matrix.astype(np.uint8).copy() % 2
+    n_rows, n_cols = mat.shape
+    pivot_row = 0
+    for col in range(n_cols):
+        hit = np.nonzero(mat[pivot_row:, col])[0]
+        if hit.size == 0:
+            continue
+        swap = pivot_row + hit[0]
+        mat[[pivot_row, swap]] = mat[[swap, pivot_row]]
+        others = np.nonzero(mat[:, col])[0]
+        for r in others:
+            if r != pivot_row:
+                mat[r] ^= mat[pivot_row]
+        pivot_row += 1
+        if pivot_row == n_rows:
+            break
+    return mat[mat.any(axis=1)]
+
+
+def _in_row_space(vector: np.ndarray, rref: np.ndarray) -> bool:
+    stacked = np.vstack([rref, vector % 2])
+    return _rref_gf2(stacked).shape[0] == rref.shape[0]
+
+
+def _pauli_string(row: np.ndarray, n: int) -> str:
+    chars = []
+    for q in range(n):
+        x, z = row[q], row[n + q]
+        chars.append("IXZY"[x + 2 * z])
+    return "".join(chars)
+
+
+def reference_validate(circuit, stabilizers) -> tuple[bool, tuple[str, ...], tuple[str, ...]]:
+    """(ok, missing, extra) of an encoder, from a numpy (x | z) tableau and GF(2) RREF.
+
+    Simulates the all-zeros tableau through the circuit's H and CNOT gates
+    column by column, then compares the prepared rows' span with the span of
+    the X checks, Z checks and logical Z in `stabilizers`.
+    """
+    h_x, h_z, logical_z = (np.atleast_2d(np.asarray(m, dtype=np.uint8)) for m in stabilizers)
+    n = circuit.n_qubits
+    if h_x.shape[1] != n or h_z.shape[1] != n or logical_z.shape[1] != n:
+        raise ValueError("stabilizer row length does not match the circuit width")
+
+    # Start from |0...0>: generators Z_0 .. Z_{n-1}, rows laid out as (x | z).
+    tableau = np.zeros((n, 2 * n), dtype=np.uint8)
+    tableau[:, n:] = np.eye(n, dtype=np.uint8)
+    for gate in circuit.gates:
+        if gate.kind == "H":
+            (q,) = gate.qubits
+            tableau[:, [q, n + q]] = tableau[:, [n + q, q]]
+        elif gate.kind == "CNOT":
+            c, t = gate.qubits
+            tableau[:, t] ^= tableau[:, c]
+            tableau[:, n + c] ^= tableau[:, n + t]
+        else:
+            raise ValueError(f"unsupported gate kind {gate.kind}")
+
+    expected = np.zeros((h_x.shape[0] + h_z.shape[0] + logical_z.shape[0], 2 * n), dtype=np.uint8)
+    expected[: h_x.shape[0], :n] = h_x
+    expected[h_x.shape[0] : h_x.shape[0] + h_z.shape[0], n:] = h_z
+    expected[h_x.shape[0] + h_z.shape[0] :, n:] = logical_z
+
+    prepared_rref = _rref_gf2(tableau)
+    expected_rref = _rref_gf2(expected)
+    missing = tuple(
+        _pauli_string(row, n) for row in expected if not _in_row_space(row, prepared_rref)
+    )
+    extra = tuple(
+        _pauli_string(row, n) for row in tableau if not _in_row_space(row, expected_rref)
+    )
+    return not (missing or extra), missing, extra

@@ -1,8 +1,7 @@
-import math
 import random
 
 import pytest
-from helpers import pattern_tail, round_sig, weight_tail
+from helpers import exact_failure, pattern_tail, round_sig, weight_tail
 
 from qlink.analytic import (
     ModelMode,
@@ -36,7 +35,8 @@ def test_p_success_uses_exact_power_not_linearization():
         survival *= 1.0 - 1e-6
     value = 1.0 - p_algorithm_failure(CodeStack(), 1e5, 1e-6).p_f
     assert value == pytest.approx(survival, rel=1e-10)
-    assert value == pytest.approx(0.9048373727914577, rel=1e-12)
+    # (1 - 1e-6)^1e5 from the decimal oracle.
+    assert value == pytest.approx(0.9048373727940596, rel=1e-12)
     # The linearized 1 - t*p would give 0.9 instead.
     assert abs(value - 0.9) > 4e-3
 
@@ -125,12 +125,50 @@ def test_stack_error_monotone_in_pt(mode, spec):
 # ---------------------------------------------------------- algorithm failure
 def test_algorithm_failure_uncoded_example():
     result = p_algorithm_failure(CodeStack(), 1e5, 1e-6)
-    # Cross-check through expm1/log1p; that path rounds the survival factor
-    # differently, so agreement is near machine precision but not exact.
-    assert result.p_f == pytest.approx(-math.expm1(1e5 * math.log1p(-1e-6)), rel=1e-9)
-    assert result.p_f == pytest.approx(0.0951626272085423, rel=1e-12)
+    assert result.p_f == pytest.approx(exact_failure(1e-6, 1e5), rel=1e-14)
+    assert result.p_f == pytest.approx(0.09516262720594036, rel=1e-12)   # the oracle's value
     assert result.linearized == pytest.approx(0.1, rel=1e-12)
     assert result.linearization_valid
+
+
+@pytest.mark.parametrize("p_e", [5e-324, 1e-300, 1e-20, 1e-17, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.999999])
+@pytest.mark.parametrize("t", [0, 1, 7, 1e5, 1e11, 1e300])
+def test_algorithm_failure_matches_decimal_oracle(p_e, t):
+    # The empty stack feeds p_t through as p_e. 1 - (1 - p_e)^t would cancel
+    # p_e against 1 below about 1e-16, where p_f must stay near t * p_e.
+    p_f = p_algorithm_failure(CodeStack(), t, p_e).p_f
+    assert p_f == pytest.approx(exact_failure(p_e, t), rel=1e-13, abs=0.0)
+
+
+def test_algorithm_failure_stays_exact_below_float_resolution():
+    result = p_algorithm_failure(parse_stack("7-1-3"), 1e5, 1e-7, EXACT)
+    assert result.p_f == pytest.approx(exact_failure(result.block_error, 1e5), rel=1e-13)
+    assert result.p_f == pytest.approx(result.linearized, rel=2e-8)
+    tiny = p_algorithm_failure(CodeStack(), 1e5, 1e-20)
+    assert tiny.p_f == pytest.approx(1e-15, rel=1e-13)
+
+
+def test_certain_block_error_fails_any_nonempty_computation():
+    # Leading-order p_e may exceed 1; p_f is then 1, unless nothing is teleported.
+    stack = parse_stack("23-1-7+23-1-7")
+    assert p_stack_block_error(stack, 0.4, LEADING) > 1
+    assert p_algorithm_failure(stack, 10, 0.4, LEADING).p_f == 1.0
+    assert p_algorithm_failure(stack, 0, 0.4, LEADING).p_f == 0.0
+    assert p_algorithm_failure(CodeStack(), 1e-3, 1.0).p_f == 1.0
+
+
+def test_exact_inversion_finds_the_root_below_float_resolution():
+    stack = parse_stack("7-1-3")
+    rate = allowable_pt(stack, 1e11, 1e-6, EXACT)
+    assert rate == pytest.approx(6.90e-10, rel=1e-3)
+    assert exact_failure(weight_tail(7, 2, rate), 1e11) == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_exact_inversion_terminates_among_subnormal_rates():
+    # The root, about target / t, sits below the smallest normal float, where
+    # a relative width of 1e-9 is narrower than one ulp.
+    assert allowable_pt(CodeStack(), 1e308, 1e-10, EXACT) == pytest.approx(1e-318, rel=1e-4)
+    assert allowable_pt(CodeStack(), 1e308, 5e-324, EXACT) == 0.0
 
 
 def test_algorithm_failure_zero_error_rate():

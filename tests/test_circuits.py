@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from helpers import reference_validate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlink.circuits import (
     CutPoint,
@@ -84,6 +87,8 @@ def test_every_single_gate_deletion_is_caught():
         result = validate_encoder(mutant, STEANE)
         assert not result.ok, f"deleting gate {index} went unnoticed"
         assert result.missing or result.extra
+        reference = reference_validate(mutant, steane_stabilizers())
+        assert (result.ok, result.missing, result.extra) == reference, index
 
 
 def test_validation_survives_gate_plus_inverse():
@@ -294,17 +299,53 @@ def test_random_encoders_share_cut_cost_totals():
 # ------------------------------------------------------------- fixture guard
 def test_stabilizer_fixture_shape():
     h_x, h_z, logical_z = steane_stabilizers()
-    assert h_x.shape == (3, 7) and h_z.shape == (3, 7)
-    assert logical_z.tolist() == [1] * 7
+    assert [len(row) for row in h_x] == [7] * 3 and [len(row) for row in h_z] == [7] * 3
+    assert list(logical_z) == [1] * 7
+    assert {bit for row in h_x + h_z for bit in row} <= {0, 1}
     # Columns of the check matrix are the binary numbers 1..7.
-    columns = [int("".join(str(b) for b in h_x[:, q]), 2) for q in range(7)]
+    columns = [int("".join(str(row[q]) for row in h_x), 2) for q in range(7)]
     assert sorted(columns) == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_validation_is_pure():
     circuit = default_steane_encoder()
-    fixture = steane_stabilizers()
+    fixture = tuple(np.array(m, dtype=np.uint8) for m in steane_stabilizers())
     before = [m.copy() for m in fixture]
     validate_encoder(circuit, STEANE, fixture)
     for original, kept in zip(before, fixture):
         assert np.array_equal(original, kept)
+
+
+# --------------------------------------------------- numpy tableau reference
+def test_stabilizer_rows_must_match_the_circuit_width():
+    h_x, h_z, logical_z = steane_stabilizers()
+    with pytest.raises(ValueError, match="row length"):
+        validate_encoder(default_steane_encoder(), STEANE, (h_x, h_z, logical_z[:6]))
+
+
+_GATES = st.one_of(
+    st.integers(0, 6).map(lambda q: Gate(GateKind.H, (q,))),
+    st.permutations(range(7)).map(lambda qs: Gate(GateKind.CNOT, qs[:2])),
+)
+_DEFAULT_GATES = default_steane_encoder().gates
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kept=st.integers(0, len(_DEFAULT_GATES)),
+    dropped=st.sets(st.integers(0, len(_DEFAULT_GATES) - 1), max_size=2),
+    tail=st.lists(_GATES, max_size=12),
+    as_arrays=st.booleans(),
+)
+@example(kept=12, dropped=set(), tail=[], as_arrays=True)
+@example(kept=12, dropped=set(), tail=[Gate(GateKind.CNOT, (2, 5))] * 2, as_arrays=False)
+def test_validation_matches_numpy_tableau_reference(kept, dropped, tail, as_arrays):
+    # A prefix of the default encoder with up to two gates deleted, then
+    # random H and CNOT gates: valid and broken encoders both occur.
+    gates = [g for i, g in enumerate(_DEFAULT_GATES[:kept]) if i not in dropped] + tail
+    circuit = EncoderCircuit(7, default_steane_encoder().qubit_order, tuple(gates))
+    stabilizers = steane_stabilizers()
+    if as_arrays:
+        stabilizers = tuple(np.array(m, dtype=np.uint8) for m in stabilizers)
+    result = validate_encoder(circuit, STEANE, stabilizers)
+    assert (result.ok, result.missing, result.extra) == reference_validate(circuit, stabilizers)

@@ -187,7 +187,41 @@ def test_recommend_parallel_when_serialization_hurts(runner):
     assert payload["choice"] == "parallel"
 
 
+def test_recommend_one_qubit_code_defaults_memory_rate_to_zero(capsys):
+    # A one-qubit block has no wait slots; pt / (10 (n - 1)) would divide by zero.
+    assert main(["recommend", "--stack", "1-1-1", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"]) == 0
+    out = capsys.readouterr().out
+    assert '"p_m": 0.0' in out
+    assert json.loads(out)["choice"] == "serial"
+
+
 # -------------------------------------------------------------- global flags
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+def test_mc_runs_with_and_echoes_the_integer_seed_exactly(seed, capsys):
+    argv = ["mc", "--stack", "5-1-3", "--pt", "0.03", "--trials", "2000", "--workers", "1"]
+    assert main(argv + ["--seed", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
+def test_integer_options_keep_every_digit(capsys):
+    assert main(["link-timing", "--tt", "1", "--tlqec", "1", "--n", "9007199254740993"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == payload["start_delay_factor"] == 2**53 + 1
+
+
+@pytest.mark.parametrize("value, expected", [("1e7", 10_000_000), ("2.5e1", 25), ("1_000", 1000)])
+def test_integer_options_accept_scientific_notation(value, expected, capsys):
+    assert main(["dqec-cost", "--syndromes", value, "--repeats", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["syndromes"] == expected
+
+
+def test_seed_past_64_bits_exits_one(capsys):
+    assert main(["mc", "--pt", "0.01", "--trials", "100", "--seed", str(2**64), "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must fit in an unsigned 64-bit integer" in captured.err
+
+
 def test_runs_are_byte_identical(runner):
     first = invoke(runner, "table3").stdout
     second = invoke(runner, "table3").stdout
@@ -313,9 +347,15 @@ def run_fresh(argv):
     ["link-timing", "--tt", "1", "--tlqec", "100", "--n", "7"],
     ["--help"],
     ["mc", "--help"],
+    ["cut"],
+    ["dqec-cost"],
+    ["cut", "--circuit", "{circuit}"],
 ], ids=" ".join)
-def test_closed_form_commands_start_without_numpy(argv):
-    stdout, numpy_imported = run_fresh(argv)
+def test_closed_form_commands_start_without_numpy(argv, tmp_path):
+    circuit = tmp_path / "encoder.json"
+    circuit.write_text(json.dumps({"n": 3, "order": [2, 0, 1], "gates": [
+        {"kind": "H", "q": [0]}, {"kind": "CNOT", "q": [0, 1]}, {"kind": "CNOT", "q": [0, 2]}]}))
+    stdout, numpy_imported = run_fresh([arg.format(circuit=circuit) for arg in argv])
     assert stdout
     assert not numpy_imported
 

@@ -4,7 +4,8 @@ codes <- analytic <- {montecarlo, timing, circuits, workload} <- cli: the
 closed forms depend only on the code descriptors, each model depends only
 on those two, and only the CLI sees every model. The package __init__
 imports no submodule: it resolves each public name, and each submodule,
-from its owning module on first attribute access.
+from its owning module on first attribute access. Only the trial engine,
+montecarlo, imports numpy.
 """
 import ast
 import json
@@ -62,6 +63,36 @@ def test_imports_follow_layering(module):
     assert module in ALLOWED, f"{module} has no place in the layering"
     imported = package_imports(PACKAGE / f"{module}.py")
     assert imported <= ALLOWED[module], f"{module} imports {sorted(imported - ALLOWED[module])}"
+
+
+def imports_numpy(path: Path) -> bool:
+    """Whether a source file imports numpy or one of its submodules, anywhere in it."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_imports_numpy_sees_every_form(tmp_path):
+    forms = ["import numpy", "import numpy as np", "import os, numpy.random",
+             "from numpy import random", "def f():\n    import numpy"]
+    for index, form in enumerate(forms):
+        source = tmp_path / f"uses{index}.py"
+        source.write_text(form + "\n")
+        assert imports_numpy(source), form
+    clean = tmp_path / "clean.py"
+    clean.write_text("import numpyish\nfrom . import numpy\nnumpy = None\n")
+    assert not imports_numpy(clean)
+
+
+def test_only_the_trial_engine_imports_numpy():
+    assert [module for module in MODULES if imports_numpy(PACKAGE / f"{module}.py")] == ["montecarlo"]
 
 
 def test_public_names_resolve_without_duplicates():

@@ -431,3 +431,11 @@ def test_serial_penalty_vanishes_with_perfect_memory():
 def test_serial_penalty_rejects_negative_ratio():
     with pytest.raises(ValueError):
         serial_penalty_report(parse_code("7-1-3"), 1e-3, memory_ratio=-1.0, trials=1000)
+
+
+def test_serial_penalty_one_qubit_code_has_no_memory_rate():
+    # A one-qubit block never waits, so p_m is 0 rather than p_t * ratio / 0.
+    report = serial_penalty_report(parse_code("1-1-1"), 0.1, trials=2000)
+    assert report.p_m == 0.0
+    assert report.analytic_ratio == 1.0
+    assert report.serial.failures == report.parallel.failures > 0
