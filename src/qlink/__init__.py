@@ -23,7 +23,6 @@ _EXPORTS = {
     ),
     "circuits": (
         "CutCost",
-        "CutPoint",
         "Direction",
         "DqecBudget",
         "EncoderCircuit",
@@ -36,8 +35,6 @@ _EXPORTS = {
         "load_circuit",
         "save_circuit",
         "steane_stabilizers",
-        "teledata_cost",
-        "telegate_cost",
         "validate_encoder",
     ),
     "codes": ("CodeStack", "QecCode", "builtin_codes", "parse_code", "parse_stack"),

@@ -71,84 +71,38 @@ class EncoderCircuit:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"gate operand {q} out of range for {self.n_qubits} qubits")
 
-    def position(self, qubit: int) -> int:
-        """Layout position of a qubit (inverse of qubit_order)."""
-        return self.qubit_order.index(qubit)
-
-
-@dataclass(frozen=True)
-class CutPoint:
-    """Split after `index` layout positions: positions < index sit on node A."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"cut index must be >= 1, got {self.index}")
-
-    @classmethod
-    def from_label(cls, label: str) -> CutPoint:
-        """Breakpoint letters map a=1, b=2, ... left to right."""
-        if len(label) != 1 or not label.isalpha():
-            raise ValueError(f"bad breakpoint label {label!r}")
-        return cls(ord(label.lower()) - ord("a") + 1)
-
-    @property
-    def label(self) -> str:
-        return chr(ord("a") + self.index - 1)
-
 
 @dataclass(frozen=True)
 class CutCost:
-    cut: CutPoint
+    """Both strategies' EPR pairs at the cut that puts layout positions < index on node A."""
+
+    index: int
     telegate_eprs: int
     teledata_eprs: int
     teledata_direction: Direction
 
-
-def _check_cut(circuit: EncoderCircuit, cut: CutPoint) -> None:
-    if not 1 <= cut.index <= circuit.n_qubits - 1:
-        raise ValueError(
-            f"cut index {cut.index} out of range 1..{circuit.n_qubits - 1}"
-        )
-
-
-def telegate_cost(circuit: EncoderCircuit, cut: CutPoint) -> int:
-    """EPR pairs to build in place: one per CNOT whose ends straddle the cut."""
-    _check_cut(circuit, cut)
-    crossing = 0
-    for gate in circuit.gates:
-        if gate.kind is not GateKind.CNOT:
-            continue
-        sides = {circuit.position(q) < cut.index for q in gate.qubits}
-        if len(sides) == 2:
-            crossing += 1
-    return crossing
-
-
-def teledata_cost(circuit: EncoderCircuit, cut: CutPoint) -> tuple[int, Direction]:
-    """EPR pairs to build on one node and ship the minority share of qubits.
-
-    The state is created on the majority side and the minority side's qubits
-    teleported toward it, so the cost is min(index, n - index). An even
-    split creates on side A.
-    """
-    _check_cut(circuit, cut)
-    n = circuit.n_qubits
-    left, right = cut.index, n - cut.index
-    if left < right:
-        return left, Direction.B_TO_A
-    return right, Direction.A_TO_B
+    @property
+    def label(self) -> str:
+        """Breakpoint letters map a=1, b=2, ... left to right."""
+        return chr(ord("a") + self.index - 1)
 
 
 def cut_table(circuit: EncoderCircuit) -> list[CutCost]:
-    """Costs of both strategies at every cut, left to right."""
-    rows = []
-    for index in range(1, circuit.n_qubits):
-        cut = CutPoint(index)
-        data_cost, direction = teledata_cost(circuit, cut)
-        rows.append(CutCost(cut, telegate_cost(circuit, cut), data_cost, direction))
-    return rows
+    """Costs of both strategies at every cut, left to right.
+
+    A CNOT spans layout positions lo..hi and crosses cut `index` when
+    lo < index <= hi; telegate pays one EPR pair per crossing CNOT. Teledata
+    builds on the majority side and ships the minority side's
+    min(index, n - index) qubits; an even split builds on side A.
+    """
+    position = {qubit: i for i, qubit in enumerate(circuit.qubit_order)}
+    spans = [sorted(position[q] for q in gate.qubits) for gate in circuit.gates if gate.kind is GateKind.CNOT]
+    n = circuit.n_qubits
+    return [
+        CutCost(index, sum(lo < index <= hi for lo, hi in spans), min(index, n - index),
+                Direction.B_TO_A if index < n - index else Direction.A_TO_B)
+        for index in range(1, n)
+    ]
 
 
 # --------------------------------------------------------------------------

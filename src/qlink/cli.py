@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -44,9 +45,11 @@ class ScientificInt(click.ParamType):
     """Integer that also accepts scientific notation, e.g. 1e7.
 
     Integer literals are parsed exactly; only other forms go through float.
+    A literal past the interpreter's integer digit limit is rejected as such.
     """
 
     name = "integer"
+    literal = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
     def convert(self, value, param, ctx):
         if isinstance(value, int):
@@ -54,7 +57,9 @@ class ScientificInt(click.ParamType):
         try:
             return int(value)
         except ValueError:
-            pass
+            if self.literal.fullmatch(value):   # well formed, so int() refused its length
+                self.fail(f"integer literal {value[:20]!r}... has more than "
+                          f"{sys.get_int_max_str_digits()} digits", param, ctx)
         try:
             as_float = float(value)
         except ValueError:
@@ -323,7 +328,7 @@ def cut_cmd(circuit_ref):
     circuit = _load_circuit(circuit_ref)
     header = ["breakpoint", "telegate", "teledata", "direction"]
     return header, [
-        [row.cut.label, row.telegate_eprs, row.teledata_eprs, row.teledata_direction.value]
+        [row.label, row.telegate_eprs, row.teledata_eprs, row.teledata_direction.value]
         for row in circuits.cut_table(circuit)
     ]
 
@@ -366,7 +371,7 @@ def link_timing_cmd(tt, tlqec, n, lanes):
 @click.option("--tlqec", type=FLOAT, required=True)
 @click.option("--pt", type=FLOAT, required=True)
 @click.option("--pm", type=FLOAT, default=None,
-              help="Memory error rate per slot [default: pt / (10 (n - 1))].")
+              help="Memory error rate per slot [default: pt / (10 (n - 1)), or 0 for a one-qubit code].")
 @click.option("--slowdown-threshold", type=FLOAT, default=timing.DEFAULT_SLOWDOWN_THRESHOLD,
               show_default=True)
 @click.option("--reliability-threshold", type=FLOAT, default=timing.DEFAULT_RELIABILITY_THRESHOLD,

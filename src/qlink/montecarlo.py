@@ -272,8 +272,10 @@ def serial_penalty_report(
     convention, so memory_ratio = 0.1 makes the aggregated waiting error
     roughly one tenth of the teleportation error. The analytic ratio uses
     the event-count convolution; the simulated ratio compares serial and
-    parallel estimates from one batch (the same draws), with a conservative
-    (independence assumed) log-normal confidence interval.
+    parallel estimates from one batch. On the same draws every parallel
+    failure is also a serial one, so given S serial failures the parallel
+    count P is Binomial(S, p_par / p_ser). The ratio S / P is therefore
+    bounded by the inverted Wilson interval of P out of S.
     """
     if memory_ratio < 0:
         raise ValueError(f"memory_ratio must be >= 0, got {memory_ratio}")
@@ -288,12 +290,10 @@ def serial_penalty_report(
         McConfig(stack, LinkParams(p_t, p_m, Multiplexing.SERIAL), trials, seed, workers),
         McConfig(stack, LinkParams(p_t, p_m, Multiplexing.PARALLEL, lanes=code.n), trials, seed, workers),
     ])
-    if serial.failures > 0 and parallel.failures > 0:
-        mc_ratio = serial.p_hat / parallel.p_hat
-        spread = Z_95 * math.sqrt(
-            (1.0 - serial.p_hat) / serial.failures + (1.0 - parallel.p_hat) / parallel.failures
-        )
-        ratio_ci = (mc_ratio * math.exp(-spread), mc_ratio * math.exp(spread))
+    if parallel.failures > 0:
+        mc_ratio = serial.failures / parallel.failures
+        low, high = wilson_interval(parallel.failures, serial.failures)
+        ratio_ci = (1.0 / high, 1.0 / low)
     else:
         mc_ratio = math.nan
         ratio_ci = (0.0, math.inf)

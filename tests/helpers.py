@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: binomial
 coefficients come from Pascal's triangle, tails from explicit enumeration,
 rounding and compounded failure from decimal arithmetic, Monte Carlo counts
-from whole-block draws decoded once per rate, and encoder validity from a
-numpy stabilizer tableau reduced to row echelon form.
+from whole-block draws decoded once per rate, encoder validity from a
+numpy stabilizer tableau reduced to row echelon form, and cut costs from a
+per-cut, per-gate side test.
 """
 import math
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -164,3 +165,24 @@ def reference_validate(circuit, stabilizers) -> tuple[bool, tuple[str, ...], tup
         _pauli_string(row, n) for row in tableau if not _in_row_space(row, expected_rref)
     )
     return not (missing or extra), missing, extra
+
+
+def reference_cut_table(circuit) -> list[tuple[str, int, int, str]]:
+    """(breakpoint, telegate, teledata, direction) at every cut, left to right.
+
+    Cut i puts layout positions < i on node A. Each CNOT is tested at each
+    cut for operands on both sides. Teledata ships the smaller side toward
+    the larger one, and an even split builds on side A.
+    """
+    n = circuit.n_qubits
+    rows = []
+    for index in range(1, n):
+        crossing = 0
+        for gate in circuit.gates:
+            if gate.kind == "CNOT":
+                sides = {circuit.qubit_order.index(q) < index for q in gate.qubits}
+                crossing += len(sides) == 2
+        left, right = index, n - index
+        teledata, direction = (left, "B->A") if left < right else (right, "A->B")
+        rows.append((chr(ord("a") + index - 1), crossing, teledata, direction))
+    return rows

@@ -1,9 +1,13 @@
+import math
 import random
 
 import pytest
 from helpers import exact_failure, pattern_tail, round_sig, weight_tail
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlink.analytic import (
+    TABLE3_STACKS,
     ModelMode,
     allowable_pt,
     p_algorithm_failure,
@@ -287,3 +291,40 @@ def test_table3_reordered_stacks_nearly_agree():
         a = rows[("23-1-7+7-1-3", t)]
         b = rows[("7-1-3+23-1-7", t)]
         assert abs(a - b) / a < 0.006
+
+
+# -------------------------------------------------------------- monotonicity
+_STACKS = st.sampled_from(TABLE3_STACKS).map(parse_stack)
+_T = st.floats(min_value=1.0, max_value=1e15)
+_PT = st.floats(min_value=0.0, max_value=0.5)
+
+
+def _rates(p, other):
+    """p and a rate at least as large: the next float up, or another drawn rate."""
+    return (p, math.nextafter(p, 1.0)) if other is None else tuple(sorted((p, other)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=_STACKS, t1=_T, t2=_T, target_pf=st.floats(min_value=1e-12, max_value=0.5),
+       mode=st.sampled_from([LEADING, EXACT]))
+def test_allowable_pt_non_increasing_in_t(stack, t1, t2, target_pf, mode):
+    t1, t2 = sorted((t1, t2))
+    assert allowable_pt(stack, t2, target_pf, mode) <= allowable_pt(stack, t1, target_pf, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_STACKS, t=_T, p=_PT, other=st.one_of(st.none(), _PT))
+def test_failure_non_decreasing_in_pt_leading(stack, t, p, other):
+    low, high = _rates(p, other)
+    assert p_algorithm_failure(stack, t, low).p_f <= p_algorithm_failure(stack, t, high).p_f
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_STACKS, t=_T, p=_PT, other=st.one_of(st.none(), _PT))
+def test_failure_non_decreasing_in_pt_exact_to_float_rounding(stack, t, p, other):
+    # Summing the exact tail in floats is not monotone at the ulp level: on
+    # adjacent rates p_e can drop by a few 1e-15 relative, so the check
+    # allows a relative 1e-14 and nothing more.
+    low, high = _rates(p, other)
+    before = p_algorithm_failure(stack, t, low, EXACT).p_f
+    assert before <= p_algorithm_failure(stack, t, high, EXACT).p_f * (1.0 + 1e-14)

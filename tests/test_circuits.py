@@ -3,12 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from helpers import reference_validate
+from helpers import reference_cut_table, reference_validate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlink.circuits import (
-    CutPoint,
     Direction,
     EncoderCircuit,
     Gate,
@@ -21,8 +20,6 @@ from qlink.circuits import (
     load_circuit,
     save_circuit,
     steane_stabilizers,
-    teledata_cost,
-    telegate_cost,
     validate_encoder,
     without_gate,
 )
@@ -34,7 +31,7 @@ STEANE = parse_code("7-1-3")
 # ------------------------------------------------------------------ fixtures
 def test_default_encoder_reproduces_breakpoint_table():
     table = cut_table(default_steane_encoder())
-    assert [row.cut.label for row in table] == list("abcdef")
+    assert [row.label for row in table] == list("abcdef")
     assert [row.telegate_eprs for row in table] == [2, 3, 4, 3, 3, 2]
     assert [row.teledata_eprs for row in table] == [1, 2, 3, 3, 2, 1]
     assert [row.teledata_direction for row in table] == [
@@ -48,16 +45,14 @@ def test_default_encoder_reproduces_breakpoint_table():
 
 
 def test_breakpoint_c_and_d_gate_counts():
-    circuit = default_steane_encoder()
-    assert telegate_cost(circuit, CutPoint.from_label("c")) == 4
-    assert telegate_cost(circuit, CutPoint.from_label("d")) == 3
+    rows = {row.label: row for row in cut_table(default_steane_encoder())}
+    assert (rows["c"].index, rows["c"].telegate_eprs) == (3, 4)
+    assert (rows["d"].index, rows["d"].telegate_eprs) == (4, 3)
 
 
 def test_teledata_never_exceeds_half_block():
-    circuit = default_steane_encoder()
-    for index in range(1, 7):
-        cost, _ = teledata_cost(circuit, CutPoint(index))
-        assert cost <= 7 // 2
+    for row in cut_table(default_steane_encoder()):
+        assert row.teledata_eprs <= 7 // 2
 
 
 def test_teledata_beats_or_ties_telegate_on_default_circuit():
@@ -115,43 +110,54 @@ def test_teledata_cost_symmetric_around_center():
     order = list(range(9))
     rng.shuffle(order)
     circuit = EncoderCircuit(9, tuple(order), (Gate(GateKind.CNOT, (0, 8)),))
-    for index in range(1, 9):
-        a, _ = teledata_cost(circuit, CutPoint(index))
-        b, _ = teledata_cost(circuit, CutPoint(9 - index))
-        assert a == b
+    costs = [row.teledata_eprs for row in cut_table(circuit)]
+    assert costs == costs[::-1]
 
 
 def test_even_split_ties_create_on_side_a():
-    circuit = EncoderCircuit(8, tuple(range(8)), ())
-    cost, direction = teledata_cost(circuit, CutPoint(4))
-    assert cost == 4
-    assert direction is Direction.A_TO_B
+    row = cut_table(EncoderCircuit(8, tuple(range(8)), ()))[3]
+    assert (row.index, row.label) == (4, "d")
+    assert row.teledata_eprs == 4
+    assert row.teledata_direction is Direction.A_TO_B
 
 
 def test_telegate_cost_ignores_gate_order():
     circuit = default_steane_encoder()
+    expected = [row.telegate_eprs for row in cut_table(circuit)]
     rng = random.Random(19)
     for _ in range(10):
         gates = list(circuit.gates)
         rng.shuffle(gates)
         shuffled = EncoderCircuit(7, circuit.qubit_order, tuple(gates))
-        for index in range(1, 7):
-            assert telegate_cost(shuffled, CutPoint(index)) == telegate_cost(
-                circuit, CutPoint(index)
-            )
+        assert [row.telegate_eprs for row in cut_table(shuffled)] == expected
 
 
 def test_no_crossing_gates_costs_nothing():
     circuit = EncoderCircuit(4, (0, 1, 2, 3), (Gate(GateKind.CNOT, (2, 3)),))
-    assert telegate_cost(circuit, CutPoint(1)) == 0
+    assert [row.telegate_eprs for row in cut_table(circuit)] == [0, 0, 1]
 
 
-def test_cut_range_enforced():
-    circuit = default_steane_encoder()
-    with pytest.raises(ValueError):
-        telegate_cost(circuit, CutPoint(7))
-    with pytest.raises(ValueError):
-        CutPoint(0)
+@st.composite
+def _layout_circuits(draw):
+    """1 to 12 qubits in a random layout, with a random H/CNOT list (maybe empty)."""
+    n = draw(st.integers(1, 12))
+    h = st.integers(0, n - 1).map(lambda q: Gate(GateKind.H, (q,)))
+    cnot = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(
+        lambda qs: Gate(GateKind.CNOT, tuple(qs))
+    )
+    gates = draw(st.lists(st.one_of(h, cnot) if n > 1 else h, max_size=20))
+    return EncoderCircuit(n, tuple(draw(st.permutations(range(n)))), tuple(gates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=_layout_circuits())
+@example(circuit=EncoderCircuit(1, (0,), ()))
+@example(circuit=default_steane_encoder())
+def test_cut_table_matches_per_cut_reference(circuit):
+    table = cut_table(circuit)
+    assert [row.index for row in table] == list(range(1, circuit.n_qubits))
+    rows = [(row.label, row.telegate_eprs, row.teledata_eprs, row.teledata_direction.value) for row in table]
+    assert rows == reference_cut_table(circuit)
 
 
 # ---------------------------------------------------------------- cycle costs
@@ -289,7 +295,7 @@ def test_random_encoders_share_cut_cost_totals():
         assert [row.teledata_eprs for row in table] == [1, 2, 3, 3, 2, 1]
         total_crossings = sum(row.telegate_eprs for row in table)
         spans = sum(
-            abs(circuit.position(g.qubits[0]) - circuit.position(g.qubits[1]))
+            abs(circuit.qubit_order.index(g.qubits[0]) - circuit.qubit_order.index(g.qubits[1]))
             for g in circuit.gates
             if g.kind is GateKind.CNOT
         )

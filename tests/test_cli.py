@@ -312,12 +312,21 @@ def test_analyze_rejects_pt_outside_inversion_range(capsys):
     ["link-timing", "--tt", "1e308", "--tlqec", "1e308", "--n", "7"],
     ["link-timing", "--tt", "1e308", "--tlqec", "1e308", "--n", "7", "--format", "text"],
     ["link-timing", "--tt", "1e308", "--tlqec", "1e308", "--n", "7", "--format", "csv"],
+    pytest.param(["workload", "--bits", "1" * 5000], id="workload --bits <5000 ones>"),
 ], ids=" ".join)
 def test_invalid_input_exits_one_with_nothing_on_stdout(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err
+    assert 0 < len(captured.err) < 300
+
+
+def test_overlong_integer_literal_is_named_not_echoed(capsys):
+    # int() refuses literals past the interpreter's digit limit; float() would read inf.
+    assert main(["workload", "--bits", "1" * 5000]) == 1
+    err = capsys.readouterr().err
+    assert f"integer literal '{'1' * 20}'... has more than" in err and "digits" in err
+    assert "1" * 21 not in err and "finite" not in err
 
 
 def test_success_exit_zero(capsys):

@@ -139,3 +139,16 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         qlink.no_such_name
     assert not hasattr(qlink, "__no_such_dunder__")
+
+
+def test_benchmark_call_forms_resolve():
+    # perfbench/pin.py builds configs positionally, and perfbench/run.py's
+    # trace tags bind simulate_block_transfer's `config` and read these fields.
+    from qlink.codes import parse_stack
+    from qlink.montecarlo import LinkParams, McConfig, Multiplexing, simulate_block_transfer
+
+    stack = parse_stack("7-1-3")
+    config = McConfig(stack, LinkParams(0.01, 0.0, Multiplexing.PARALLEL, stack.scale_up), 200_000, 42, 2)
+    fields = (config.seed, config.stack.spec(), config.trials, config.stack.scale_up)
+    assert fields == (42, "7-1-3", 200_000, 7)
+    assert simulate_block_transfer(config=config).failures == 380   # pinned.json's anchor

@@ -423,6 +423,24 @@ def test_serial_penalty_report_steane():
     assert report.mc_ratio_ci[0] <= report.mc_ratio <= report.mc_ratio_ci[1]
 
 
+def test_serial_penalty_ci_inverts_the_paired_wilson_interval():
+    # Parallel failures are a subset of serial ones on shared draws, so P out
+    # of S is binomial and the ratio S / P inherits its Wilson bounds.
+    report = serial_penalty_report(parse_code("7-1-3"), 1e-2, memory_ratio=1.0, trials=20_000, seed=5)
+    serial, parallel = report.serial.failures, report.parallel.failures
+    assert serial > parallel > 0
+    low, high = wilson_interval(parallel, serial)
+    assert report.mc_ratio == serial / parallel
+    assert report.mc_ratio_ci == (1.0 / high, 1.0 / low)
+
+
+def test_serial_penalty_without_parallel_failures_has_no_ratio():
+    report = serial_penalty_report(parse_code("7-1-3"), 1e-4, trials=1000, seed=5)
+    assert report.parallel.failures == 0
+    assert math.isnan(report.mc_ratio)
+    assert report.mc_ratio_ci == (0.0, math.inf)
+
+
 def test_serial_penalty_vanishes_with_perfect_memory():
     report = serial_penalty_report(parse_code("7-1-3"), 1e-3, memory_ratio=1e-9, trials=1000)
     assert report.analytic_ratio == pytest.approx(1.0, abs=1e-6)
