@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analytic": (
         "AlgorithmFailure",
+        "LinkParams",
         "ModelMode",
         "Multiplexing",
         "Table3Row",
@@ -19,6 +20,7 @@ _EXPORTS = {
         "p_algorithm_failure",
         "p_block_error",
         "p_stack_block_error",
+        "serial_penalty_ratio",
         "table3",
     ),
     "circuits": (
@@ -39,7 +41,6 @@ _EXPORTS = {
     ),
     "codes": ("CodeStack", "QecCode", "builtin_codes", "parse_code", "parse_stack"),
     "montecarlo": (
-        "LinkParams",
         "McConfig",
         "McEstimate",
         "SerialPenaltyReport",

@@ -9,8 +9,8 @@ the independent cross-check on the approximation and as the reference the
 Monte Carlo engine is tested against.
 
 Binomial coefficients are computed in exact integer arithmetic (math.comb)
-before conversion to float. The serial-link closed form, the convolution of
-memory and teleportation errors (combined_failure_analytic), lives here too.
+before conversion to float. The serial-link model lives here too: LinkParams,
+combined_failure_analytic and serial_penalty_ratio.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .codes import CodeStack, parse_stack
+from .codes import CodeStack, QecCode, parse_stack
 
 # Linearizing 1 - (1 - p_e)^t to t * p_e is only honest while t * p_e is
 # small; estimates past this threshold are flagged.
@@ -54,6 +54,44 @@ class Multiplexing(str, Enum):
 def _check_prob(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+@dataclass(frozen=True)
+class LinkParams:
+    """Physical link parameters for one block transfer.
+
+    p_t is the per-qubit teleportation failure probability; p_m the
+    per-qubit memory error probability per teleportation-slot of waiting.
+    SERIAL moves one qubit per slot (lanes must be 1); PARALLEL with
+    lanes >= block size has no wait slots at all, and intermediate lane
+    counts wait ceil(N / lanes) - 1 slots.
+    """
+
+    p_t: float
+    p_m: float = 0.0
+    multiplexing: Multiplexing = Multiplexing.PARALLEL
+    lanes: int = 1
+
+    def __post_init__(self):
+        _check_prob(self.p_t, "p_t")
+        _check_prob(self.p_m, "p_m")
+        if self.lanes < 1:
+            raise ValueError(f"lanes must be >= 1, got {self.lanes}")
+        if self.multiplexing is Multiplexing.SERIAL and self.lanes != 1:
+            raise ValueError("serial links have exactly one lane")
+
+    def wait_slots(self, block_size: int) -> int:
+        """Memory wait slots each qubit spends while the rest of the block moves.
+
+        ceil(N / lanes) - 1 rounds: N - 1 on a serial link, 0 once lanes >= N.
+        """
+        return (block_size - 1) // self.lanes
+
+    def fault_probability(self, block_size: int) -> float:
+        """Per-qubit probability of at least one error event during transfer."""
+        slots = self.wait_slots(block_size)
+        pm_wait = 1.0 - (1.0 - self.p_m) ** slots
+        return 1.0 - (1.0 - self.p_t) * (1.0 - pm_wait)
 
 
 def _exact_errors_term(n: int, j: int, p: float) -> float:
@@ -186,6 +224,22 @@ def combined_failure_analytic(n: int, m: int, p_t: float, p_m: float) -> float:
     for i in range(m + 1):
         total += _exact_errors_term(n, i, pm_wait) * _exact_errors_term(n, m - i, p_t)
     return total
+
+
+def serial_penalty_ratio(code: QecCode, p_t: float, p_m: float) -> float:
+    """Combined over teleportation-only block failure: 1.0 if both vanish, raises if unbounded."""
+    combined = combined_failure_analytic(code.n, code.min_fail, p_t, p_m)
+    teleport_only = combined_failure_analytic(code.n, code.min_fail, p_t, 0.0)
+    if teleport_only > 0:
+        ratio = combined / teleport_only
+    else:
+        ratio = 1.0 if combined == 0 else math.inf
+    if math.isinf(ratio):
+        raise ValueError(
+            f"failure-probability ratio is unbounded: at p_t = {p_t:g} the teleportation-only "
+            f"block failure is {teleport_only:g} but the combined one is {combined:g}"
+        )
+    return ratio
 
 
 @dataclass(frozen=True)

@@ -289,12 +289,20 @@ def circuit_to_dict(circuit: EncoderCircuit) -> dict:
     }
 
 
+def _json(value, kind: type):
+    """A JSON value of exactly this type: int() and tuple() would also take 7.9, true, "02" or {}."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def circuit_from_dict(data: dict) -> EncoderCircuit:
     try:
         return EncoderCircuit(
-            n_qubits=int(data["n"]),
-            qubit_order=tuple(int(q) for q in data["order"]),
-            gates=tuple(Gate(GateKind(g["kind"]), tuple(int(q) for q in g["q"])) for g in data["gates"]),
+            n_qubits=_json(data["n"], int),
+            qubit_order=tuple(_json(q, int) for q in _json(data["order"], list)),
+            gates=tuple(Gate(GateKind(g["kind"]), tuple(_json(q, int) for q in _json(g["q"], list)))
+                        for g in _json(data["gates"], list)),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit JSON: {exc}") from exc

@@ -212,17 +212,15 @@ def _mc_config(stack: CodeStack, pt, pm, serial, lanes, trials, seed, workers) -
     mux = analytic.Multiplexing.SERIAL if serial else analytic.Multiplexing.PARALLEL
     if lanes is None:
         lanes = 1 if serial else stack.scale_up
-    link = montecarlo.LinkParams(p_t=pt, p_m=pm, multiplexing=mux, lanes=lanes)
+    link = analytic.LinkParams(p_t=pt, p_m=pm, multiplexing=mux, lanes=lanes)
     return montecarlo.McConfig(stack=stack, link=link, trials=trials, seed=seed, workers=workers)
 
 
 def _mc_row(config: montecarlo.McConfig, estimate: montecarlo.McEstimate) -> dict:
     """A simulated configuration's inputs, then its estimate."""
     link = config.link
-    row = {"stack": config.stack.spec(), "mode": link.multiplexing.value, "p_t": link.p_t,
-           "p_m": link.p_m, "lanes": link.lanes, **_fields(estimate)}
-    del row["elapsed"]
-    return row
+    return {"stack": config.stack.spec(), "mode": link.multiplexing.value, "p_t": link.p_t,
+            "p_m": link.p_m, "lanes": link.lanes, **_fields(estimate)}
 
 
 @_command("codes", "text")

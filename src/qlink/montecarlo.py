@@ -39,57 +39,18 @@ drawn, so a worker's draw memory is bounded by TILE_BYTES, not by a block of
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Multiplexing, _check_prob, combined_failure_analytic
+from .analytic import LinkParams, Multiplexing, serial_penalty_ratio
 from .codes import CodeStack, QecCode
 
 TRIAL_BLOCK = 1 << 14
 TILE_BYTES = 1 << 22   # most bytes of uniforms per drawn tile (one row at least)
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Physical link parameters for one block transfer.
-
-    p_t is the per-qubit teleportation failure probability; p_m the
-    per-qubit memory error probability per teleportation-slot of waiting.
-    SERIAL moves one qubit per slot (lanes must be 1); PARALLEL with
-    lanes >= block size has no wait slots at all, and intermediate lane
-    counts wait ceil(N / lanes) - 1 slots.
-    """
-
-    p_t: float
-    p_m: float = 0.0
-    multiplexing: Multiplexing = Multiplexing.PARALLEL
-    lanes: int = 1
-
-    def __post_init__(self):
-        _check_prob(self.p_t, "p_t")
-        _check_prob(self.p_m, "p_m")
-        if self.lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {self.lanes}")
-        if self.multiplexing is Multiplexing.SERIAL and self.lanes != 1:
-            raise ValueError("serial links have exactly one lane")
-
-    def wait_slots(self, block_size: int) -> int:
-        """Memory wait slots each qubit spends while the rest of the block moves.
-
-        ceil(N / lanes) - 1 rounds: N - 1 on a serial link, 0 once lanes >= N.
-        """
-        return (block_size - 1) // self.lanes
-
-    def fault_probability(self, block_size: int) -> float:
-        """Per-qubit probability of at least one error event during transfer."""
-        slots = self.wait_slots(block_size)
-        pm_wait = 1.0 - (1.0 - self.p_m) ** slots
-        return 1.0 - (1.0 - self.p_t) * (1.0 - pm_wait)
 
 
 @dataclass(frozen=True)
@@ -119,7 +80,6 @@ class McEstimate:
     ci_low: float
     ci_high: float
     seed: int
-    elapsed: float
 
 
 def wilson_interval(failures: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -190,7 +150,7 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
 
     The configs must share stack, trials, seed and workers; their links may
     differ. Each estimate's failures are those that simulate_block_transfer
-    gives for its config alone, and its elapsed time is the whole batch's.
+    gives for its config alone.
     """
     if not configs:
         raise ValueError("need at least one config")
@@ -199,7 +159,6 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
     for config in configs[1:]:
         if (config.stack, config.trials, config.seed, config.workers) != shared:
             raise ValueError("batched configs must share stack, trials, seed and workers")
-    start = time.perf_counter()
     stack = first.stack
     width = stack.scale_up
     rates = np.array([config.link.fault_probability(width) for config in configs])
@@ -221,7 +180,6 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
         return counts
 
     counts = np.sum(_run_blocks(first, per_block), axis=0)
-    elapsed = time.perf_counter() - start
     estimates = []
     for config, failures in zip(configs, counts.tolist()):
         ci_low, ci_high = wilson_interval(failures, config.trials)
@@ -232,7 +190,6 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
             ci_low=ci_low,
             ci_high=ci_high,
             seed=config.seed,
-            elapsed=elapsed,
         ))
     return estimates
 
@@ -249,8 +206,6 @@ class SerialPenaltyReport:
     code: str
     p_t: float
     p_m: float
-    analytic_combined: float
-    analytic_teleport_only: float
     analytic_ratio: float
     serial: McEstimate
     parallel: McEstimate
@@ -270,22 +225,18 @@ def serial_penalty_report(
 
     The memory rate follows the p_m = p_t * memory_ratio / (n - 1)
     convention, so memory_ratio = 0.1 makes the aggregated waiting error
-    roughly one tenth of the teleportation error. The analytic ratio uses
-    the event-count convolution; the simulated ratio compares serial and
-    parallel estimates from one batch. On the same draws every parallel
-    failure is also a serial one, so given S serial failures the parallel
-    count P is Binomial(S, p_par / p_ser). The ratio S / P is therefore
-    bounded by the inverted Wilson interval of P out of S.
+    roughly one tenth of the teleportation error. The analytic ratio is
+    serial_penalty_ratio, which raises before any trial if it is unbounded.
+    The simulated ratio compares serial and parallel estimates from one
+    batch. On the same draws every parallel failure is a serial one, so
+    given S serial failures the parallel count P is Binomial(S, p_par / p_ser)
+    and S / P is bounded by the inverted Wilson interval of P out of S.
     """
     if memory_ratio < 0:
         raise ValueError(f"memory_ratio must be >= 0, got {memory_ratio}")
     p_m = p_t * memory_ratio / (code.n - 1) if code.n > 1 else 0.0   # one qubit never waits
     stack = CodeStack((code,))
-
-    combined = combined_failure_analytic(code.n, code.min_fail, p_t, p_m)
-    teleport_only = combined_failure_analytic(code.n, code.min_fail, p_t, 0.0)
-    analytic_ratio = combined / teleport_only if teleport_only > 0 else math.nan
-
+    analytic_ratio = serial_penalty_ratio(code, p_t, p_m)
     serial, parallel = simulate_block_transfers([
         McConfig(stack, LinkParams(p_t, p_m, Multiplexing.SERIAL), trials, seed, workers),
         McConfig(stack, LinkParams(p_t, p_m, Multiplexing.PARALLEL, lanes=code.n), trials, seed, workers),
@@ -302,8 +253,6 @@ def serial_penalty_report(
         code=code.spec(),
         p_t=p_t,
         p_m=p_m,
-        analytic_combined=combined,
-        analytic_teleport_only=teleport_only,
         analytic_ratio=analytic_ratio,
         serial=serial,
         parallel=parallel,

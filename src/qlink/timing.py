@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .analytic import Multiplexing, combined_failure_analytic
+from .analytic import Multiplexing, serial_penalty_ratio
 from .codes import QecCode
 
 DEFAULT_SLOWDOWN_THRESHOLD = 1.5
@@ -94,21 +94,10 @@ def recommend(
     """Pick a link style for transferring one block of the given code.
 
     Serial wins when both penalties are acceptable: the cycle-time slowdown
-    and the ratio of combined (memory plus teleportation) block failure to
-    the teleportation-only one.
+    and the failure-probability ratio, analytic.serial_penalty_ratio.
     """
     times = cycle_times(params)
-    combined = combined_failure_analytic(code.n, code.min_fail, p_t, p_m)
-    teleport_only = combined_failure_analytic(code.n, code.min_fail, p_t, 0.0)
-    if teleport_only > 0:
-        ratio = combined / teleport_only
-    else:
-        ratio = 1.0 if combined == 0 else math.inf
-    if math.isinf(ratio):
-        raise ValueError(
-            f"failure-probability ratio is unbounded: at p_t = {p_t:g} the teleportation-only "
-            f"block failure is {teleport_only:g} but the combined one is {combined:g}"
-        )
+    ratio = serial_penalty_ratio(code, p_t, p_m)
 
     reasons = []
     if times.slowdown > slowdown_threshold:

@@ -5,7 +5,8 @@ coefficients come from Pascal's triangle, tails from explicit enumeration,
 rounding and compounded failure from decimal arithmetic, Monte Carlo counts
 from whole-block draws decoded once per rate, encoder validity from a
 numpy stabilizer tableau reduced to row echelon form, and cut costs from a
-per-cut, per-gate side test.
+per-cut, per-gate side test. The malformed circuit files at the end are
+shared by the library and CLI tests that must both reject them.
 """
 import math
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -186,3 +187,17 @@ def reference_cut_table(circuit) -> list[tuple[str, int, int, str]]:
         teledata, direction = (left, "B->A") if left < right else (right, "A->B")
         rows.append((chr(ord("a") + index - 1), crossing, teledata, direction))
     return rows
+
+
+# A three-qubit circuit file, and files that int() and tuple() coercion once
+# read as a different circuit (or, the last one, that lack a key).
+CIRCUIT_JSON = {"n": 3, "order": [2, 0, 1], "gates": [{"kind": "H", "q": [0]}, {"kind": "CNOT", "q": [0, 2]}]}
+MALFORMED_CIRCUIT_JSON = {
+    "float n": {**CIRCUIT_JSON, "n": 3.9},
+    "float order entry": {**CIRCUIT_JSON, "order": [2, 0, 1.5]},
+    "string q": {**CIRCUIT_JSON, "gates": [{"kind": "CNOT", "q": "02"}]},
+    "float q": {**CIRCUIT_JSON, "gates": [{"kind": "CNOT", "q": [0, 2.9]}]},
+    "bool q": {**CIRCUIT_JSON, "gates": [{"kind": "CNOT", "q": [True, 2]}]},
+    "object gates": {**CIRCUIT_JSON, "gates": {}},
+    "no gates": {"n": 3, "order": [0, 1, 2]},
+}

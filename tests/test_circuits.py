@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from helpers import reference_cut_table, reference_validate
+from helpers import MALFORMED_CIRCUIT_JSON, reference_cut_table, reference_validate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -211,9 +211,10 @@ def test_circuit_dict_round_trip():
     assert circuit_from_dict(circuit_to_dict(circuit)) == circuit
 
 
-def test_malformed_circuit_dict_rejected():
-    with pytest.raises(ValueError):
-        circuit_from_dict({"n": 3, "order": [0, 1, 2]})
+@pytest.mark.parametrize("data", MALFORMED_CIRCUIT_JSON.values(), ids=list(MALFORMED_CIRCUIT_JSON))
+def test_malformed_circuit_dict_rejected(data):
+    with pytest.raises(ValueError, match="malformed circuit JSON"):
+        circuit_from_dict(data)
 
 
 @pytest.mark.parametrize(

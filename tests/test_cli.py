@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON
 
 import qlink
 from qlink.cli import cli, main
@@ -108,6 +109,23 @@ def test_dqec_cost_constants(runner):
     assert payload["per_cycle_teledata"] == 144
     assert payload["static_cycle_at_center_cut"] == 36
     assert payload["worst_case_block_teleports"] == 36
+
+
+def test_cut_accepts_the_well_formed_base_circuit(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(CIRCUIT_JSON))
+    assert main(["cut", "--circuit", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["a,1,1,B->A", "b,0,1,A->B"]
+
+
+@pytest.mark.parametrize("data", MALFORMED_CIRCUIT_JSON.values(), ids=list(MALFORMED_CIRCUIT_JSON))
+def test_cut_rejects_malformed_circuit_json(data, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["cut", "--circuit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed circuit JSON: ")
 
 
 def test_dqec_cost_rejects_single_qubit_circuit(tmp_path, capsys):

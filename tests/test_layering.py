@@ -106,16 +106,19 @@ def test_bare_import_loads_no_submodule_until_an_attribute_is_used():
     script = (
         "import json, sys\nimport qlink\n"
         "before = sorted(m for m in sys.modules if m.startswith('qlink.') or m == 'numpy')\n"
+        "owners = [qlink.LinkParams.__module__, qlink.serial_penalty_ratio.__module__]\n"
+        "closed_forms = [owners, 'numpy' in sys.modules]\n"
         "modules = [qlink.montecarlo.__name__, qlink.circuits.__name__]\n"
         "names = [name for name in qlink.__all__ if not hasattr(qlink, name)]\n"
-        "print(json.dumps([before, modules, names]))"
+        "print(json.dumps([before, closed_forms, modules, names]))"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    before, modules, unresolved = json.loads(done.stdout)
+    before, closed_forms, modules, unresolved = json.loads(done.stdout)
     assert before == []
+    assert closed_forms == [["qlink.analytic", "qlink.analytic"], False]   # the link model needs no numpy
     assert modules == ["qlink.montecarlo", "qlink.circuits"]
     assert unresolved == []
 
@@ -139,6 +142,12 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         qlink.no_such_name
     assert not hasattr(qlink, "__no_such_dunder__")
+
+
+def test_trial_engine_uses_the_analytic_link_model():
+    from qlink import analytic, montecarlo
+
+    assert montecarlo.LinkParams is analytic.LinkParams
 
 
 def test_benchmark_call_forms_resolve():

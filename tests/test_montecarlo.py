@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlink import montecarlo
-from qlink.analytic import ModelMode, Multiplexing, combined_failure_analytic, p_block_error
+from qlink.analytic import (
+    LinkParams,
+    ModelMode,
+    Multiplexing,
+    combined_failure_analytic,
+    p_block_error,
+    serial_penalty_ratio,
+)
 from qlink.codes import CodeStack, QecCode, builtin_codes, parse_code, parse_stack
 from qlink.montecarlo import (
     TRIAL_BLOCK,
-    LinkParams,
     McConfig,
     _block_rng,
     _decode,
@@ -21,6 +26,7 @@ from qlink.montecarlo import (
     simulate_block_transfers,
     wilson_interval,
 )
+from qlink.timing import TimingParams, recommend
 
 SERIAL = Multiplexing.SERIAL
 PARALLEL = Multiplexing.PARALLEL
@@ -90,7 +96,6 @@ def test_estimate_consistency_fields():
     assert est.p_hat == est.failures / est.trials
     assert est.ci_low <= est.p_hat <= est.ci_high
     assert est.seed == 42
-    assert est.elapsed >= 0.0
 
 
 def test_stream_layout_frozen():
@@ -208,7 +213,7 @@ def test_batch_matches_one_run_per_config(spec):
     configs = _batch(parse_stack(spec), BATCH_LINKS, trials=TRIAL_BLOCK + 1000)
     estimates = simulate_block_transfers(configs)
     for config, est in zip(configs, estimates):
-        assert replace(est, elapsed=0.0) == replace(simulate_block_transfer(config), elapsed=0.0)
+        assert est == simulate_block_transfer(config)
     batch = [est.failures for est in estimates]
     assert batch[1] == 0 and batch[3] == TRIAL_BLOCK + 1000
     assert batch[0] == batch[5] and batch[2] == batch[6]
@@ -444,6 +449,31 @@ def test_serial_penalty_without_parallel_failures_has_no_ratio():
 def test_serial_penalty_vanishes_with_perfect_memory():
     report = serial_penalty_report(parse_code("7-1-3"), 1e-3, memory_ratio=1e-9, trials=1000)
     assert report.analytic_ratio == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("spec", ["7-1-3", "23-1-7"])
+def test_recommend_and_report_share_the_analytic_ratio(spec):
+    code = parse_code(spec)
+    report = serial_penalty_report(code, 1e-3, trials=1000)
+    rec = recommend(TimingParams(1.0, 100.0, code.n), code, 1e-3, report.p_m)
+    assert rec.reliability_ratio == report.analytic_ratio == serial_penalty_ratio(code, 1e-3, report.p_m)
+
+
+def test_vanishing_failures_are_no_penalty_in_both_callers():
+    report = serial_penalty_report(parse_code("7-1-3"), 0.0, trials=1000)
+    rec = recommend(TimingParams(1.0, 100.0, 7), parse_code("7-1-3"), 0.0, report.p_m)
+    assert report.analytic_ratio == rec.reliability_ratio == 1.0
+
+
+def test_unbounded_ratio_raises_in_both_callers_before_any_trial(monkeypatch):
+    # At p_t = 1e-160 the teleportation-only failure is a subnormal 2.1e-319,
+    # and p_m = 0.05 makes the combined one large enough to overflow the ratio.
+    code = parse_code("7-1-3")
+    monkeypatch.setattr(montecarlo, "simulate_block_transfers", pytest.fail)
+    with pytest.raises(ValueError, match="ratio is unbounded"):
+        serial_penalty_report(code, 1e-160, memory_ratio=3e159)
+    with pytest.raises(ValueError, match="ratio is unbounded"):
+        recommend(TimingParams(1.0, 100.0, 7), code, 1e-160, 1e-160 * 3e159 / 6)
 
 
 def test_serial_penalty_rejects_negative_ratio():
