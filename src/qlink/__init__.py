@@ -49,8 +49,8 @@ _EXPORTS = {
         "simulate_block_transfers",
         "wilson_interval",
     ),
-    "timing": ("CycleTimes", "Recommendation", "TimingParams", "cycle_times", "recommend"),
-    "workload": ("AdderKind", "TeleportEstimate", "WorkloadSpec", "teleport_count"),
+    "timing": ("CycleTimes", "Recommendation", "cycle_times", "recommend"),
+    "workload": ("AdderKind", "TeleportEstimate", "teleport_count"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -88,10 +88,19 @@ class LinkParams:
         return (block_size - 1) // self.lanes
 
     def fault_probability(self, block_size: int) -> float:
-        """Per-qubit probability of at least one error event during transfer."""
+        """Per-qubit probability of at least one error event during transfer.
+
+        1 - (1 - p_t) (1 - p_m)^slots, summed in log1p form so that small
+        rates do not cancel against 1. A certain event makes the fault
+        certain; a qubit with no wait slots sees no memory error.
+        """
         slots = self.wait_slots(block_size)
-        pm_wait = 1.0 - (1.0 - self.p_m) ** slots
-        return 1.0 - (1.0 - self.p_t) * (1.0 - pm_wait)
+        if self.p_t == 1.0 or (slots and self.p_m == 1.0):
+            return 1.0
+        log_clear = math.log1p(-self.p_t)   # log of the chance that no event hits
+        if slots:
+            log_clear += slots * math.log1p(-self.p_m)
+        return -math.expm1(log_clear)
 
 
 def _exact_errors_term(n: int, j: int, p: float) -> float:
@@ -210,16 +219,16 @@ def combined_failure_analytic(n: int, m: int, p_t: float, p_m: float) -> float:
     """Probability of m total error events, memory and teleportation combined.
 
     Convolves the exact binomial term for i memory errors (at the aggregated
-    waiting rate p'_m = 1 - (1 - p_m)^(n-1)) with the exact term for m - i
-    teleportation errors. This counts events, not faulty qubits: a qubit hit
-    by both error kinds contributes two events here but one faulty qubit in
-    the simulation, a difference of second order in the error rates.
+    waiting rate p'_m = 1 - (1 - p_m)^(n-1), a serial link's memory-only
+    fault probability) with the exact term for m - i teleportation errors.
+    This counts events, not faulty qubits: a qubit hit by both error kinds
+    contributes two events here but one faulty qubit in the simulation, a
+    difference of second order in the error rates.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     _check_prob(p_t, "p_t")
-    _check_prob(p_m, "p_m")
-    pm_wait = 1.0 - (1.0 - p_m) ** (n - 1)
+    pm_wait = LinkParams(0.0, p_m, Multiplexing.SERIAL).fault_probability(n)
     total = 0.0
     for i in range(m + 1):
         total += _exact_errors_term(n, i, pm_wait) * _exact_errors_term(n, m - i, p_t)

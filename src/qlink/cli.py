@@ -348,8 +348,8 @@ def dqec_cost_cmd(circuit_ref, syndromes, repeats):
               help="Adder choice [default: report the full range].")
 def workload_cmd(bits, adder):
     """Teleportation count for the modular-exponentiation workload."""
-    spec = workload.WorkloadSpec(bits=bits, adder=workload.AdderKind(adder) if adder else None)
-    return {"bits": bits, "adder": adder or "range", **_fields(workload.teleport_count(spec))}
+    estimate = workload.teleport_count(bits, workload.AdderKind(adder) if adder else None)
+    return {"bits": bits, "adder": adder or "range", **_fields(estimate)}
 
 
 @_command("link-timing", "json")
@@ -359,8 +359,8 @@ def workload_cmd(bits, adder):
 @click.option("--lanes", type=SCI_INT, default=1, show_default=True)
 def link_timing_cmd(tt, tlqec, n, lanes):
     """Cycle times of serial vs parallel links for one block transfer."""
-    params = timing.TimingParams(t_t=tt, t_lqec=tlqec, n=n, lanes=lanes)
-    return {**_fields(params), **_fields(timing.cycle_times(params))}
+    times = timing.cycle_times(tt, tlqec, n, lanes)
+    return {"t_t": tt, "t_lqec": tlqec, "n": n, "lanes": lanes, **_fields(times)}
 
 
 @_command("recommend", "json")
@@ -382,8 +382,7 @@ def recommend_cmd(stack, tt, tlqec, pt, pm, slowdown_threshold, reliability_thre
     code = stack_obj.levels[0]
     if pm is None:   # a one-qubit block never waits, so its memory rate is moot
         pm = pt / (10 * (code.n - 1)) if code.n > 1 else 0.0
-    params = timing.TimingParams(t_t=tt, t_lqec=tlqec, n=code.n)
-    rec = timing.recommend(params, code, pt, pm, slowdown_threshold, reliability_threshold)
+    rec = timing.recommend(code, tt, tlqec, pt, pm, slowdown_threshold, reliability_threshold)
     return {"code": code.spec(), "t_t": tt, "t_lqec": tlqec, "p_t": pt, "p_m": pm, **_fields(rec)}
 
 

@@ -216,25 +216,20 @@ class SerialPenaltyReport:
 def serial_penalty_report(
     code: QecCode,
     p_t: float,
-    memory_ratio: float = 0.1,
+    p_m: float,
     trials: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
 ) -> SerialPenaltyReport:
     """Quantify the extra failure probability a serial link costs for one code.
 
-    The memory rate follows the p_m = p_t * memory_ratio / (n - 1)
-    convention, so memory_ratio = 0.1 makes the aggregated waiting error
-    roughly one tenth of the teleportation error. The analytic ratio is
-    serial_penalty_ratio, which raises before any trial if it is unbounded.
-    The simulated ratio compares serial and parallel estimates from one
-    batch. On the same draws every parallel failure is a serial one, so
-    given S serial failures the parallel count P is Binomial(S, p_par / p_ser)
-    and S / P is bounded by the inverted Wilson interval of P out of S.
+    The analytic ratio is serial_penalty_ratio, which raises before any
+    trial if it is unbounded. The simulated ratio compares serial and
+    parallel estimates from one batch. On the same draws every parallel
+    failure is a serial one, so given S serial failures the parallel count P
+    is Binomial(S, p_par / p_ser) and S / P is bounded by the inverted
+    Wilson interval of P out of S.
     """
-    if memory_ratio < 0:
-        raise ValueError(f"memory_ratio must be >= 0, got {memory_ratio}")
-    p_m = p_t * memory_ratio / (code.n - 1) if code.n > 1 else 0.0   # one qubit never waits
     stack = CodeStack((code,))
     analytic_ratio = serial_penalty_ratio(code, p_t, p_m)
     serial, parallel = simulate_block_transfers([

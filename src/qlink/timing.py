@@ -21,29 +21,6 @@ DEFAULT_RELIABILITY_THRESHOLD = 1.5
 
 
 @dataclass(frozen=True)
-class TimingParams:
-    """Teleportation time, local-correction time, and block size (one unit)."""
-
-    t_t: float
-    t_lqec: float
-    n: int
-    lanes: int = 1
-
-    def __post_init__(self):
-        for name in ("t_t", "t_lqec"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.t_t <= 0:
-            raise ValueError(f"t_t must be > 0, got {self.t_t}")
-        if self.t_lqec < 0:
-            raise ValueError(f"t_lqec must be >= 0, got {self.t_lqec}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {self.lanes}")
-
-
-@dataclass(frozen=True)
 class CycleTimes:
     serial: float
     parallel: float
@@ -51,20 +28,33 @@ class CycleTimes:
     start_delay_factor: int   # rounds before correction can begin, serial vs parallel
 
 
-def cycle_times(params: TimingParams) -> CycleTimes:
+def cycle_times(t_t: float, t_lqec: float, n: int, lanes: int = 1) -> CycleTimes:
     """Transfer-plus-correction cycle time for both link styles.
 
-    With `lanes` channels the block crosses in ceil(n / lanes) rounds; one
-    lane is the serial case, n lanes the parallel one.
+    t_t is one teleportation time, t_lqec one local-correction time, and n
+    the block size. With `lanes` channels the block crosses in
+    ceil(n / lanes) rounds; one lane is the serial case, n lanes the
+    parallel one.
     """
-    rounds = -(-params.n // params.lanes)   # integer ceil: n may lie past float range
+    for name, value in (("t_t", t_t), ("t_lqec", t_lqec)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if t_t <= 0:
+        raise ValueError(f"t_t must be > 0, got {t_t}")
+    if t_lqec < 0:
+        raise ValueError(f"t_lqec must be >= 0, got {t_lqec}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if lanes < 1:
+        raise ValueError(f"lanes must be >= 1, got {lanes}")
+    rounds = -(-n // lanes)   # integer ceil: n may lie past float range
     if rounds > sys.float_info.max:
         raise ValueError("the number of transfer rounds overflows a float")
-    serial = rounds * params.t_t + params.t_lqec
-    parallel = params.t_t + params.t_lqec
+    serial = rounds * t_t + t_lqec
+    parallel = t_t + t_lqec
     if math.isinf(serial):   # serial >= parallel, so parallel is finite too
         raise ValueError(f"the serial cycle time overflows a float: {rounds} rounds of t_t = "
-                         f"{params.t_t:g} plus t_lqec = {params.t_lqec:g}")
+                         f"{t_t:g} plus t_lqec = {t_lqec:g}")
     return CycleTimes(
         serial=serial,
         parallel=parallel,
@@ -84,8 +74,9 @@ class Recommendation:
 
 
 def recommend(
-    params: TimingParams,
     code: QecCode,
+    t_t: float,
+    t_lqec: float,
     p_t: float,
     p_m: float,
     slowdown_threshold: float = DEFAULT_SLOWDOWN_THRESHOLD,
@@ -94,9 +85,10 @@ def recommend(
     """Pick a link style for transferring one block of the given code.
 
     Serial wins when both penalties are acceptable: the cycle-time slowdown
-    and the failure-probability ratio, analytic.serial_penalty_ratio.
+    of a one-lane link carrying code.n qubits, and the failure-probability
+    ratio, analytic.serial_penalty_ratio.
     """
-    times = cycle_times(params)
+    times = cycle_times(t_t, t_lqec, code.n)
     ratio = serial_penalty_ratio(code, p_t, p_m)
 
     reasons = []

@@ -25,20 +25,6 @@ class AdderKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """Problem size and adder choice; adder None asks for the full range."""
-
-    bits: int
-    adder: AdderKind | None = None
-
-    def __post_init__(self):
-        if isinstance(self.bits, float) and not math.isfinite(self.bits):
-            raise ValueError(f"bits must be finite, got {self.bits}")
-        if self.bits < 2:
-            raise ValueError(f"bits must be >= 2, got {self.bits}")
-
-
-@dataclass(frozen=True)
 class TeleportEstimate:
     """Teleportation count range; a point query fills both ends equally."""
 
@@ -56,19 +42,26 @@ def _scaled(bits: int, anchor: int, column: int) -> float:
     return ANCHORS[anchor][column] * (bits / anchor) ** 3
 
 
-def teleport_count(spec: WorkloadSpec) -> TeleportEstimate:
-    """Teleportations needed for a full modular exponentiation at this size."""
+def teleport_count(bits: int, adder: AdderKind | None = None) -> TeleportEstimate:
+    """Teleportations needed for a full modular exponentiation at this size.
+
+    adder None asks for the full range between the two adders.
+    """
+    if isinstance(bits, float) and not math.isfinite(bits):
+        raise ValueError(f"bits must be finite, got {bits}")
+    if bits < 2:
+        raise ValueError(f"bits must be >= 2, got {bits}")
     try:
-        anchor = _nearest_anchor(spec.bits)
-        low = _scaled(spec.bits, anchor, 0)
-        high = _scaled(spec.bits, anchor, 1)
+        anchor = _nearest_anchor(bits)
+        low = _scaled(bits, anchor, 0)
+        high = _scaled(bits, anchor, 1)
     except OverflowError:
         high = math.inf
     if math.isinf(high):   # the lookahead count is the larger one
         raise ValueError("the teleportation count overflows a float at this problem size")
-    extrapolated = spec.bits not in ANCHORS
-    if spec.adder is AdderKind.CARRY_RIPPLE:
+    extrapolated = bits not in ANCHORS
+    if adder is AdderKind.CARRY_RIPPLE:
         high = low
-    elif spec.adder is AdderKind.CARRY_LOOKAHEAD:
+    elif adder is AdderKind.CARRY_LOOKAHEAD:
         low = high
     return TeleportEstimate(t_low=low, t_high=high, extrapolated=extrapolated, anchor_bits=anchor)

@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the library's own code paths: binomial
 coefficients come from Pascal's triangle, tails from explicit enumeration,
-rounding and compounded failure from decimal arithmetic, Monte Carlo counts
-from whole-block draws decoded once per rate, encoder validity from a
-numpy stabilizer tableau reduced to row echelon form, and cut costs from a
-per-cut, per-gate side test. The malformed circuit files at the end are
-shared by the library and CLI tests that must both reject them.
+rounding, compounded failure, link fault rates and the serial-penalty ratio
+from decimal arithmetic, that ratio's small-rate limit from exact fractions,
+Monte Carlo counts from whole-block draws decoded once per rate, encoder
+validity from a numpy stabilizer tableau reduced to row echelon form, and
+cut costs from a per-cut, per-gate side test. The malformed circuit files
+at the end are shared by the library and CLI tests that must both reject
+them.
 """
 import math
 from decimal import ROUND_HALF_UP, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +46,47 @@ def pascal_row(n: int) -> list[int]:
     for _ in range(n):
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
     return row
+
+
+def _working_precision(*rates: Decimal) -> int:
+    """Digits that keep 40 significant ones in 1 - rate for every rate given."""
+    return 40 + max(0, *(-rate.adjusted() for rate in rates))
+
+
+def union_fault(p_t: float, p_m: float, slots: int) -> float:
+    """1 - (1 - p_t)(1 - p_m)^slots, the chance of at least one event, in decimal arithmetic."""
+    p, q = Decimal(p_t), Decimal(p_m)
+    with localcontext() as ctx:
+        ctx.prec = _working_precision(p, q)
+        return float(1 - (1 - p) * ((1 - q) ** slots if slots else 1))   # decimal 0 ** 0 is undefined
+
+
+def event_ratio(n: int, m: int, p_t: float, p_m: float) -> float:
+    """P(m events) with memory errors over P(m events) without, in decimal arithmetic.
+
+    Memory errors strike at the aggregated waiting rate 1 - (1 - p_m)^(n-1),
+    and m events split into i memory and m - i teleportation errors.
+    """
+    coefficients = pascal_row(n)
+    p, q = Decimal(p_t), Decimal(p_m)
+    with localcontext() as ctx:
+        ctx.prec = _working_precision(p, q)
+        wait = 1 - (1 - q) ** (n - 1)
+
+        def term(j, rate):
+            return coefficients[j] * rate**j * (1 - rate) ** (n - j)
+
+        return float(sum(term(i, wait) * term(m - i, p) for i in range(m + 1)) / term(m, p))
+
+
+def leading_penalty_limit(n: int, m: int) -> float:
+    """The event ratio's p_t -> 0 limit when the aggregated memory rate is p_t / 10.
+
+    Only the lowest order survives: sum_i C(n, i) C(n, m - i) / 10^i over C(n, m).
+    """
+    coefficients = pascal_row(n)
+    total = sum(Fraction(coefficients[i] * coefficients[m - i], 10**i) for i in range(m + 1))
+    return float(total / coefficients[m])
 
 
 def weight_tail(n: int, m: int, p: float) -> float:

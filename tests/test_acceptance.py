@@ -42,7 +42,7 @@ from qlink.montecarlo import (
     simulate_block_transfer,
     wilson_interval,
 )
-from qlink.workload import AdderKind, WorkloadSpec, teleport_count
+from qlink.workload import AdderKind, teleport_count
 
 
 def _run_cli(*args):
@@ -150,7 +150,7 @@ def test_c4_serial_memory_penalty():
         23, 4, 1e-3, 0.0
     )
     report = serial_penalty_report(
-        parse_code("7-1-3"), 1e-3, memory_ratio=0.1, trials=10_000_000, seed=424242, workers=4
+        parse_code("7-1-3"), 1e-3, 1e-3 / 60, trials=10_000_000, seed=424242, workers=4
     )
     in_ci = report.mc_ratio_ci[0] <= ratio7 <= report.mc_ratio_ci[1]
     ok = 1.24 <= ratio7 <= 1.26 and 1.50 <= ratio23 <= 1.56 and in_ci
@@ -248,7 +248,7 @@ def test_c8_worker_determinism():
 def test_c9_headline_tolerance():
     """Two stacked 23-1-7 levels tolerate >= 1% teleportation error at the
     largest workload's high anchor."""
-    anchor = teleport_count(WorkloadSpec(1024, AdderKind.CARRY_LOOKAHEAD))
+    anchor = teleport_count(1024, AdderKind.CARRY_LOOKAHEAD)
     assert anchor.t_high == 6e10
     payload = json.loads(
         _run_cli("analyze", "--stack", "23-1-7+23-1-7", "--t", "6e10", "--target-pf", "0.1")

@@ -13,6 +13,7 @@ from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON
 
 import qlink
 from qlink.cli import cli, main
+from qlink.codes import builtin_codes
 
 
 @pytest.fixture()
@@ -195,6 +196,16 @@ def test_recommend_serial_default_memory(runner):
     )
     assert payload["choice"] == "serial"
     assert math.isclose(payload["p_m"], 1e-3 / 60, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("pt", [1e-4, 2.2e-4, 1e-3])
+@pytest.mark.parametrize("code", builtin_codes(), ids=lambda code: code.spec())
+def test_recommend_default_memory_rate_is_pt_over_ten_n_minus_one(code, pt, capsys):
+    # Bit for bit: the algebraically equal pt * 0.1 / (n - 1) is an ulp off
+    # at some of these points (1e-4 with n = 7, 2.2e-4 with n = 5, 9, 23).
+    argv = ["recommend", "--stack", code.spec(), "--tt", "1", "--tlqec", "100", "--pt", repr(pt)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["p_m"] == pt / (10 * (code.n - 1))
 
 
 def test_recommend_parallel_when_serialization_hurts(runner):

@@ -1,8 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from helpers import reference_decode, reference_failures
+from helpers import (
+    event_ratio,
+    leading_penalty_limit,
+    reference_decode,
+    reference_failures,
+    union_fault,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +33,7 @@ from qlink.montecarlo import (
     simulate_block_transfers,
     wilson_interval,
 )
-from qlink.timing import TimingParams, recommend
+from qlink.timing import recommend
 
 SERIAL = Multiplexing.SERIAL
 PARALLEL = Multiplexing.PARALLEL
@@ -372,12 +379,15 @@ def test_combined_collapses_without_memory_errors():
 
 def test_combined_ratio_frozen_values():
     # p_m = p_t / (10 (n-1)) puts the aggregated waiting error at p_t / 10.
+    # The constants are the decimal oracle's values.
+    assert event_ratio(7, 2, 1e-3, 1e-3 / 60) == 1.2422249034245774
+    assert event_ratio(23, 4, 1e-3, 1e-3 / 220) == 1.5328696686019845
     r7 = combined_failure_analytic(7, 2, 1e-3, 1e-3 / 60) / combined_failure_analytic(7, 2, 1e-3, 0)
     r23 = combined_failure_analytic(23, 4, 1e-3, 1e-3 / 220) / combined_failure_analytic(
         23, 4, 1e-3, 0
     )
-    assert r7 == pytest.approx(1.2422249034245232, rel=1e-12)
-    assert r23 == pytest.approx(1.5328696685977423, rel=1e-12)
+    assert r7 == pytest.approx(1.2422249034245774, rel=1e-12)
+    assert r23 == pytest.approx(1.5328696686019845, rel=1e-12)
 
 
 def test_faulty_qubit_union_ratio_frozen_values():
@@ -408,6 +418,33 @@ def test_combined_ratio_leading_order_limits():
     assert r23 == pytest.approx(expected, rel=1e-6)
 
 
+@given(code=st.sampled_from(builtin_codes()), share=st.floats(0.0, 1.0))
+@example(code=parse_code("23-1-7"), share=0.0).via("the smallest p_t")
+@example(code=parse_code("7-1-3"), share=1.0).via("p_t = 1e-12")
+def test_penalty_ratio_tends_to_its_leading_order_limit(code, share):
+    # From p_t = 1e-12 down to where p_t^m is still a normal float, the
+    # ratio at the CLI's default p_m sits on its p_t -> 0 limit: a memory
+    # rate cancelled against 1 would put it percents off.
+    smallest = math.log10(sys.float_info.min) / code.min_fail + 1e-9
+    p_t = 10 ** (smallest + share * (-12 - smallest))
+    assert p_t**code.min_fail >= sys.float_info.min
+    limit = leading_penalty_limit(code.n, code.min_fail)
+    quoted = {"5-1-3": 1.26, "7-1-3": 1.24333, "9-1-3": 1.235, "23-1-7": 1.53699}
+    assert limit == pytest.approx(quoted[code.spec()], abs=5e-6)
+    assert serial_penalty_ratio(code, p_t, p_t / (10 * (code.n - 1))) == pytest.approx(limit, rel=1e-9)
+
+
+@given(p_t=st.floats(0.0, 1.0), p_m=st.floats(0.0, 1.0), slots=st.integers(0, 600))
+@example(p_t=1e-300, p_m=1e-300, slots=528).via("rates far below one ulp of 1")
+@example(p_t=1.0, p_m=0.5, slots=6).via("certain teleportation error")
+@example(p_t=0.1, p_m=1.0, slots=6).via("certain memory error")
+@example(p_t=0.1, p_m=1.0, slots=0).via("certain memory error, no wait")
+def test_fault_probability_matches_decimal_union(p_t, p_m, slots):
+    # A serial link waits block_size - 1 slots.
+    q = LinkParams(p_t, p_m, SERIAL).fault_probability(slots + 1)
+    assert q == pytest.approx(union_fault(p_t, p_m, slots), rel=1e-13, abs=0.0)
+
+
 def test_combined_validates_inputs():
     with pytest.raises(ValueError):
         combined_failure_analytic(7, 8, 0.01, 0.001)
@@ -417,12 +454,12 @@ def test_combined_validates_inputs():
 
 # ------------------------------------------------------------- penalty report
 def test_serial_penalty_report_steane():
-    report = serial_penalty_report(parse_code("7-1-3"), 1e-3, trials=400_000, seed=21)
+    report = serial_penalty_report(parse_code("7-1-3"), 1e-3, 1e-3 / 60, trials=400_000, seed=21)
     # One batch, and the same counts as two separate runs.
     for est, mux in ((report.serial, SERIAL), (report.parallel, PARALLEL)):
         single = simulate_block_transfer(_config(STEANE, 1e-3, report.p_m, mux, trials=400_000, seed=21))
         assert est.failures == single.failures
-    assert report.p_m == pytest.approx(1e-3 / 60, rel=1e-15)
+    assert report.p_m == 1e-3 / 60
     assert 1.24 <= report.analytic_ratio <= 1.26
     assert report.serial.failures >= report.parallel.failures
     assert report.mc_ratio_ci[0] <= report.mc_ratio <= report.mc_ratio_ci[1]
@@ -431,7 +468,7 @@ def test_serial_penalty_report_steane():
 def test_serial_penalty_ci_inverts_the_paired_wilson_interval():
     # Parallel failures are a subset of serial ones on shared draws, so P out
     # of S is binomial and the ratio S / P inherits its Wilson bounds.
-    report = serial_penalty_report(parse_code("7-1-3"), 1e-2, memory_ratio=1.0, trials=20_000, seed=5)
+    report = serial_penalty_report(parse_code("7-1-3"), 1e-2, 1e-2 / 6, trials=20_000, seed=5)
     serial, parallel = report.serial.failures, report.parallel.failures
     assert serial > parallel > 0
     low, high = wilson_interval(parallel, serial)
@@ -440,28 +477,29 @@ def test_serial_penalty_ci_inverts_the_paired_wilson_interval():
 
 
 def test_serial_penalty_without_parallel_failures_has_no_ratio():
-    report = serial_penalty_report(parse_code("7-1-3"), 1e-4, trials=1000, seed=5)
+    report = serial_penalty_report(parse_code("7-1-3"), 1e-4, 1e-4 / 60, trials=1000, seed=5)
     assert report.parallel.failures == 0
     assert math.isnan(report.mc_ratio)
     assert report.mc_ratio_ci == (0.0, math.inf)
 
 
 def test_serial_penalty_vanishes_with_perfect_memory():
-    report = serial_penalty_report(parse_code("7-1-3"), 1e-3, memory_ratio=1e-9, trials=1000)
+    report = serial_penalty_report(parse_code("7-1-3"), 1e-3, 1e-12 / 6, trials=1000)
     assert report.analytic_ratio == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("spec", ["7-1-3", "23-1-7"])
 def test_recommend_and_report_share_the_analytic_ratio(spec):
     code = parse_code(spec)
-    report = serial_penalty_report(code, 1e-3, trials=1000)
-    rec = recommend(TimingParams(1.0, 100.0, code.n), code, 1e-3, report.p_m)
-    assert rec.reliability_ratio == report.analytic_ratio == serial_penalty_ratio(code, 1e-3, report.p_m)
+    p_m = 1e-3 / (10 * (code.n - 1))
+    report = serial_penalty_report(code, 1e-3, p_m, trials=1000)
+    rec = recommend(code, 1.0, 100.0, 1e-3, p_m)
+    assert rec.reliability_ratio == report.analytic_ratio == serial_penalty_ratio(code, 1e-3, p_m)
 
 
 def test_vanishing_failures_are_no_penalty_in_both_callers():
-    report = serial_penalty_report(parse_code("7-1-3"), 0.0, trials=1000)
-    rec = recommend(TimingParams(1.0, 100.0, 7), parse_code("7-1-3"), 0.0, report.p_m)
+    report = serial_penalty_report(parse_code("7-1-3"), 0.0, 0.0, trials=1000)
+    rec = recommend(parse_code("7-1-3"), 1.0, 100.0, 0.0, 0.0)
     assert report.analytic_ratio == rec.reliability_ratio == 1.0
 
 
@@ -471,19 +509,19 @@ def test_unbounded_ratio_raises_in_both_callers_before_any_trial(monkeypatch):
     code = parse_code("7-1-3")
     monkeypatch.setattr(montecarlo, "simulate_block_transfers", pytest.fail)
     with pytest.raises(ValueError, match="ratio is unbounded"):
-        serial_penalty_report(code, 1e-160, memory_ratio=3e159)
+        serial_penalty_report(code, 1e-160, 0.05)
     with pytest.raises(ValueError, match="ratio is unbounded"):
-        recommend(TimingParams(1.0, 100.0, 7), code, 1e-160, 1e-160 * 3e159 / 6)
+        recommend(code, 1.0, 100.0, 1e-160, 0.05)
 
 
-def test_serial_penalty_rejects_negative_ratio():
-    with pytest.raises(ValueError):
-        serial_penalty_report(parse_code("7-1-3"), 1e-3, memory_ratio=-1.0, trials=1000)
+def test_serial_penalty_rejects_negative_memory_rate_before_any_trial(monkeypatch):
+    monkeypatch.setattr(montecarlo, "simulate_block_transfers", pytest.fail)
+    with pytest.raises(ValueError, match=r"p_m must be in \[0, 1\]"):
+        serial_penalty_report(parse_code("7-1-3"), 1e-3, -1e-4, trials=1000)
 
 
-def test_serial_penalty_one_qubit_code_has_no_memory_rate():
-    # A one-qubit block never waits, so p_m is 0 rather than p_t * ratio / 0.
-    report = serial_penalty_report(parse_code("1-1-1"), 0.1, trials=2000)
-    assert report.p_m == 0.0
+def test_serial_penalty_one_qubit_code_never_waits():
+    # A one-qubit block has no wait slots, so even a poor memory costs nothing.
+    report = serial_penalty_report(parse_code("1-1-1"), 0.1, 0.5, trials=2000)
     assert report.analytic_ratio == 1.0
     assert report.serial.failures == report.parallel.failures > 0
