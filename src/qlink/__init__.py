@@ -18,7 +18,6 @@ _EXPORTS = {
         "allowable_pt",
         "combined_failure_analytic",
         "p_algorithm_failure",
-        "p_block_error",
         "p_stack_block_error",
         "serial_penalty_ratio",
         "table3",
@@ -35,7 +34,6 @@ _EXPORTS = {
         "default_steane_encoder",
         "dqec_budget",
         "load_circuit",
-        "save_circuit",
         "steane_stabilizers",
         "validate_encoder",
     ),

@@ -62,14 +62,14 @@ class LinkParams:
 
     p_t is the per-qubit teleportation failure probability; p_m the
     per-qubit memory error probability per teleportation-slot of waiting.
-    SERIAL moves one qubit per slot (lanes must be 1); PARALLEL with
-    lanes >= block size has no wait slots at all, and intermediate lane
-    counts wait ceil(N / lanes) - 1 slots.
+    SERIAL, the default, moves one qubit per slot (lanes must be 1);
+    PARALLEL with lanes >= block size has no wait slots at all, and
+    intermediate lane counts wait ceil(N / lanes) - 1 slots.
     """
 
     p_t: float
     p_m: float = 0.0
-    multiplexing: Multiplexing = Multiplexing.PARALLEL
+    multiplexing: Multiplexing = Multiplexing.SERIAL
     lanes: int = 1
 
     def __post_init__(self):
@@ -108,25 +108,14 @@ def _exact_errors_term(n: int, j: int, p: float) -> float:
     return math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
 
 
-def p_block_error(n: int, m: int, p_t: float, mode: ModelMode = ModelMode.LEADING_ORDER) -> float:
-    """Probability that a block of n qubits suffers an uncorrectable error count.
-
-    LEADING_ORDER returns C(n, m) * p_t^m, the single lowest failure mode.
-    EXACT_TAIL returns P(X >= m) for X ~ Binomial(n, p_t), i.e. m or more
-    errors, which is the true uncorrectable-event probability.
-    """
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    _check_prob(p_t, "p_t")
-    return _block_error(n, m, p_t, mode)
-
-
 def _block_error(n: int, m: int, q: float, mode: ModelMode) -> float:
-    """p_block_error without validation: leading-order values may exceed 1."""
+    """Probability of m or more errors among n qubits at rate q: a block failure.
+
+    LEADING_ORDER is C(n, m) q^m, the single lowest failure mode, and may
+    exceed 1; EXACT_TAIL is P(X >= m) for X ~ Binomial(n, q).
+    """
     if mode is ModelMode.LEADING_ORDER:
         return math.comb(n, m) * q**m
-    if m == 0:
-        return 1.0
     total = 0.0
     for j in range(m, n + 1):
         total += _exact_errors_term(n, j, q)

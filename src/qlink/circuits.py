@@ -19,7 +19,7 @@ stabilizers plus logical Z.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -281,14 +281,6 @@ def dqec_budget(circuit: EncoderCircuit, syndromes: int = 6, repeats: int = 2) -
 # Circuit files: {"n": int, "order": [...], "gates": [{"kind": .., "q": [..]}]}
 # --------------------------------------------------------------------------
 
-def circuit_to_dict(circuit: EncoderCircuit) -> dict:
-    return {
-        "n": circuit.n_qubits,
-        "order": list(circuit.qubit_order),
-        "gates": [{"kind": g.kind.value, "q": list(g.qubits)} for g in circuit.gates],
-    }
-
-
 def _json(value, kind: type):
     """A JSON value of exactly this type: int() and tuple() would also take 7.9, true, "02" or {}."""
     if type(value) is not kind:
@@ -312,16 +304,3 @@ def load_circuit(path: str | Path) -> EncoderCircuit:
     with open(path, encoding="utf-8") as handle:
         return circuit_from_dict(json.load(handle))
 
-
-def save_circuit(circuit: EncoderCircuit, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(circuit_to_dict(circuit), handle, indent=2)
-        handle.write("\n")
-
-
-def without_gate(circuit: EncoderCircuit, index: int) -> EncoderCircuit:
-    """Copy of the circuit with one gate removed (mutation testing helper)."""
-    if not 0 <= index < len(circuit.gates):
-        raise ValueError(f"gate index {index} out of range")
-    gates = circuit.gates[:index] + circuit.gates[index + 1 :]
-    return replace(circuit, gates=gates)

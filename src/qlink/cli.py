@@ -227,7 +227,7 @@ def _mc_row(config: montecarlo.McConfig, estimate: montecarlo.McEstimate) -> dic
 def codes_cmd():
     """List the built-in error-correcting codes."""
     header = ["name", "n", "k", "d", "correctable"]
-    return header, [[c.name, c.n, c.k, c.d, c.correctable] for c in builtin_codes()]
+    return header, [[c.spec(), c.n, c.k, c.d, c.correctable] for c in builtin_codes()]
 
 
 @_command("analyze", "json")

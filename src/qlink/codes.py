@@ -12,7 +12,6 @@ class QecCode:
     correctable budget (d - 1) / 2 is a whole number of errors.
     """
 
-    name: str
     n: int
     k: int
     d: int
@@ -69,9 +68,6 @@ class CodeStack:
             return "none"
         return "+".join(code.spec() for code in self.levels)
 
-    def __iter__(self):
-        return iter(self.levels)
-
     def __len__(self):
         return len(self.levels)
 
@@ -79,10 +75,10 @@ class CodeStack:
 def builtin_codes() -> list[QecCode]:
     """The stock single-logical-qubit codes, named by their n-k-d tokens."""
     return [
-        QecCode("5-1-3", 5, 1, 3),
-        QecCode("7-1-3", 7, 1, 3),
-        QecCode("9-1-3", 9, 1, 3),
-        QecCode("23-1-7", 23, 1, 7),
+        QecCode(5, 1, 3),
+        QecCode(7, 1, 3),
+        QecCode(9, 1, 3),
+        QecCode(23, 1, 7),
     ]
 
 
@@ -95,7 +91,7 @@ def parse_code(token: str) -> QecCode:
         n, k, d = (int(p) for p in parts)
     except ValueError:
         raise ValueError(f"bad code token {token!r}, expected three integers") from None
-    return QecCode(f"{n}-{k}-{d}", n, k, d)
+    return QecCode(n, k, d)
 
 
 def parse_stack(spec: str) -> CodeStack:

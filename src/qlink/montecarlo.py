@@ -39,6 +39,7 @@ drawn, so a worker's draw memory is bounded by TILE_BYTES, not by a block of
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -137,12 +138,16 @@ def _critical_rates(uniforms: np.ndarray, stack: CodeStack) -> np.ndarray:
     return rates[:, 0]   # widths multiply to N, so one block is left
 
 
-def _run_blocks(config: McConfig, per_block) -> list:
+def _run_blocks(config: McConfig, per_block) -> np.ndarray:
+    """Sum per_block(j) over all blocks on k threads, at most one per core.
+
+    Thread w sums blocks w, w + k, w + 2k, ..., so only k tasks are queued.
+    Integer counts sum alike in any grouping, so the totals do not depend on k.
+    """
     n_blocks = (config.trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    if config.workers == 1 or n_blocks == 1:
-        return [per_block(j) for j in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(per_block, range(n_blocks)))
+    k = min(config.workers, n_blocks, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        return sum(pool.map(lambda w: sum(per_block(j) for j in range(w, n_blocks, k)), range(k)))
 
 
 def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
@@ -179,7 +184,7 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
             counts += np.searchsorted(critical, rates, side="left")
         return counts
 
-    counts = np.sum(_run_blocks(first, per_block), axis=0)
+    counts = _run_blocks(first, per_block)
     estimates = []
     for config, failures in zip(configs, counts.tolist()):
         ci_low, ci_high = wilson_interval(failures, config.trials)

@@ -8,9 +8,12 @@ Monte Carlo counts from whole-block draws decoded once per rate, encoder
 validity from a numpy stabilizer tableau reduced to row echelon form, and
 cut costs from a per-cut, per-gate side test. The malformed circuit files
 at the end are shared by the library and CLI tests that must both reject
-them.
+them. The circuit writers and the gate-deletion mutant builder at the very
+end are test tools, not oracles: the library only reads circuit files.
 """
+import json
 import math
+from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -245,3 +248,28 @@ MALFORMED_CIRCUIT_JSON = {
     "object gates": {**CIRCUIT_JSON, "gates": {}},
     "no gates": {"n": 3, "order": [0, 1, 2]},
 }
+
+
+# --------------------------------------------------------------------------
+# Circuit files: {"n": int, "order": [...], "gates": [{"kind": .., "q": [..]}]}
+# --------------------------------------------------------------------------
+
+def circuit_to_dict(circuit) -> dict:
+    return {
+        "n": circuit.n_qubits,
+        "order": list(circuit.qubit_order),
+        "gates": [{"kind": g.kind.value, "q": list(g.qubits)} for g in circuit.gates],
+    }
+
+
+def save_circuit(circuit, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(circuit_to_dict(circuit), handle, indent=2)
+        handle.write("\n")
+
+
+def without_gate(circuit, index: int):
+    """Copy of the circuit with one gate removed (mutation testing helper)."""
+    if not 0 <= index < len(circuit.gates):
+        raise ValueError(f"gate index {index} out of range")
+    return replace(circuit, gates=circuit.gates[:index] + circuit.gates[index + 1 :])

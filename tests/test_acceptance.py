@@ -23,16 +23,16 @@ import time
 
 import pytest
 from click.testing import CliRunner
-from helpers import round_sig, weight_tail
+from helpers import round_sig, weight_tail, without_gate
 
 from qlink.analytic import (
     ModelMode,
     Multiplexing,
     allowable_pt,
     combined_failure_analytic,
-    p_block_error,
+    p_stack_block_error,
 )
-from qlink.circuits import default_steane_encoder, validate_encoder, without_gate
+from qlink.circuits import default_steane_encoder, validate_encoder
 from qlink.cli import cli
 from qlink.codes import parse_code, parse_stack
 from qlink.montecarlo import (
@@ -172,7 +172,7 @@ def test_c5_oracle_equivalence():
         code = parse_code(spec)
         stack = parse_stack(spec)
         for p_t in (0.003, 0.01, 0.03):
-            exact = p_block_error(code.n, code.min_fail, p_t, ModelMode.EXACT_TAIL)
+            exact = p_stack_block_error(stack, p_t, ModelMode.EXACT_TAIL)
             brute = weight_tail(code.n, code.min_fail, p_t)
             if abs(exact - brute) > 1e-12 * brute:
                 failures.append(f"{spec} p={p_t}: tail {exact!r} vs enumeration {brute!r}")

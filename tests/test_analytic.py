@@ -11,14 +11,15 @@ from qlink.analytic import (
     ModelMode,
     allowable_pt,
     p_algorithm_failure,
-    p_block_error,
     p_stack_block_error,
     table3,
 )
-from qlink.codes import CodeStack, parse_stack
+from qlink.codes import CodeStack, QecCode, builtin_codes, parse_stack
 
 LEADING = ModelMode.LEADING_ORDER
 EXACT = ModelMode.EXACT_TAIL
+STEANE = parse_stack("7-1-3")
+GOLAY = parse_stack("23-1-7")
 
 
 # ----------------------------------------------------------------- p_success
@@ -51,46 +52,41 @@ def test_p_success_rejects_bad_probability():
             p_algorithm_failure(CodeStack(), t, p_t)
 
 
-# -------------------------------------------------------------- p_block_error
+# ------------------------------------------------- one-level block failure
 def test_leading_order_is_single_lowest_mode():
     for p in (1e-6, 1e-4, 1e-2):
-        assert p_block_error(7, 2, p, LEADING) == pytest.approx(21 * p**2, rel=1e-15)
-        assert p_block_error(23, 4, p, LEADING) == pytest.approx(8855 * p**4, rel=1e-15)
+        assert p_stack_block_error(STEANE, p, LEADING) == pytest.approx(21 * p**2, rel=1e-15)
+        assert p_stack_block_error(GOLAY, p, LEADING) == pytest.approx(8855 * p**4, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [5, 7])
 @pytest.mark.parametrize("p", [0.003, 0.01, 0.03, 0.2])
 def test_exact_tail_matches_pattern_enumeration(n, p):
     m = 2  # distance-3 codes fail at two errors
-    assert p_block_error(n, m, p, EXACT) == pytest.approx(pattern_tail(n, m, p), rel=1e-12)
+    stack = CodeStack((QecCode(n, 1, 3),))
+    assert p_stack_block_error(stack, p, EXACT) == pytest.approx(pattern_tail(n, m, p), rel=1e-12)
 
 
 def test_exact_tail_frozen_value():
     # Frozen from the 2^7 pattern enumeration oracle.
-    assert p_block_error(7, 2, 0.01, EXACT) == pytest.approx(2.03104163494e-3, rel=1e-11)
+    assert p_stack_block_error(STEANE, 0.01, EXACT) == pytest.approx(2.03104163494e-3, rel=1e-11)
 
 
-def test_exact_tail_matches_weight_enumeration_for_large_block():
+@pytest.mark.parametrize("code", builtin_codes(), ids=QecCode.spec)
+def test_exact_tail_matches_weight_enumeration_for_large_block(code):
+    stack = CodeStack((code,))
     for p in (0.003, 0.01, 0.03):
-        assert p_block_error(23, 4, p, EXACT) == pytest.approx(weight_tail(23, 4, p), rel=1e-12)
-
-
-def test_zero_or_more_errors_is_certain():
-    assert p_block_error(7, 0, 0.3, EXACT) == 1.0
-    assert p_block_error(23, 0, 0.0, EXACT) == 1.0
+        expected = weight_tail(code.n, code.min_fail, p)
+        assert p_stack_block_error(stack, p, EXACT) == pytest.approx(expected, rel=1e-12)
 
 
 def test_block_error_domain_checks():
     with pytest.raises(ValueError):
-        p_block_error(7, 8, 0.1)
-    with pytest.raises(ValueError):
-        p_block_error(7, -1, 0.1)
-    with pytest.raises(ValueError):
-        p_block_error(7, 2, 1.2)
+        p_stack_block_error(STEANE, 1.2)
 
 
 def test_leading_over_exact_approaches_one():
-    ratio = p_block_error(7, 2, 1e-4, LEADING) / p_block_error(7, 2, 1e-4, EXACT)
+    ratio = p_stack_block_error(STEANE, 1e-4, LEADING) / p_stack_block_error(STEANE, 1e-4, EXACT)
     assert abs(ratio - 1.0) < 0.01
 
 

@@ -3,7 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from helpers import MALFORMED_CIRCUIT_JSON, reference_cut_table, reference_validate
+from helpers import (
+    MALFORMED_CIRCUIT_JSON,
+    circuit_to_dict,
+    reference_cut_table,
+    reference_validate,
+    save_circuit,
+    without_gate,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,15 +20,12 @@ from qlink.circuits import (
     Gate,
     GateKind,
     circuit_from_dict,
-    circuit_to_dict,
     cut_table,
     default_steane_encoder,
     dqec_budget,
     load_circuit,
-    save_circuit,
     steane_stabilizers,
     validate_encoder,
-    without_gate,
 )
 from qlink.codes import parse_code
 

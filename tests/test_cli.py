@@ -94,7 +94,9 @@ def test_cut_reproduces_breakpoint_table(runner):
 
 
 def test_cut_accepts_circuit_file(runner, tmp_path):
-    from qlink.circuits import default_steane_encoder, save_circuit
+    from helpers import save_circuit
+
+    from qlink.circuits import default_steane_encoder
 
     path = tmp_path / "c.json"
     save_circuit(default_steane_encoder(), path)

@@ -11,7 +11,7 @@ def test_builtin_codes_present():
 
 
 def test_builtin_names_unique():
-    names = [c.name for c in builtin_codes()]
+    names = [c.spec() for c in builtin_codes()]
     assert len(names) == len(set(names))
 
 
@@ -29,7 +29,7 @@ def test_builtin_codes_satisfy_invariants():
 )
 def test_bad_code_parameters_rejected(n, k, d):
     with pytest.raises(ValueError):
-        QecCode("bad", n, k, d)
+        QecCode(n, k, d)
 
 
 def test_scale_up_examples():
@@ -51,7 +51,7 @@ def test_scale_up_multiplies_when_appending():
 
 def test_stack_rejects_multi_logical_codes():
     with pytest.raises(ValueError):
-        CodeStack((QecCode("8-3-3", 8, 3, 3),))
+        CodeStack((QecCode(8, 3, 3),))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from qlink.analytic import (
     ModelMode,
     Multiplexing,
     combined_failure_analytic,
-    p_block_error,
+    p_stack_block_error,
     serial_penalty_ratio,
 )
 from qlink.codes import CodeStack, QecCode, builtin_codes, parse_code, parse_stack
@@ -66,6 +68,16 @@ def test_wait_slots():
     assert serial.wait_slots(7) == 6
     assert wide.wait_slots(7) == 0
     assert narrow.wait_slots(7) == 2  # ceil(7 / 3) - 1 rounds of waiting
+
+
+def test_default_link_is_one_lane_serial():
+    # With one lane a link waits N - 1 slots, which is a serial link, so the
+    # default must say so.
+    link = LinkParams(1e-3, 1e-4)
+    assert (link.multiplexing, link.multiplexing.value, link.lanes) == (SERIAL, "serial", 1)
+    assert link.wait_slots(7) == 6
+    assert link == LinkParams(1e-3, 1e-4, SERIAL, lanes=1)
+    assert link.fault_probability(7) == 0.0015992501699785015
 
 
 def test_config_validation():
@@ -120,6 +132,26 @@ def test_seed_determinism_across_workers():
     assert len(counts) == 1
 
 
+@pytest.mark.parametrize("cores", [2, 5])
+def test_engine_runs_at_most_one_thread_per_core(cores, monkeypatch):
+    # 13 blocks over 8 requested workers: the engine starts one thread per
+    # core, and the striped block sums give the one-thread counts.
+    config = _config(STEANE, 0.01, trials=12 * TRIAL_BLOCK + 1, seed=9)
+    expected = simulate_block_transfer(config).failures
+    threads = set()
+    block_rng = montecarlo._block_rng
+
+    def spy(seed, block_index):
+        threads.add(threading.get_ident())
+        return block_rng(seed, block_index)
+
+    monkeypatch.setattr(montecarlo, "_block_rng", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    estimate = simulate_block_transfer(McConfig(**{**vars(config), "workers": 8}))
+    assert 1 <= len(threads) <= cores
+    assert estimate.failures == expected
+
+
 def test_different_seeds_differ():
     a = simulate_block_transfer(_config(STEANE, 0.01, trials=100_000, seed=1))
     b = simulate_block_transfer(_config(STEANE, 0.01, trials=100_000, seed=2))
@@ -143,9 +175,8 @@ def test_trial_prefix_consistency():
 @pytest.mark.parametrize("p_t", [0.01, 0.03])
 def test_matches_exact_tail_with_perfect_memory(spec, p_t):
     stack = parse_stack(spec)
-    code = stack.levels[0]
     est = simulate_block_transfer(_config(stack, p_t, trials=200_000))
-    exact = p_block_error(code.n, code.min_fail, p_t, ModelMode.EXACT_TAIL)
+    exact = p_stack_block_error(stack, p_t, ModelMode.EXACT_TAIL)
     low, high = wilson_interval(est.failures, est.trials, z=3.0)
     assert low <= exact <= high
 
@@ -153,8 +184,6 @@ def test_matches_exact_tail_with_perfect_memory(spec, p_t):
 def test_two_level_stack_matches_recursion():
     stack = parse_stack("7-1-3+7-1-3")
     est = simulate_block_transfer(_config(stack, 0.03, trials=400_000, seed=5))
-    from qlink.analytic import p_stack_block_error
-
     exact = p_stack_block_error(stack, 0.03, ModelMode.EXACT_TAIL)
     low, high = wilson_interval(est.failures, est.trials, z=3.0)
     assert low <= exact <= high
@@ -187,9 +216,8 @@ def test_serial_ratio_matches_union_model():
     serial = simulate_block_transfer(cfg_s)
     parallel = simulate_block_transfer(cfg_p)
     q_serial = cfg_s.link.fault_probability(7)
-    expected_ratio = p_block_error(7, 2, q_serial, ModelMode.EXACT_TAIL) / p_block_error(
-        7, 2, p_t, ModelMode.EXACT_TAIL
-    )
+    expected_ratio = (p_stack_block_error(STEANE, q_serial, ModelMode.EXACT_TAIL)
+                      / p_stack_block_error(STEANE, p_t, ModelMode.EXACT_TAIL))
     observed = serial.p_hat / parallel.p_hat
     assert observed == pytest.approx(expected_ratio, rel=0.05)
 
@@ -304,7 +332,7 @@ def test_block_rng_is_the_jumped_substream(seed, block):
 
 
 def _levels(stack):
-    return [(code.n, code.d) for code in stack]
+    return [(code.n, code.d) for code in stack.levels]
 
 
 @pytest.mark.parametrize("spec", [code.spec() for code in builtin_codes()]
@@ -321,7 +349,7 @@ def test_decode_matches_reference(spec, rows):
 
 
 def test_decode_counts_past_255_members():
-    stack = CodeStack((QecCode("257-1-255", 257, 1, 255),))   # min_fail 128
+    stack = CodeStack((QecCode(257, 1, 255),))   # min_fail 128
     faulty = np.random.default_rng(3).random((500, 257)) < 0.5
     faulty[0] = True   # 257 faulty members: a uint8 count wraps to 1
     faulty[1] = np.arange(257) < 128
@@ -397,10 +425,11 @@ def test_faulty_qubit_union_ratio_frozen_values():
     # convolution counts n same-qubit pairs among its n^2 as two faults.
     for spec, expected in (("7-1-3", 1.2094), ("23-1-7", 1.4613)):
         code = parse_code(spec)
+        stack = CodeStack((code,))
         p_m = 1e-3 * 0.1 / (code.n - 1)
         q_serial = LinkParams(1e-3, p_m, SERIAL).fault_probability(code.n)
-        ratio = p_block_error(code.n, code.min_fail, q_serial, ModelMode.EXACT_TAIL) / p_block_error(
-            code.n, code.min_fail, 1e-3, ModelMode.EXACT_TAIL
+        ratio = p_stack_block_error(stack, q_serial, ModelMode.EXACT_TAIL) / p_stack_block_error(
+            stack, 1e-3, ModelMode.EXACT_TAIL
         )
         assert ratio == pytest.approx(expected, abs=5e-5)
 
