@@ -5,36 +5,45 @@ qubits. A qubit is faulty iff it suffered at least one error event: a
 teleportation error (probability p_t), or, when qubits wait their turn on a
 narrower link, a memory error during the wait (probability
 p'_m = 1 - (1 - p_m)^slots over the wait slots). Because only the union of
-the two events is observable, each qubit consumes exactly one uniform draw,
+the two events is observable, each qubit consumes exactly one draw,
 compared against the combined fault probability q; serial and parallel runs
 with the same seed therefore share draws, and the serial failure set
 dominates the parallel one trial by trial.
 
-Reproducibility contract: trials are grouped in fixed blocks of 2**14, and
-block j draws from the Philox substream jumped(j) of the master seed. Philox
-is counter-based, so that substream starts at counter [0, 0, j, 0] and is
-built there directly. The mapping from trial index to draws never depends on worker count, so any
+Reproducibility contract (layout `philox-jumped-block16384`): trials are
+grouped in fixed blocks of 2**14, and block j draws from the Philox substream
+jumped(j) of the master seed. Philox is counter-based, so that substream
+starts at counter [0, 0, j, 0] and is built there directly. Each qubit
+consumes one 64-bit Philox word w, whose uniform is (w >> 11) * 2**-53. The
+mapping from trial index to words never depends on worker count, so any
 partitioning of blocks across workers gives bit-identical failure counts.
 
-One draw answers every rate of a batch. The draws depend only on the seed,
-so configs that share stack, trials, seed and workers (a sweep's grid, or a
-serial/parallel pair) see the same uniforms, and simulate_block_transfers
-draws each block once for all of them. The majority decoder is monotone in
-q: a trial fails at q iff q exceeds its critical rate c, where an innermost
-code block's c is its min_fail-th smallest uniform, and each higher level
-takes the min_fail-th smallest c of its sub-blocks, up to the one top-level
-block (an uncoded qubit's c is its uniform). So `c < q` holds exactly when
-decoding `uniforms < q` fails. Each block is thresholded and decoded once,
-at the largest requested q; only the trials that fail there can fail at a
-smaller q, and only they are ranked by critical rate, then counted below
-every rate with one sort and a binary search per tile (see below).
+The engine never forms that uniform. Because q * 2**53 is exact for q in
+[0, 1], the uniform is below q exactly when w < ceil(q * 2**53) * 2**11
+(_word_cut), so each rate becomes an integer cut and the words are compared
+with it directly. Only q = 1 has the cut 2**64, which no uint64 reaches:
+every word is below it.
 
-A block is drawn in row tiles of at most TILE_BYTES of uniforms (one row if
-a row is larger), one after the other from the block's generator into one
-reused buffer, so the draws are byte-identical to drawing the whole block at
-once. Each tile is thresholded, decoded and ranked before the next one is
-drawn, so a worker's draw memory is bounded by TILE_BYTES, not by a block of
-2**14 * N doubles (69 MB for N = 529).
+One draw answers every rate of a batch. The words depend only on the seed,
+so configs that share stack, trials, seed and workers (a sweep's grid, or a
+serial/parallel pair) see the same words, and simulate_block_transfers
+draws each block once for all of them. The majority decoder is monotone in
+q: a trial fails at q iff q's cut exceeds its critical word c, where an
+innermost code block's c is its min_fail-th smallest word, and each higher
+level takes the min_fail-th smallest c of its sub-blocks, up to the one
+top-level block (an uncoded qubit's c is its word). So `c < cut` holds
+exactly when decoding `words < cut` fails. Each block is thresholded and
+decoded once, at the largest requested cut; only the trials that fail there
+can fail at a smaller one, and only they are ranked by critical word, then
+counted below every cut with one sort and a binary search per tile (see
+below).
+
+A block is drawn in row tiles of at most TILE_BYTES of words (one row if a
+row is larger), one after the other from the block's generator, so the words
+are those of drawing the whole block at once. Each tile is thresholded,
+decoded and ranked, and dropped before the next one is drawn (random_raw
+cannot fill a reused buffer), so a worker's draw memory is bounded by
+TILE_BYTES, not by a block of 2**14 * N words (69 MB for N = 529).
 """
 from __future__ import annotations
 
@@ -50,7 +59,7 @@ from .analytic import LinkParams, Multiplexing, serial_penalty_ratio
 from .codes import CodeStack, QecCode
 
 TRIAL_BLOCK = 1 << 14
-TILE_BYTES = 1 << 22   # most bytes of uniforms per drawn tile (one row at least)
+TILE_BYTES = 1 << 22   # most bytes of 64-bit words per drawn tile (one row at least)
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
 
@@ -98,9 +107,38 @@ def wilson_interval(failures: int, trials: int, z: float = Z_95) -> tuple[float,
     return min(max(0.0, center - half), p_hat), max(min(1.0, center + half), p_hat)
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    """Trial block j's generator, in the state Philox(key=seed).jumped(j) gives."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block_index, 0]))
+def _block_rng(seed: int, block_index: int) -> np.random.Philox:
+    """Trial block j's bit generator, in the state Philox(key=seed).jumped(j) gives."""
+    return np.random.Philox(key=seed, counter=[0, 0, block_index, 0])
+
+
+def _word_cut(q: float) -> int:
+    """The cut of rate q in [0, 1]: (w >> 11) * 2**-53 < q exactly when w < cut.
+
+    q * 2**53 and its ceiling are exact, so the cut is an integer in
+    [0, 2**64]: 0 passes no word, and 2**64 (q = 1 only) passes every one.
+    """
+    return math.ceil(q * 2**53) << 11
+
+
+# A cut is compared as a uint64, never as a Python int, which numpy 1.x and
+# 2.x promote differently against uint64 arrays. The cut 2**64 does not fit
+# in a uint64, and every word is below it.
+
+
+def _below(words: np.ndarray, cut: int) -> np.ndarray:
+    """Elementwise words < cut, for uint64 words and a cut in [0, 2**64]."""
+    if cut == 1 << 64:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(cut)
+
+
+def _count_below(ranked: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
+    """How many of the sorted uint64 words lie below each cut in [0, 2**64]."""
+    last = (1 << 64) - 1
+    bounds = np.array([min(cut, last) for cut in cuts], dtype=np.uint64)
+    counts = np.searchsorted(ranked, bounds, side="left")
+    return np.where([cut > last for cut in cuts], len(ranked), counts)
 
 
 def _decode(faulty: np.ndarray, stack: CodeStack) -> np.ndarray:
@@ -122,14 +160,16 @@ def _decode(faulty: np.ndarray, stack: CodeStack) -> np.ndarray:
     return faulty[:, 0]   # widths multiply to N, so one block is left
 
 
-def _critical_rates(uniforms: np.ndarray, stack: CodeStack) -> np.ndarray:
-    """Per-trial critical rate: the trial's block fails at q iff its rate is < q.
+def _critical_rates(words: np.ndarray, stack: CodeStack) -> np.ndarray:
+    """Per-trial critical word: the trial's block fails at cut c iff its word is < c.
 
-    Partitions `uniforms` in place. Reshapes name every size, because -1 is
-    ambiguous on zero rows.
+    The word-to-uniform map is monotone, so the order statistics of the words
+    are those of the uniforms, and a trial's critical uniform is its critical
+    word's. Partitions `words` in place. Reshapes name every size, because -1
+    is ambiguous on zero rows.
     """
-    rows, width = uniforms.shape
-    rates = uniforms
+    rows, width = words.shape
+    rates = words
     for code in stack.levels:
         width //= code.n
         rates = rates.reshape(rows, width, code.n)
@@ -166,22 +206,22 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
             raise ValueError("batched configs must share stack, trials, seed and workers")
     stack = first.stack
     width = stack.scale_up
-    rates = np.array([config.link.fault_probability(width) for config in configs])
-    top = rates.max()
+    cuts = [_word_cut(config.link.fault_probability(width)) for config in configs]
+    top = max(cuts)
     tile_rows = max(1, min(TRIAL_BLOCK, TILE_BYTES // (8 * width)))
 
     def per_block(j: int) -> np.ndarray:
-        rng = _block_rng(first.seed, j)
+        bits = _block_rng(first.seed, j)
         rows = min(TRIAL_BLOCK, first.trials - j * TRIAL_BLOCK)
-        buf = np.empty((min(rows, tile_rows), width))
-        counts = np.zeros(len(rates), dtype=np.int64)
+        counts = np.zeros(len(cuts), dtype=np.int64)
         for lo in range(0, rows, tile_rows):
-            tile = buf[:min(tile_rows, rows - lo)]
-            rng.random(out=tile)
-            failing = _decode(tile < top, stack)
+            tile = min(tile_rows, rows - lo)
+            words = bits.random_raw(tile * width).reshape(tile, width)
+            failing = _decode(_below(words, top), stack)
             # np.sort copies, so no view pins the tile's failing rows.
-            critical = np.sort(_critical_rates(tile[failing], stack))
-            counts += np.searchsorted(critical, rates, side="left")
+            critical = np.sort(_critical_rates(words[failing], stack))
+            del words   # one tile of words per worker: free it before the next draw
+            counts += _count_below(critical, cuts)
         return counts
 
     counts = _run_blocks(first, per_block)

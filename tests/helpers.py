@@ -121,19 +121,24 @@ def reference_decode(faulty, levels):
     return faulty.any(axis=1)
 
 
+def reference_uniforms(seed: int, block: int, rows: int, width: int) -> np.ndarray:
+    """Trial block `block`'s uniforms, drawn whole from Philox(key=seed).jumped(block)."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(block)).random((rows, width))
+
+
 def reference_failures(levels, rates, trials: int, seed: int) -> list[int]:
     """Failure counts of a trial run, one count per fault rate, by brute force.
 
-    Trials come in blocks of 2**14; block j is drawn whole from
-    Philox(key=seed).jumped(j), one uniform per qubit, and every rate
-    thresholds and decodes the block on its own.
+    Trials come in blocks of 2**14; block j is drawn whole as
+    reference_uniforms, one uniform per qubit, and every rate thresholds and
+    decodes the block on its own.
     """
     block = 1 << 14
     width = math.prod(n for n, _ in levels)
     counts = [0] * len(rates)
     for j in range(-(-trials // block)):
         rows = min(block, trials - j * block)
-        uniforms = np.random.Generator(np.random.Philox(key=seed).jumped(j)).random((rows, width))
+        uniforms = reference_uniforms(seed, j, rows, width)
         for k, q in enumerate(rates):
             counts[k] += int(reference_decode(uniforms < q, levels).sum())
     return counts

@@ -10,6 +10,7 @@ from helpers import (
     leading_penalty_limit,
     reference_decode,
     reference_failures,
+    reference_uniforms,
     union_fault,
 )
 from hypothesis import example, given, settings
@@ -28,8 +29,11 @@ from qlink.codes import CodeStack, QecCode, builtin_codes, parse_code, parse_sta
 from qlink.montecarlo import (
     TRIAL_BLOCK,
     McConfig,
+    _below,
     _block_rng,
+    _count_below,
     _decode,
+    _word_cut,
     serial_penalty_report,
     simulate_block_transfer,
     simulate_block_transfers,
@@ -296,7 +300,7 @@ def _fault_histogram(config):
     hist = np.zeros(width + 1, dtype=np.int64)
     for j in range(-(-config.trials // TRIAL_BLOCK)):
         rows = min(TRIAL_BLOCK, config.trials - j * TRIAL_BLOCK)
-        faulty = _block_rng(config.seed, j).random((rows, width)) < q
+        faulty = np.random.Generator(_block_rng(config.seed, j)).random((rows, width)) < q
         hist += np.bincount(faulty.sum(axis=1), minlength=width + 1)
     return hist
 
@@ -327,8 +331,76 @@ def test_event_convolution_tracks_faulty_qubit_frequency():
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("block", [0, 1, 610, 2**40])
 def test_block_rng_is_the_jumped_substream(seed, block):
-    jumped = np.random.Generator(np.random.Philox(key=seed).jumped(block))
-    assert (_block_rng(seed, block).random(1000) == jumped.random(1000)).all()
+    jumped = np.random.Philox(key=seed).jumped(block)
+    assert (_block_rng(seed, block).random_raw(1000) == jumped.random_raw(1000)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("block", [0, 1, 610, 2**40])
+def test_uniforms_are_the_top_53_bits_of_the_words(seed, block):
+    # The engine compares words, while the reference here and perfbench's
+    # pin.py and calibrate.py threshold Generator.random's doubles (and
+    # oracle.py checks counts pinned from them): a numpy release that changes
+    # how random() turns words into doubles must fail here, not shift counts.
+    def bits():
+        return np.random.Philox(key=seed, counter=[0, 0, block, 0])
+
+    uniforms = np.random.Generator(bits()).random(1000)
+    from_words = (bits().random_raw(1000) >> np.uint64(11)) * 2.0**-53
+    assert uniforms.tobytes() == from_words.tobytes()
+
+
+def _assert_cut_matches_uniforms(q, words):
+    # The engine's threshold and count against the layout's double comparison
+    # (each word's uniform is (w >> 11) * 2**-53), on uint64 words, with the
+    # cut alone and among other cuts.
+    cut = _word_cut(q)
+    expected = [(word >> 11) * 2.0**-53 < q for word in words]
+    array = np.array(words, dtype=np.uint64)
+    assert _below(array, cut).tolist() == expected
+    ranked = np.sort(array)
+    for cuts in ([cut], [0, cut, 2**64], [2**64, cut, 2**63]):
+        assert _count_below(ranked, cuts)[cuts.index(cut)] == sum(expected)
+
+
+@pytest.mark.parametrize("q", [0.0, 5e-324, 2**-53, math.nextafter(2**-53, 1), 3 * 2**-53,
+                               1.1e-3, math.nextafter(1, 0), 1.0])
+def test_word_cut_edges_match_the_uniform_comparison(q):
+    cut = _word_cut(q)
+    words = [w for w in (0, cut - 1, cut, 2**64 - 1) if 0 <= w < 2**64]
+    _assert_cut_matches_uniforms(q, words)
+
+
+def test_word_cut_extremes():
+    assert _word_cut(0.0) == 0                  # no word is below it
+    assert _word_cut(5e-324) == 2**11           # only words whose uniform is 0
+    assert _word_cut(1.0) == 2**64              # every word is below it
+    assert _word_cut(math.nextafter(1, 0)) == 2**64 - 2**11
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.floats(0.0, 1.0), offsets=st.lists(st.integers(-2**12, 2**12), min_size=1, max_size=8))
+def test_word_cut_matches_the_uniform_comparison(q, offsets):
+    cut = _word_cut(q)
+    words = [min(max(cut + offset, 0), 2**64 - 1) for offset in offsets]
+    _assert_cut_matches_uniforms(q, words)
+
+
+@pytest.mark.parametrize("spec, seed", [("7-1-3", 5), ("23-1-7", 2**64 - 1)])
+def test_engine_splits_rates_at_a_trials_critical_uniform(spec, seed):
+    # The trial with the least critical uniform u* (its min_fail-th smallest)
+    # fails at the next double above u* but not at u* itself.
+    stack = parse_stack(spec)
+    code = stack.levels[0]
+    trials = 3000
+    uniforms = reference_uniforms(seed, 0, trials, stack.scale_up)
+    u_star = np.sort(uniforms, axis=1)[:, code.min_fail - 1].min()
+    rates = [float(u_star), math.nextafter(float(u_star), 1)]
+    configs = [McConfig(stack, LinkParams(q), trials, seed) for q in rates]
+    assert [config.link.fault_probability(stack.scale_up) for config in configs] == rates
+    counts = [est.failures for est in simulate_block_transfers(configs)]
+    assert counts == [0, 1]
+    assert counts == reference_failures(_levels(stack), rates, trials, seed)
 
 
 def _levels(stack):
