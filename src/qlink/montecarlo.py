@@ -33,8 +33,13 @@ innermost code block's c is its min_fail-th smallest word, and each higher
 level takes the min_fail-th smallest c of its sub-blocks, up to the one
 top-level block (an uncoded qubit's c is its word). So `c < cut` holds
 exactly when decoding `words < cut` fails. Each block is thresholded and
-decoded once, at the largest requested cut; only the trials that fail there
-can fail at a smaller one, and only they are ranked by critical word, then
+decoded once, at the largest requested cut (top); only the trials that fail
+there can fail at a smaller one. Their critical words come from a pruned
+rank: decoding keeps every level's block-failure mask, and only the blocks
+that fail at top inside failing trials are ranked, while every other block
+stands in as 2**64 - 1. A block that passes at top has a critical word >= top
+anyway, and a block that fails has at least min_fail members below top, so
+no failing trial's word changes (_critical_words). The words are then
 counted below every cut with one sort and a binary search per tile (see
 below).
 
@@ -133,23 +138,31 @@ def _below(words: np.ndarray, cut: int) -> np.ndarray:
     return words < np.uint64(cut)
 
 
-def _count_below(ranked: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
-    """How many of the sorted uint64 words lie below each cut in [0, 2**64]."""
+def _below_counter(cuts: Sequence[int]):
+    """A function that counts the sorted uint64 words below each cut in [0, 2**64]."""
     last = (1 << 64) - 1
     bounds = np.array([min(cut, last) for cut in cuts], dtype=np.uint64)
-    counts = np.searchsorted(ranked, bounds, side="left")
-    return np.where([cut > last for cut in cuts], len(ranked), counts)
+    saturated = np.array([cut > last for cut in cuts], dtype=bool)
+
+    def count_below(ranked: np.ndarray) -> np.ndarray:
+        return np.where(saturated, len(ranked), np.searchsorted(ranked, bounds, side="left"))
+
+    return count_below
 
 
-def _decode(faulty: np.ndarray, stack: CodeStack) -> np.ndarray:
-    """Hierarchical majority-of-blocks decode: True where the top level fails.
+def _decode(faulty: np.ndarray, stack: CodeStack) -> list[np.ndarray]:
+    """Hierarchical majority-of-blocks decode: every level's block-failure mask.
 
-    Counts each code block's faulty members by adding its n member columns,
-    which is much faster than a sum over a short last axis. The counts are
-    just wide enough for n, so codes with n >= 256 do not wrap. Reshapes name
-    every size, because -1 is ambiguous on zero rows.
+    Returns one (rows, blocks) mask per level, innermost first, so the last
+    one has a single column, True where the top level fails; the uncoded
+    stack has no levels and returns [faulty]. Counts each code block's faulty
+    members by adding its n member columns, which is much faster than a sum
+    over a short last axis. The counts are just wide enough for n, so codes
+    with n >= 256 do not wrap. Reshapes name every size, because -1 is
+    ambiguous on zero rows.
     """
     rows, width = faulty.shape
+    masks = []
     for code in stack.levels:
         width //= code.n
         members = faulty.view(np.uint8).reshape(rows, width, code.n)
@@ -157,25 +170,39 @@ def _decode(faulty: np.ndarray, stack: CodeStack) -> np.ndarray:
         for i in range(1, code.n):
             counts += members[:, :, i]
         faulty = counts >= code.min_fail
-    return faulty[:, 0]   # widths multiply to N, so one block is left
+        masks.append(faulty)
+    return masks or [faulty]
 
 
-def _critical_rates(words: np.ndarray, stack: CodeStack) -> np.ndarray:
-    """Per-trial critical word: the trial's block fails at cut c iff its word is < c.
+_STAND_IN = np.uint64((1 << 64) - 1)   # the rank's word for a block that passes at top
 
-    The word-to-uniform map is monotone, so the order statistics of the words
-    are those of the uniforms, and a trial's critical uniform is its critical
-    word's. Partitions `words` in place. Reshapes name every size, because -1
-    is ambiguous on zero rows.
+
+def _critical_words(words: np.ndarray, masks: list[np.ndarray], stack: CodeStack) -> np.ndarray:
+    """Sorted critical words of the trials that fail at the top cut.
+
+    `masks` is _decode of `words < top`. A trial fails at cut c iff its
+    critical word is < c. Level by level, only the blocks that fail at top
+    inside failing trials are gathered, by flat block index, and ranked; every
+    other block of those trials stands in as 2**64 - 1. That changes no
+    failing trial's word: a block that passes at top has a critical word >=
+    top, as the stand-in has for any top below 2**64, and a failing block's
+    word is its min_fail-th smallest member, at least min_fail of which are
+    < top and exact. At top = 2**64 every block fails, so nothing stands in.
+    Reshapes name every size, because -1 is ambiguous on zero rows.
     """
-    rows, width = words.shape
-    rates = words
-    for code in stack.levels:
-        width //= code.n
-        rates = rates.reshape(rows, width, code.n)
-        rates.partition(code.min_fail - 1, axis=2)
-        rates = rates[:, :, code.min_fail - 1]
-    return rates[:, 0]   # widths multiply to N, so one block is left
+    failing = np.flatnonzero(masks[-1][:, 0])
+    rows, critical = failing, words   # critical's row of each failing trial
+    for code, mask in zip(stack.levels, masks):
+        blocks = mask.shape[1]
+        fails = np.flatnonzero(mask[failing])   # over (failing trial, block)
+        trial, block = np.divmod(fails, blocks)
+        members = critical.reshape(len(critical) * blocks, code.n)[rows[trial] * blocks + block]
+        members.partition(code.min_fail - 1, axis=1)
+        critical = np.full(len(failing) * blocks, _STAND_IN, dtype=np.uint64)
+        critical[fails] = members[:, code.min_fail - 1]
+        critical = critical.reshape(len(failing), blocks)
+        rows = np.arange(len(failing))
+    return np.sort(critical[rows, 0])   # widths multiply to N, so one block is left
 
 
 def _run_blocks(config: McConfig, per_block) -> np.ndarray:
@@ -209,6 +236,7 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
     cuts = [_word_cut(config.link.fault_probability(width)) for config in configs]
     top = max(cuts)
     tile_rows = max(1, min(TRIAL_BLOCK, TILE_BYTES // (8 * width)))
+    count_below = _below_counter(cuts)
 
     def per_block(j: int) -> np.ndarray:
         bits = _block_rng(first.seed, j)
@@ -217,11 +245,9 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
         for lo in range(0, rows, tile_rows):
             tile = min(tile_rows, rows - lo)
             words = bits.random_raw(tile * width).reshape(tile, width)
-            failing = _decode(_below(words, top), stack)
-            # np.sort copies, so no view pins the tile's failing rows.
-            critical = np.sort(_critical_rates(words[failing], stack))
+            critical = _critical_words(words, _decode(_below(words, top), stack), stack)
             del words   # one tile of words per worker: free it before the next draw
-            counts += _count_below(critical, cuts)
+            counts += count_below(critical)
         return counts
 
     counts = _run_blocks(first, per_block)

@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's own code paths: binomial
 coefficients come from Pascal's triangle, tails from explicit enumeration,
 rounding, compounded failure, link fault rates and the serial-penalty ratio
 from decimal arithmetic, that ratio's small-rate limit from exact fractions,
-Monte Carlo counts from whole-block draws decoded once per rate, encoder
-validity from a numpy stabilizer tableau reduced to row echelon form, and
-cut costs from a per-cut, per-gate side test. The malformed circuit files
+Monte Carlo counts from whole-block draws decoded once per rate, critical
+words from a full sort of every block, encoder validity from a numpy
+stabilizer tableau reduced to row echelon form, and cut costs from a
+per-cut, per-gate side test. The malformed circuit files
 at the end are shared by the library and CLI tests that must both reject
 them. The circuit writers and the gate-deletion mutant builder at the very
 end are test tools, not oracles: the library only reads circuit files.
@@ -108,17 +109,38 @@ def pattern_tail(n: int, m: int, p: float) -> float:
     return total
 
 
-def reference_decode(faulty, levels):
-    """Trials whose top-level block fails under majority decoding.
+def reference_block_failures(faulty, levels):
+    """Every level's block-failure mask under majority decoding, innermost first.
 
     `levels` lists (n, d) per code level, innermost first; a block fails
-    with at least (d + 1) // 2 failed members, counted in int64.
+    with at least (d + 1) // 2 failed members, counted in int64. With no
+    levels each qubit is its own top-level block, so the list is [faulty].
     """
     rows, width = faulty.shape
+    masks = [faulty]
     for n, d in levels:
         width //= n
-        faulty = faulty.reshape(rows, width, n).sum(axis=2, dtype=np.int64) >= (d + 1) // 2
-    return faulty.any(axis=1)
+        masks.append(masks[-1].reshape(rows, width, n).sum(axis=2, dtype=np.int64) >= (d + 1) // 2)
+    return masks[1:] or masks
+
+
+def reference_decode(faulty, levels):
+    """Trials whose top-level block fails under majority decoding."""
+    return reference_block_failures(faulty, levels)[-1].any(axis=1)
+
+
+def reference_critical_words(words, levels):
+    """Every trial's critical word: it fails at a cut iff this word is below it.
+
+    Level by level, each block's word is the (d + 1) // 2-th smallest of its
+    members' words, taken from a full sort of every block; nothing is
+    pruned. An uncoded qubit's critical word is its own word.
+    """
+    rows, width = words.shape
+    for n, d in levels:
+        width //= n
+        words = np.sort(words.reshape(rows, width, n), axis=2)[:, :, (d + 1) // 2 - 1]
+    return words[:, 0]
 
 
 def reference_uniforms(seed: int, block: int, rows: int, width: int) -> np.ndarray:

@@ -8,6 +8,8 @@ import pytest
 from helpers import (
     event_ratio,
     leading_penalty_limit,
+    reference_block_failures,
+    reference_critical_words,
     reference_decode,
     reference_failures,
     reference_uniforms,
@@ -30,8 +32,9 @@ from qlink.montecarlo import (
     TRIAL_BLOCK,
     McConfig,
     _below,
+    _below_counter,
     _block_rng,
-    _count_below,
+    _critical_words,
     _decode,
     _word_cut,
     serial_penalty_report,
@@ -360,7 +363,7 @@ def _assert_cut_matches_uniforms(q, words):
     assert _below(array, cut).tolist() == expected
     ranked = np.sort(array)
     for cuts in ([cut], [0, cut, 2**64], [2**64, cut, 2**63]):
-        assert _count_below(ranked, cuts)[cuts.index(cut)] == sum(expected)
+        assert _below_counter(cuts)(ranked)[cuts.index(cut)] == sum(expected)
 
 
 @pytest.mark.parametrize("q", [0.0, 5e-324, 2**-53, math.nextafter(2**-53, 1), 3 * 2**-53,
@@ -407,17 +410,25 @@ def _levels(stack):
     return [(code.n, code.d) for code in stack.levels]
 
 
-@pytest.mark.parametrize("spec", [code.spec() for code in builtin_codes()]
-                         + ["7-1-3+7-1-3", "23-1-7+23-1-7"])
+def _assert_decode_matches_reference(faulty, stack):
+    # Every level's mask, not only the top column: the rank reads them all.
+    masks = _decode(faulty, stack)
+    expected = reference_block_failures(faulty, _levels(stack))
+    assert [mask.shape for mask in masks] == [mask.shape for mask in expected]
+    assert all((mask == reference).all() for mask, reference in zip(masks, expected))
+    assert (masks[-1][:, 0] == reference_decode(faulty, _levels(stack))).all()
+    return masks[-1][:, 0]
+
+
+@pytest.mark.parametrize("spec", ["none"] + [code.spec() for code in builtin_codes()]
+                         + ["7-1-3+7-1-3", "23-1-7+23-1-7", "5-1-3+9-1-3", "5-1-3+5-1-3+7-1-3"])
 @pytest.mark.parametrize("rows", [0, 1, 3000])
 def test_decode_matches_reference(spec, rows):
     stack = parse_stack(spec)
     rng = np.random.default_rng(rows)
     for q in (0.02, 0.2, 0.6):
         faulty = rng.random((rows, stack.scale_up)) < q
-        decoded = _decode(faulty, stack)
-        assert decoded.shape == (rows,)
-        assert (decoded == reference_decode(faulty, _levels(stack))).all()
+        assert _assert_decode_matches_reference(faulty, stack).shape == (rows,)
 
 
 def test_decode_counts_past_255_members():
@@ -426,9 +437,52 @@ def test_decode_counts_past_255_members():
     faulty[0] = True   # 257 faulty members: a uint8 count wraps to 1
     faulty[1] = np.arange(257) < 128
     faulty[2] = np.arange(257) < 127
-    decoded = _decode(faulty, stack)
+    decoded = _assert_decode_matches_reference(faulty, stack)
     assert decoded[:3].tolist() == [True, True, False]
-    assert (decoded == reference_decode(faulty, _levels(stack))).all()
+
+
+def _critical_words_at(words, stack, top):
+    # The engine's per-tile rank: decode at the top cut, then rank what fails.
+    return _critical_words(words, _decode(_below(words, top), stack), stack).tolist()
+
+
+def _failing_reference(words, stack, top):
+    # The failing rows' unpruned critical words, compared as Python ints.
+    return sorted(c for c in reference_critical_words(words, _levels(stack)).tolist() if c < top)
+
+
+_RANK_STACKS = ["none", *(code.spec() for code in builtin_codes()),
+                "5-1-3+9-1-3", "9-1-3+5-1-3", "7-1-3+7-1-3", "5-1-3+5-1-3+7-1-3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(_RANK_STACKS), rows=st.integers(100, 400),
+       seed=st.integers(0, 2**64 - 1), share=st.floats(0.01, 0.9))
+def test_critical_words_match_the_unpruned_reference(spec, rows, seed, share):
+    # Cuts at which only some rows fail: where every row fails, ranking the
+    # wrong rows' blocks or every row's failing blocks can go unseen.
+    stack = parse_stack(spec)
+    words = np.random.Philox(key=seed).random_raw(rows * stack.scale_up).reshape(rows, stack.scale_up)
+    top = int(np.sort(reference_critical_words(words, _levels(stack)))[math.ceil(share * rows) - 1]) + 1
+    expected = _failing_reference(words, stack, top)
+    assert 0.01 * rows <= len(expected) <= math.ceil(0.9 * rows)
+    assert _critical_words_at(words, stack, top) == expected
+
+
+@pytest.mark.parametrize("spec", ["none", "7-1-3", "5-1-3+9-1-3", "5-1-3+5-1-3+7-1-3"])
+@pytest.mark.parametrize("rows", [0, 1, 200])
+def test_critical_words_at_the_edge_cuts_and_words(spec, rows):
+    # Tied words and the largest word 2**64 - 1, which equals the stand-in,
+    # at cuts that fail no row, every row, or some.
+    stack = parse_stack(spec)
+    rng = np.random.default_rng(rows)
+    edge_words = np.array([0, 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    for words in (rng.choice(edge_words, size=(rows, stack.scale_up)),
+                  np.random.Philox(key=rows).random_raw(rows * stack.scale_up).reshape(rows, stack.scale_up)):
+        for top in (0, 1, 2**63, 2**64 - 1, 2**64):
+            assert _critical_words_at(words, stack, top) == _failing_reference(words, stack, top)
+        assert len(_critical_words_at(words, stack, 2**64)) == rows
+        assert _critical_words_at(words, stack, 0) == []
 
 
 @pytest.mark.parametrize("spec, p_ts", [
