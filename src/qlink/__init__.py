@@ -16,7 +16,6 @@ _EXPORTS = {
         "Multiplexing",
         "Table3Row",
         "allowable_pt",
-        "combined_failure_analytic",
         "p_algorithm_failure",
         "p_stack_block_error",
         "serial_penalty_ratio",

@@ -9,8 +9,8 @@ the independent cross-check on the approximation and as the reference the
 Monte Carlo engine is tested against.
 
 Binomial coefficients are computed in exact integer arithmetic (math.comb)
-before conversion to float. The serial-link model lives here too: LinkParams,
-combined_failure_analytic and serial_penalty_ratio.
+before conversion to float. The serial-link model lives here too: LinkParams
+and serial_penalty_ratio.
 """
 from __future__ import annotations
 
@@ -73,6 +73,7 @@ class LinkParams:
     lanes: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "multiplexing", Multiplexing(self.multiplexing))
         _check_prob(self.p_t, "p_t")
         _check_prob(self.p_m, "p_m")
         if self.lanes < 1:
@@ -103,22 +104,22 @@ class LinkParams:
         return -math.expm1(log_clear)
 
 
-def _exact_errors_term(n: int, j: int, p: float) -> float:
-    """Probability of exactly j errors among n qubits at rate p."""
-    return math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
-
-
 def _block_error(n: int, m: int, q: float, mode: ModelMode) -> float:
     """Probability of m or more errors among n qubits at rate q: a block failure.
 
     LEADING_ORDER is C(n, m) q^m, the single lowest failure mode, and may
-    exceed 1; EXACT_TAIL is P(X >= m) for X ~ Binomial(n, q).
+    exceed 1, up to inf past the float range; EXACT_TAIL is P(X >= m) for
+    X ~ Binomial(n, q).
     """
     if mode is ModelMode.LEADING_ORDER:
-        return math.comb(n, m) * q**m
+        try:
+            power = q**m
+        except OverflowError:   # float ** raises where it should give inf
+            return math.inf
+        return math.comb(n, m) * power
     total = 0.0
     for j in range(m, n + 1):
-        total += _exact_errors_term(n, j, q)
+        total += math.comb(n, j) * q**j * (1.0 - q) ** (n - j)
     return min(total, 1.0)
 
 
@@ -151,11 +152,17 @@ class AlgorithmFailure:
 def p_algorithm_failure(
     stack: CodeStack, t: float, p_t: float, mode: ModelMode = ModelMode.LEADING_ORDER
 ) -> AlgorithmFailure:
-    """Failure probability of a computation using t logical teleportations."""
+    """Failure probability of a computation using t logical teleportations.
+
+    Raises if t * p_e leaves the float range, as a deep leading-order stack
+    near p_t = 0.5 can make it.
+    """
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     p_e = p_stack_block_error(stack, p_t, mode)
     linearized = t * p_e
+    if not math.isfinite(linearized):
+        raise ValueError(f"t * p_e overflows the float range: t = {t:g}, p_e = {p_e:g}")
     if p_e >= 1.0:
         p_f = 1.0 if t > 0 else 0.0
     else:   # 1 - (1 - p_e)^t without cancelling p_e against 1
@@ -204,40 +211,31 @@ def allowable_pt(
     return lo
 
 
-def combined_failure_analytic(n: int, m: int, p_t: float, p_m: float) -> float:
-    """Probability of m total error events, memory and teleportation combined.
-
-    Convolves the exact binomial term for i memory errors (at the aggregated
-    waiting rate p'_m = 1 - (1 - p_m)^(n-1), a serial link's memory-only
-    fault probability) with the exact term for m - i teleportation errors.
-    This counts events, not faulty qubits: a qubit hit by both error kinds
-    contributes two events here but one faulty qubit in the simulation, a
-    difference of second order in the error rates.
-    """
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    _check_prob(p_t, "p_t")
-    pm_wait = LinkParams(0.0, p_m, Multiplexing.SERIAL).fault_probability(n)
-    total = 0.0
-    for i in range(m + 1):
-        total += _exact_errors_term(n, i, pm_wait) * _exact_errors_term(n, m - i, p_t)
-    return total
-
-
 def serial_penalty_ratio(code: QecCode, p_t: float, p_m: float) -> float:
-    """Combined over teleportation-only block failure: 1.0 if both vanish, raises if unbounded."""
-    combined = combined_failure_analytic(code.n, code.min_fail, p_t, p_m)
-    teleport_only = combined_failure_analytic(code.n, code.min_fail, p_t, 0.0)
-    if teleport_only > 0:
-        ratio = combined / teleport_only
-    else:
-        ratio = 1.0 if combined == 0 else math.inf
-    if math.isinf(ratio):
-        raise ValueError(
-            f"failure-probability ratio is unbounded: at p_t = {p_t:g} the teleportation-only "
-            f"block failure is {teleport_only:g} but the combined one is {combined:g}"
-        )
-    return ratio
+    """Block failure on a serial link over that on a parallel one: exactly m events.
+
+    Exactly m = code.min_fail events hit the block: i memory errors at the
+    serial waiting rate w = 1 - (1 - p_m)^(n-1) and m - i teleportation
+    errors. Each term is divided by the teleportation-only C(n, m) p_t^m
+    (1 - p_t)^(n-m) before the sum, so no p_t^m is formed. Events are not
+    faulty qubits: a qubit hit twice is two events here, one in the
+    simulation. 1.0 where both failures vanish; raises where unbounded.
+    """
+    _check_prob(p_t, "p_t")
+    n, m = code.n, code.min_fail
+    w = LinkParams(0.0, p_m).fault_probability(n)
+    if p_t == 1.0 or p_t == 0.0 and w in (0.0, 1.0):
+        return 1.0   # both failures vanish
+    rate = w / p_t if p_t else math.inf
+    total, power = 0.0, 1.0   # power is (w / p_t)^i, by products that overflow to inf
+    for i in range(m + 1):
+        share = math.comb(n, i) * math.comb(n, m - i) / math.comb(n, m)
+        total += share * power * (1.0 - w) ** (n - i) * (1.0 - p_t) ** i
+        if w < 1.0:   # at w = 1 every term is 0, and inf * 0 would be nan
+            power *= rate
+    if not total < math.inf:
+        raise ValueError(f"failure-probability ratio is unbounded at p_t = {p_t:g}, p_m = {p_m:g}")
+    return total
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: binomial
 coefficients come from Pascal's triangle, tails from explicit enumeration,
-rounding, compounded failure, link fault rates and the serial-penalty ratio
-from decimal arithmetic, that ratio's small-rate limit from exact fractions,
+rounding, compounded failure, link fault rates, the exactly-m event
+probability and the serial-penalty ratio from decimal arithmetic, that
+ratio's small-rate limit from exact fractions,
 Monte Carlo counts from whole-block draws decoded once per rate, critical
 words from a full sort of every block, encoder validity from a numpy
 stabilizer tableau reduced to row echelon form, and cut costs from a
@@ -65,22 +66,38 @@ def union_fault(p_t: float, p_m: float, slots: int) -> float:
         return float(1 - (1 - p) * ((1 - q) ** slots if slots else 1))   # decimal 0 ** 0 is undefined
 
 
-def event_ratio(n: int, m: int, p_t: float, p_m: float) -> float:
-    """P(m events) with memory errors over P(m events) without, in decimal arithmetic.
+def _exactly_m_events(n: int, m: int, p: Decimal, q: Decimal) -> Decimal:
+    """P(m events) in the current decimal context, at teleportation rate p and memory rate q.
 
-    Memory errors strike at the aggregated waiting rate 1 - (1 - p_m)^(n-1),
+    Memory errors strike at the aggregated waiting rate 1 - (1 - q)^(n-1),
     and m events split into i memory and m - i teleportation errors.
     """
     coefficients = pascal_row(n)
+
+    def power(base, exponent):   # decimal 0 ** 0 is undefined
+        return base**exponent if exponent else 1
+
+    def term(j, rate):
+        return coefficients[j] * power(rate, j) * power(1 - rate, n - j)
+
+    wait = 1 - power(1 - q, n - 1)
+    return sum(term(i, wait) * term(m - i, p) for i in range(m + 1))
+
+
+def exactly_m_events(n: int, m: int, p_t: float, p_m: float) -> float:
+    """P(m events) with memory errors, in decimal arithmetic."""
     p, q = Decimal(p_t), Decimal(p_m)
     with localcontext() as ctx:
         ctx.prec = _working_precision(p, q)
-        wait = 1 - (1 - q) ** (n - 1)
+        return float(_exactly_m_events(n, m, p, q))
 
-        def term(j, rate):
-            return coefficients[j] * rate**j * (1 - rate) ** (n - j)
 
-        return float(sum(term(i, wait) * term(m - i, p) for i in range(m + 1)) / term(m, p))
+def event_ratio(n: int, m: int, p_t: float, p_m: float) -> float:
+    """P(m events) with memory errors over P(m events) without, in decimal arithmetic."""
+    p, q = Decimal(p_t), Decimal(p_m)
+    with localcontext() as ctx:
+        ctx.prec = _working_precision(p, q)
+        return float(_exactly_m_events(n, m, p, q) / _exactly_m_events(n, m, p, Decimal(0)))
 
 
 def leading_penalty_limit(n: int, m: int) -> float:

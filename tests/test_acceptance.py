@@ -29,8 +29,8 @@ from qlink.analytic import (
     ModelMode,
     Multiplexing,
     allowable_pt,
-    combined_failure_analytic,
     p_stack_block_error,
+    serial_penalty_ratio,
 )
 from qlink.circuits import default_steane_encoder, validate_encoder
 from qlink.cli import cli
@@ -143,12 +143,8 @@ def test_c3_distributed_correction_cost_constants():
 
 def test_c4_serial_memory_penalty():
     """Analytic penalty bands at p_t = 1e-3, confirmed by simulation at 1e7 trials."""
-    ratio7 = combined_failure_analytic(7, 2, 1e-3, 1e-3 / 60) / combined_failure_analytic(
-        7, 2, 1e-3, 0.0
-    )
-    ratio23 = combined_failure_analytic(23, 4, 1e-3, 1e-3 / 220) / combined_failure_analytic(
-        23, 4, 1e-3, 0.0
-    )
+    ratio7 = serial_penalty_ratio(parse_code("7-1-3"), 1e-3, 1e-3 / 60)
+    ratio23 = serial_penalty_ratio(parse_code("23-1-7"), 1e-3, 1e-3 / 220)
     report = serial_penalty_report(
         parse_code("7-1-3"), 1e-3, 1e-3 / 60, trials=10_000_000, seed=424242, workers=4
     )

@@ -73,6 +73,8 @@ OTHER = [
     ["link-timing", "--tt", "1", "--tlqec", "10", "--n", "7"],
     ["recommend", "--stack", "5-1-3", "--tt", "2", "--tlqec", "3", "--pt", "1e-4",
      "--slowdown-threshold", "10", "--reliability-threshold", "2"],
+    ["recommend", "--stack", "7-1-3", "--tt", "1", "--tlqec", "100", "--pt", "1e-200"],
+    ["recommend", "--stack", "23-1-7", "--tt", "1", "--tlqec", "100", "--pt", "1e-100"],
 ]
 
 # Invalid input: each exits 1 with a message on stderr.
@@ -85,6 +87,8 @@ INVALID = [
     ["analyze", "--t", "1e5", "--pt", "0.6"],
     ["analyze", "--t", "1e5", "--pt", "-0.1"],
     ["analyze", "--t", "1e5", "--mode", "approx"],
+    ["analyze", "--stack", "7-1-3", "--t", "1.7e308", "--pt", "0.49"],
+    ["analyze", "--stack", "+".join(["23-1-7"] * 5), "--t", "1", "--pt", "0.49"],
     ["analyze", "--no-such-flag"],
     ["analyze", "--t", "abc"],
     ["table3", "--t", "0.5"],

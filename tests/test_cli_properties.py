@@ -8,7 +8,8 @@ one-qubit code to two levels and beyond. Whatever the input:
 - the exit code is 0 or 1 (2 would be an internal error);
 - on exit 1, stdout is empty and stderr holds the message;
 - on exit 0, JSON output parses strictly and CSV output starts with the
-  command's header.
+  command's header;
+- the exit code is the same in every output format.
 """
 import contextlib
 import io
@@ -26,9 +27,11 @@ NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(2**70), 2**70).map(str),
 )
+FIVE_LEVELS = "+".join(["23-1-7"] * 5)
 STACKS = st.sampled_from(["none", "1-1-1", "5-1-3", "7-1-3", "23-1-7", "1-1-1+1-1-1", "1-1-1+7-1-3",
                           "7-1-3+7-1-3", "7-1-3+23-1-7", "23-1-7+23-1-7", "7-1-3+7-1-3+7-1-3",
-                          "7-1-4", "7-1"])
+                          FIVE_LEVELS, "7-1-4", "7-1"])
+FORMATS = ["csv", "json", "text"]
 MODES = st.sampled_from(["leading", "exact"])
 
 
@@ -62,7 +65,8 @@ CSV_HEADERS = {
 
 
 @st.composite
-def argvs(draw):
+def commands(draw):
+    """A command and its options, without --format."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[command]
     argv = [command]
@@ -71,11 +75,23 @@ def argvs(draw):
     for flag, values in optional.items():
         if draw(st.booleans()):
             argv += [flag, draw(values)]
-    return argv + ["--format", draw(st.sampled_from(["csv", "json", "text"]))]
+    return argv
+
+
+def argvs():
+    return st.tuples(commands(), st.sampled_from(FORMATS)).map(lambda pair: pair[0] + ["--format", pair[1]])
 
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,16 +102,24 @@ def _reject_constant(name):
                "json"])
 @example(argv=["link-timing", "--tt", "5e-324", "--tlqec", "1e308", "--n", str(2**64),
                "--format", "csv"])
+@example(argv=["analyze", "--stack", "7-1-3", "--t", "1.7e308", "--pt", "0.49", "--format", "csv"])
+@example(argv=["analyze", "--stack", FIVE_LEVELS, "--t", "1", "--pt", "0.49", "--format", "json"])
 def test_exit_code_and_output_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    stdout = out.getvalue()
-    assert code in (0, 1), err.getvalue()
+    code, stdout, stderr = _run(argv)
+    assert code in (0, 1), stderr
     if code == 1:
         assert stdout == ""
-        assert err.getvalue()
+        assert stderr
     elif argv[-1] == "json":
         json.loads(stdout, parse_constant=_reject_constant)
     elif argv[-1] == "csv":
         assert stdout.startswith(CSV_HEADERS[argv[0]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=commands())
+@example(argv=["analyze", "--stack", "7-1-3", "--t", "1.7e308", "--pt", "0.49"])
+@example(argv=["analyze", "--stack", FIVE_LEVELS, "--t", "1", "--pt", "0.49"])
+def test_exit_code_does_not_depend_on_the_format(argv):
+    codes = {fmt: _run(argv + ["--format", fmt])[0] for fmt in FORMATS}
+    assert len(set(codes.values())) == 1, codes

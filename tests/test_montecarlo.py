@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import (
     event_ratio,
+    exactly_m_events,
     leading_penalty_limit,
     reference_block_failures,
     reference_critical_words,
@@ -23,7 +24,6 @@ from qlink.analytic import (
     LinkParams,
     ModelMode,
     Multiplexing,
-    combined_failure_analytic,
     p_stack_block_error,
     serial_penalty_ratio,
 )
@@ -66,6 +66,16 @@ def test_link_params_validation():
         LinkParams(p_t=0.1, multiplexing=SERIAL, lanes=3)
     with pytest.raises(ValueError):
         LinkParams(p_t=0.1, lanes=0)
+
+
+def test_link_params_coerce_the_link_style():
+    # A style given by its value is the enum member, so a 3-lane "serial"
+    # link is refused like a 3-lane SERIAL one.
+    with pytest.raises(ValueError, match="serial links have exactly one lane"):
+        LinkParams(0.1, 0.0, "serial", 3)
+    with pytest.raises(ValueError, match="not a valid Multiplexing"):
+        LinkParams(0.1, 0.0, "bogus")
+    assert LinkParams(0.1, 0.0, "parallel", 7).multiplexing is PARALLEL
 
 
 def test_wait_slots():
@@ -319,14 +329,14 @@ def test_fault_histogram_totals_and_determinism():
 
 
 def test_event_convolution_tracks_faulty_qubit_frequency():
-    # The analytic convolution counts error events while the simulation
-    # counts faulty qubits; a qubit hit twice is one faulty qubit but two
-    # events, so agreement is leading-order only. At these rates the gap
-    # stays inside 10%.
+    # The analytic penalty counts error events while the simulation counts
+    # faulty qubits; a qubit hit twice is one faulty qubit but two events,
+    # so agreement is leading-order only. At these rates the gap stays
+    # inside 10%.
     p_t, p_m = 0.01, 0.01 / 60
     cfg = _config(STEANE, p_t, p_m, SERIAL, trials=1_000_000, seed=8)
     exactly_two = _fault_histogram(cfg)[2] / cfg.trials
-    convolution = combined_failure_analytic(7, 2, p_t, p_m)
+    convolution = exactly_m_events(7, 2, p_t, p_m)
     assert abs(convolution - exactly_two) / convolution < 0.10
 
 
@@ -524,11 +534,10 @@ def test_engine_matches_brute_force_reference(spec, p_ts, trials, seed):
     assert [est.failures for est in simulate_block_transfers(configs)] == expected
 
 
-# ------------------------------------------------------- combined failure rate
+# --------------------------------------------------------- serial penalty ratio
 def test_combined_collapses_without_memory_errors():
-    for n, m, p in ((7, 2, 0.01), (23, 4, 0.003)):
-        direct = math.comb(n, m) * p**m * (1 - p) ** (n - m)
-        assert combined_failure_analytic(n, m, p, 0.0) == pytest.approx(direct, rel=1e-14)
+    for spec, p in (("7-1-3", 0.01), ("23-1-7", 0.003)):
+        assert serial_penalty_ratio(parse_code(spec), p, 0.0) == 1.0
 
 
 def test_combined_ratio_frozen_values():
@@ -536,10 +545,8 @@ def test_combined_ratio_frozen_values():
     # The constants are the decimal oracle's values.
     assert event_ratio(7, 2, 1e-3, 1e-3 / 60) == 1.2422249034245774
     assert event_ratio(23, 4, 1e-3, 1e-3 / 220) == 1.5328696686019845
-    r7 = combined_failure_analytic(7, 2, 1e-3, 1e-3 / 60) / combined_failure_analytic(7, 2, 1e-3, 0)
-    r23 = combined_failure_analytic(23, 4, 1e-3, 1e-3 / 220) / combined_failure_analytic(
-        23, 4, 1e-3, 0
-    )
+    r7 = serial_penalty_ratio(parse_code("7-1-3"), 1e-3, 1e-3 / 60)
+    r23 = serial_penalty_ratio(parse_code("23-1-7"), 1e-3, 1e-3 / 220)
     assert r7 == pytest.approx(1.2422249034245774, rel=1e-12)
     assert r23 == pytest.approx(1.5328696686019845, rel=1e-12)
 
@@ -564,11 +571,9 @@ def test_combined_ratio_leading_order_limits():
     # As p_t -> 0 the ratios approach the expansion coefficients:
     # (21 + 49/10 + 21/100) / 21 for seven qubits and the matching sum for
     # twenty-three.
-    r7 = combined_failure_analytic(7, 2, 1e-8, 1e-8 / 60) / combined_failure_analytic(7, 2, 1e-8, 0)
+    r7 = serial_penalty_ratio(parse_code("7-1-3"), 1e-8, 1e-8 / 60)
     assert r7 == pytest.approx(26.11 / 21, rel=1e-6)
-    r23 = combined_failure_analytic(23, 4, 1e-8, 1e-8 / 220) / combined_failure_analytic(
-        23, 4, 1e-8, 0
-    )
+    r23 = serial_penalty_ratio(parse_code("23-1-7"), 1e-8, 1e-8 / 220)
     expected = (8855 + 4073.3 + 640.09 + 40.733 + 0.8855) / 8855
     assert r23 == pytest.approx(expected, rel=1e-6)
 
@@ -577,12 +582,13 @@ def test_combined_ratio_leading_order_limits():
 @example(code=parse_code("23-1-7"), share=0.0).via("the smallest p_t")
 @example(code=parse_code("7-1-3"), share=1.0).via("p_t = 1e-12")
 def test_penalty_ratio_tends_to_its_leading_order_limit(code, share):
-    # From p_t = 1e-12 down to where p_t^m is still a normal float, the
-    # ratio at the CLI's default p_m sits on its p_t -> 0 limit: a memory
-    # rate cancelled against 1 would put it percents off.
-    smallest = math.log10(sys.float_info.min) / code.min_fail + 1e-9
+    # From p_t = 1e-12 down to the smallest normal float, the ratio at the
+    # CLI's default p_m sits on its p_t -> 0 limit: a memory rate cancelled
+    # against 1 would put it percents off, and p_t^m formed on the way
+    # would underflow.
+    smallest = math.log10(sys.float_info.min) + 1e-9
     p_t = 10 ** (smallest + share * (-12 - smallest))
-    assert p_t**code.min_fail >= sys.float_info.min
+    assert p_t >= sys.float_info.min
     limit = leading_penalty_limit(code.n, code.min_fail)
     quoted = {"5-1-3": 1.26, "7-1-3": 1.24333, "9-1-3": 1.235, "23-1-7": 1.53699}
     assert limit == pytest.approx(quoted[code.spec()], abs=5e-6)
@@ -602,9 +608,45 @@ def test_fault_probability_matches_decimal_union(p_t, p_m, slots):
 
 def test_combined_validates_inputs():
     with pytest.raises(ValueError):
-        combined_failure_analytic(7, 8, 0.01, 0.001)
+        serial_penalty_ratio(parse_code("7-1-3"), 1.5, 0.001)
     with pytest.raises(ValueError):
-        combined_failure_analytic(7, 2, 1.5, 0.001)
+        serial_penalty_ratio(parse_code("7-1-3"), 0.01, -0.001)
+
+
+_LOG_RATES = st.floats(math.log10(2.3e-308), math.log10(0.5))
+
+
+@settings(deadline=None)
+@given(code=st.sampled_from(builtin_codes()), log_p_t=_LOG_RATES,
+       p_m=st.one_of(st.none(), st.floats(0.0, 0.05)))
+@example(code=parse_code("7-1-3"), log_p_t=-200.0, p_m=None).via("p_t^m underflows")
+@example(code=parse_code("23-1-7"), log_p_t=-100.0, p_m=None).via("p_t^m underflows")
+@example(code=parse_code("23-1-7"), log_p_t=math.log10(2.3e-308), p_m=0.0).via("no memory error")
+@example(code=parse_code("7-1-3"), log_p_t=-160.0, p_m=0.05).via("past the float range")
+def test_penalty_ratio_matches_decimal_event_ratio(code, log_p_t, p_m):
+    # p_m = None stands for the CLI's default, p_t / (10 (n - 1)). The
+    # ratio may round to inf, and raise, only once it is past 1e300.
+    p_t = 10**log_p_t
+    if p_m is None:
+        p_m = p_t / (10 * (code.n - 1))
+    expected = event_ratio(code.n, code.min_fail, p_t, p_m)
+    if expected > sys.float_info.max:
+        with pytest.raises(ValueError, match="^failure-probability ratio is unbounded"):
+            serial_penalty_ratio(code, p_t, p_m)
+    elif expected <= 1e300:
+        assert serial_penalty_ratio(code, p_t, p_m) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(("p_t", "p_m", "expected"), [
+    (0.0, 1.0, 1.0),     # no teleportation error, and every qubit's waits fail: never 2 events
+    (1.0, 0.01, 1.0),    # every qubit fails teleportation, so no block has exactly 2 events
+    (0.01, 1.0, 0.0),    # every memory wait fails: 7 events, never exactly 2
+    (1e-200, 1.0, 0.0),  # the same, where (w / p_t)^2 is past the float range
+])
+def test_penalty_ratio_where_exactly_m_events_cannot_happen(p_t, p_m, expected):
+    # p_t = 0 without memory errors, p_t = 0 with them, and p_t = 1e-160
+    # at p_m = 0.05 are pinned through recommend and the report below.
+    assert serial_penalty_ratio(parse_code("7-1-3"), p_t, p_m) == expected
 
 
 # ------------------------------------------------------------- penalty report
@@ -659,8 +701,8 @@ def test_vanishing_failures_are_no_penalty_in_both_callers():
 
 
 def test_unbounded_ratio_raises_in_both_callers_before_any_trial(monkeypatch):
-    # At p_t = 1e-160 the teleportation-only failure is a subnormal 2.1e-319,
-    # and p_m = 0.05 makes the combined one large enough to overflow the ratio.
+    # At p_t = 1e-160 and p_m = 0.05 the waiting rate is 2.6e159 times p_t,
+    # so the ratio, about 1.5e318, is past the float range.
     code = parse_code("7-1-3")
     monkeypatch.setattr(montecarlo, "simulate_block_transfers", pytest.fail)
     with pytest.raises(ValueError, match="ratio is unbounded"):
