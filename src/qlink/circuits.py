@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .codes import QecCode
-
 
 class GateKind(str, Enum):
     H = "H"
@@ -192,9 +190,8 @@ class EncoderValidation:
     extra: tuple[str, ...]     # prepared generators outside the expected group
 
 
-def validate_encoder(circuit: EncoderCircuit, code: QecCode,
-                     stabilizers: tuple | None = None) -> EncoderValidation:
-    """Check that the circuit prepares the code's logical zero.
+def validate_encoder(circuit: EncoderCircuit, stabilizers: tuple) -> EncoderValidation:
+    """Check that the circuit prepares the logical zero of a CSS code given by its checks.
 
     Simulates the all-zeros stabilizer tableau through the gates using the
     GF(2) symplectic update rules (phases are irrelevant to group
@@ -203,12 +200,8 @@ def validate_encoder(circuit: EncoderCircuit, code: QecCode,
     are compared as groups, not lists, since presentations are not unique.
     Each Pauli row is one int, its X part in bits 0..n-1 and its Z part in
     bits n..2n-1. `stabilizers` holds (X checks, Z checks, logical Z) as 0/1
-    matrices; any of them may be a single row.
+    matrices, such as steane_stabilizers(); any of them may be a single row.
     """
-    if stabilizers is None:
-        if (code.n, code.k, code.d) != (7, 1, 3):
-            raise ValueError(f"no stabilizer fixture for {code.spec()}; pass stabilizers explicitly")
-        stabilizers = steane_stabilizers()
     n = circuit.n_qubits
     h_x, h_z, logical_z = (_bit_rows(matrix, n) for matrix in stabilizers)
 

@@ -89,8 +89,9 @@ FLOAT = FiniteFloat()
 SCI_INT = ScientificInt()
 FLOAT_LIST = FloatList()
 
-_mode_option = click.option("--mode", type=click.Choice(["leading", "exact"]), default="leading",
-                            show_default=True, help="leading: lowest failure mode; exact: full binomial tail.")
+_mode_option = click.option("--mode", type=click.Choice([mode.value for mode in analytic.ModelMode]),
+                            default=analytic.ModelMode.LEADING_ORDER.value, show_default=True,
+                            help="leading: lowest failure mode; exact: full binomial tail.")
 
 
 def _fmt_number(value) -> str:
@@ -344,7 +345,7 @@ def dqec_cost_cmd(circuit_ref, syndromes, repeats):
 
 @_command("workload", "json")
 @click.option("--bits", type=SCI_INT, required=True, help="Problem size in bits.")
-@click.option("--adder", type=click.Choice(["ripple", "lookahead"]), default=None,
+@click.option("--adder", type=click.Choice([kind.value for kind in workload.AdderKind]), default=None,
               help="Adder choice [default: report the full range].")
 def workload_cmd(bits, adder):
     """Teleportation count for the modular-exponentiation workload."""

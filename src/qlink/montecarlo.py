@@ -21,8 +21,9 @@ partitioning of blocks across workers gives bit-identical failure counts.
 The engine never forms that uniform. Because q * 2**53 is exact for q in
 [0, 1], the uniform is below q exactly when w < ceil(q * 2**53) * 2**11
 (_word_cut), so each rate becomes an integer cut and the words are compared
-with it directly. Only q = 1 has the cut 2**64, which no uint64 reaches:
-every word is below it.
+with it directly. A link with q = 1 faults every qubit, so it fails every
+trial without a draw; every other rate's cut is below 2**64 and is compared
+as a uint64.
 
 One draw answers every rate of a batch. The words depend only on the seed,
 so configs that share stack, trials, seed and workers (a sweep's grid, or a
@@ -126,30 +127,6 @@ def _word_cut(q: float) -> int:
     return math.ceil(q * 2**53) << 11
 
 
-# A cut is compared as a uint64, never as a Python int, which numpy 1.x and
-# 2.x promote differently against uint64 arrays. The cut 2**64 does not fit
-# in a uint64, and every word is below it.
-
-
-def _below(words: np.ndarray, cut: int) -> np.ndarray:
-    """Elementwise words < cut, for uint64 words and a cut in [0, 2**64]."""
-    if cut == 1 << 64:
-        return np.ones(words.shape, dtype=bool)
-    return words < np.uint64(cut)
-
-
-def _below_counter(cuts: Sequence[int]):
-    """A function that counts the sorted uint64 words below each cut in [0, 2**64]."""
-    last = (1 << 64) - 1
-    bounds = np.array([min(cut, last) for cut in cuts], dtype=np.uint64)
-    saturated = np.array([cut > last for cut in cuts], dtype=bool)
-
-    def count_below(ranked: np.ndarray) -> np.ndarray:
-        return np.where(saturated, len(ranked), np.searchsorted(ranked, bounds, side="left"))
-
-    return count_below
-
-
 def _decode(faulty: np.ndarray, stack: CodeStack) -> list[np.ndarray]:
     """Hierarchical majority-of-blocks decode: every level's block-failure mask.
 
@@ -185,9 +162,8 @@ def _critical_words(words: np.ndarray, masks: list[np.ndarray], stack: CodeStack
     inside failing trials are gathered, by flat block index, and ranked; every
     other block of those trials stands in as 2**64 - 1. That changes no
     failing trial's word: a block that passes at top has a critical word >=
-    top, as the stand-in has for any top below 2**64, and a failing block's
-    word is its min_fail-th smallest member, at least min_fail of which are
-    < top and exact. At top = 2**64 every block fails, so nothing stands in.
+    top, as the stand-in has, and a failing block's word is its min_fail-th
+    smallest member, at least min_fail of which are < top and exact.
     Reshapes name every size, because -1 is ambiguous on zero rows.
     """
     failing = np.flatnonzero(masks[-1][:, 0])
@@ -233,26 +209,32 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
             raise ValueError("batched configs must share stack, trials, seed and workers")
     stack = first.stack
     width = stack.scale_up
-    cuts = [_word_cut(config.link.fault_probability(width)) for config in configs]
-    top = max(cuts)
+    # A certain fault (q = 1) fails every trial without a draw: its bound is 0,
+    # so it counts nothing here, and it takes `trials` below. Every other cut
+    # fits a uint64 and is compared as one, never as a Python int, which
+    # numpy 1.x and 2.x promote differently against uint64 arrays.
+    rates = [config.link.fault_probability(width) for config in configs]
+    certain = [q == 1.0 for q in rates]
+    bounds = np.array([0 if sure else _word_cut(q) for q, sure in zip(rates, certain)], dtype=np.uint64)
+    top = bounds.max()
     tile_rows = max(1, min(TRIAL_BLOCK, TILE_BYTES // (8 * width)))
-    count_below = _below_counter(cuts)
 
     def per_block(j: int) -> np.ndarray:
         bits = _block_rng(first.seed, j)
         rows = min(TRIAL_BLOCK, first.trials - j * TRIAL_BLOCK)
-        counts = np.zeros(len(cuts), dtype=np.int64)
+        counts = np.zeros(len(bounds), dtype=np.int64)
         for lo in range(0, rows, tile_rows):
             tile = min(tile_rows, rows - lo)
             words = bits.random_raw(tile * width).reshape(tile, width)
-            critical = _critical_words(words, _decode(_below(words, top), stack), stack)
+            critical = _critical_words(words, _decode(words < top, stack), stack)
             del words   # one tile of words per worker: free it before the next draw
-            counts += count_below(critical)
+            counts += np.searchsorted(critical, bounds, side="left")
         return counts
 
     counts = _run_blocks(first, per_block)
     estimates = []
-    for config, failures in zip(configs, counts.tolist()):
+    for config, sure, counted in zip(configs, certain, counts.tolist()):
+        failures = config.trials if sure else counted
         ci_low, ci_high = wilson_interval(failures, config.trials)
         estimates.append(McEstimate(
             trials=config.trials,

@@ -32,7 +32,7 @@ from qlink.analytic import (
     p_stack_block_error,
     serial_penalty_ratio,
 )
-from qlink.circuits import default_steane_encoder, validate_encoder
+from qlink.circuits import default_steane_encoder, steane_stabilizers, validate_encoder
 from qlink.cli import cli
 from qlink.codes import parse_code, parse_stack
 from qlink.montecarlo import (
@@ -210,12 +210,12 @@ def test_c7_encoder_validity_and_mutation_kill():
     """The shipped encoder passes the stabilizer check; every single-gate mutant fails."""
     start = time.perf_counter()
     circuit = default_steane_encoder()
-    code = parse_code("7-1-3")
-    valid = validate_encoder(circuit, code).ok
+    checks = steane_stabilizers()
+    valid = validate_encoder(circuit, checks).ok
     survivors = [
         index
         for index in range(len(circuit.gates))
-        if validate_encoder(without_gate(circuit, index), code).ok
+        if validate_encoder(without_gate(circuit, index), checks).ok
     ]
     elapsed = time.perf_counter() - start
     ok = valid and not survivors and elapsed < 1.0

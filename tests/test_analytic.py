@@ -171,6 +171,11 @@ def test_exact_inversion_terminates_among_subnormal_rates():
     assert allowable_pt(CodeStack(), 1e308, 5e-324, EXACT) == 0.0
 
 
+def test_exact_inversion_returns_the_bracket_end_when_it_meets_the_budget():
+    # One uncoded step fails with probability p_t, so p_t = 0.5 is within 0.6.
+    assert allowable_pt(CodeStack(), 1, 0.6, EXACT) == 0.5
+
+
 def test_algorithm_failure_zero_error_rate():
     for spec in ("none", "7-1-3", "23-1-7+23-1-7"):
         assert p_algorithm_failure(parse_stack(spec), 1e8, 0.0).p_f == 0.0

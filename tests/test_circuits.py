@@ -27,9 +27,8 @@ from qlink.circuits import (
     steane_stabilizers,
     validate_encoder,
 )
-from qlink.codes import parse_code
 
-STEANE = parse_code("7-1-3")
+CHECKS = steane_stabilizers()
 
 
 # ------------------------------------------------------------------ fixtures
@@ -66,7 +65,7 @@ def test_teledata_beats_or_ties_telegate_on_default_circuit():
 
 # ------------------------------------------------------------------ validity
 def test_default_encoder_prepares_logical_zero():
-    result = validate_encoder(default_steane_encoder(), STEANE)
+    result = validate_encoder(default_steane_encoder(), CHECKS)
     assert result.ok
     assert result.missing == ()
     assert result.extra == ()
@@ -74,7 +73,7 @@ def test_default_encoder_prepares_logical_zero():
 
 def test_empty_circuit_is_not_logical_zero():
     empty = EncoderCircuit(7, tuple(range(7)), ())
-    result = validate_encoder(empty, STEANE)
+    result = validate_encoder(empty, CHECKS)
     assert not result.ok
     assert result.missing  # the X-type generators cannot be in an all-Z group
 
@@ -83,7 +82,7 @@ def test_every_single_gate_deletion_is_caught():
     circuit = default_steane_encoder()
     for index in range(len(circuit.gates)):
         mutant = without_gate(circuit, index)
-        result = validate_encoder(mutant, STEANE)
+        result = validate_encoder(mutant, CHECKS)
         assert not result.ok, f"deleting gate {index} went unnoticed"
         assert result.missing or result.extra
         reference = reference_validate(mutant, steane_stabilizers())
@@ -95,17 +94,7 @@ def test_validation_survives_gate_plus_inverse():
     circuit = default_steane_encoder()
     for extra in (Gate(GateKind.H, (4,)), Gate(GateKind.CNOT, (2, 5))):
         padded = EncoderCircuit(7, circuit.qubit_order, circuit.gates + (extra, extra))
-        assert validate_encoder(padded, STEANE).ok
-
-
-def test_validate_requires_fixture_or_explicit_stabilizers():
-    with pytest.raises(ValueError):
-        validate_encoder(default_steane_encoder(), parse_code("5-1-3"))
-
-
-def test_validate_accepts_explicit_stabilizers():
-    result = validate_encoder(default_steane_encoder(), STEANE, steane_stabilizers())
-    assert result.ok
+        assert validate_encoder(padded, CHECKS).ok
 
 
 # ----------------------------------------------------------------- cut costs
@@ -281,9 +270,9 @@ def test_random_valid_encoders_pass_and_mutants_fail():
         order = list(range(7))
         rng.shuffle(order)
         circuit = _build_encoder(pivots, basis, order)
-        assert validate_encoder(circuit, STEANE).ok, (pivots, order)
+        assert validate_encoder(circuit, CHECKS).ok, (pivots, order)
         mutant = without_gate(circuit, rng.randrange(len(circuit.gates)))
-        assert not validate_encoder(mutant, STEANE).ok, (pivots, order)
+        assert not validate_encoder(mutant, CHECKS).ok, (pivots, order)
         built += 1
 
 
@@ -322,7 +311,7 @@ def test_validation_is_pure():
     circuit = default_steane_encoder()
     fixture = tuple(np.array(m, dtype=np.uint8) for m in steane_stabilizers())
     before = [m.copy() for m in fixture]
-    validate_encoder(circuit, STEANE, fixture)
+    validate_encoder(circuit, fixture)
     for original, kept in zip(before, fixture):
         assert np.array_equal(original, kept)
 
@@ -331,7 +320,7 @@ def test_validation_is_pure():
 def test_stabilizer_rows_must_match_the_circuit_width():
     h_x, h_z, logical_z = steane_stabilizers()
     with pytest.raises(ValueError, match="row length"):
-        validate_encoder(default_steane_encoder(), STEANE, (h_x, h_z, logical_z[:6]))
+        validate_encoder(default_steane_encoder(), (h_x, h_z, logical_z[:6]))
 
 
 _GATES = st.one_of(
@@ -358,5 +347,5 @@ def test_validation_matches_numpy_tableau_reference(kept, dropped, tail, as_arra
     stabilizers = steane_stabilizers()
     if as_arrays:
         stabilizers = tuple(np.array(m, dtype=np.uint8) for m in stabilizers)
-    result = validate_encoder(circuit, STEANE, stabilizers)
+    result = validate_encoder(circuit, stabilizers)
     assert (result.ok, result.missing, result.extra) == reference_validate(circuit, stabilizers)

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON
 
 import qlink
+from qlink import workload
 from qlink.cli import cli, main
 from qlink.codes import builtin_codes
 
@@ -129,6 +131,14 @@ def test_cut_rejects_malformed_circuit_json(data, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: malformed circuit JSON: ")
+
+
+def test_cut_rejects_a_circuit_without_qubits(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "order": [], "gates": []}))
+    assert main(["cut", "--circuit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: n_qubits must be >= 1\n")
 
 
 def test_dqec_cost_rejects_single_qubit_circuit(tmp_path, capsys):
@@ -350,6 +360,26 @@ def test_invalid_input_exits_one_with_nothing_on_stdout(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert 0 < len(captured.err) < 300
+
+
+def test_non_numeric_integer_option_is_named(capsys):
+    assert main(["mc", "--pt", "0.1", "--trials", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'abc' is not an integer" in captured.err
+
+
+@pytest.mark.parametrize("raised, code, err", [
+    (click.exceptions.Abort(), 1, ""),
+    (RuntimeError("boom"), 2, "internal error: RuntimeError: boom\n"),
+])
+def test_abort_exits_one_and_an_unexpected_exception_exits_two(raised, code, err, monkeypatch, capsys):
+    def fail(*args):
+        raise raised
+
+    monkeypatch.setattr(workload, "teleport_count", fail)
+    assert main(["workload", "--bits", "16"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
 
 
 def test_overlong_integer_literal_is_named_not_echoed(capsys):

@@ -68,6 +68,10 @@ OTHER = [
      "--workers", "1"],
     ["sweep", "--stack", "7-1-3", "--pt", "0.03", "--pm", "0.03", "--serial", "--trials", "2e4",
      "--seed", "3", "--workers", "1"],
+    # Certain faults: p_t = 1, and a serial link that is certain only through p_m = 1.
+    ["mc", "--stack", "7-1-3+7-1-3", "--pt", "1", "--trials", "2e4", "--seed", "5", "--workers", "1"],
+    ["sweep", "--stack", "7-1-3", "--pt", "1,0.05", "--pm", "0,1", "--trials", "2e4", "--seed", "5",
+     "--workers", "1"],
     ["workload", "--bits", "1024", "--adder", "ripple"],
     ["workload", "--bits", "16"],
     ["link-timing", "--tt", "1", "--tlqec", "10", "--n", "7"],

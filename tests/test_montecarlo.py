@@ -31,8 +31,6 @@ from qlink.codes import CodeStack, QecCode, builtin_codes, parse_code, parse_sta
 from qlink.montecarlo import (
     TRIAL_BLOCK,
     McConfig,
-    _below,
-    _below_counter,
     _block_rng,
     _critical_words,
     _decode,
@@ -117,6 +115,16 @@ def test_wilson_interval_edge_bounds():
     assert low == 0.0 and high > 0.0
     low, high = wilson_interval(1000, 1000)
     assert high == 1.0 and low < 1.0
+
+
+@pytest.mark.parametrize("failures, trials, message", [
+    (0, 0, "trials must be >= 1"),
+    (5, 3, "failures must be in"),
+    (-1, 10, "failures must be in"),
+])
+def test_wilson_interval_rejects_impossible_counts(failures, trials, message):
+    with pytest.raises(ValueError, match=message):
+        wilson_interval(failures, trials)
 
 
 # ---------------------------------------------------------------- simulation
@@ -364,16 +372,21 @@ def test_uniforms_are_the_top_53_bits_of_the_words(seed, block):
 
 
 def _assert_cut_matches_uniforms(q, words):
-    # The engine's threshold and count against the layout's double comparison
-    # (each word's uniform is (w >> 11) * 2**-53), on uint64 words, with the
-    # cut alone and among other cuts.
+    # The engine's threshold and count, in its own uint64 forms, against the
+    # layout's double comparison (each word's uniform is (w >> 11) * 2**-53),
+    # with the cut alone and among other cuts. The engine compares no cut of
+    # q = 1: it fails every trial, and every word's uniform is below 1.
     cut = _word_cut(q)
     expected = [(word >> 11) * 2.0**-53 < q for word in words]
+    if q == 1.0:
+        assert all(expected)
+        return
     array = np.array(words, dtype=np.uint64)
-    assert _below(array, cut).tolist() == expected
+    assert (array < np.uint64(cut)).tolist() == expected
     ranked = np.sort(array)
-    for cuts in ([cut], [0, cut, 2**64], [2**64, cut, 2**63]):
-        assert _below_counter(cuts)(ranked)[cuts.index(cut)] == sum(expected)
+    for cuts in ([cut], [0, cut, 2**64 - 1], [2**64 - 1, cut, 2**63]):
+        bounds = np.array(cuts, dtype=np.uint64)
+        assert np.searchsorted(ranked, bounds, side="left")[cuts.index(cut)] == sum(expected)
 
 
 @pytest.mark.parametrize("q", [0.0, 5e-324, 2**-53, math.nextafter(2**-53, 1), 3 * 2**-53,
@@ -453,7 +466,7 @@ def test_decode_counts_past_255_members():
 
 def _critical_words_at(words, stack, top):
     # The engine's per-tile rank: decode at the top cut, then rank what fails.
-    return _critical_words(words, _decode(_below(words, top), stack), stack).tolist()
+    return _critical_words(words, _decode(words < np.uint64(top), stack), stack).tolist()
 
 
 def _failing_reference(words, stack, top):
@@ -489,10 +502,12 @@ def test_critical_words_at_the_edge_cuts_and_words(spec, rows):
     edge_words = np.array([0, 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
     for words in (rng.choice(edge_words, size=(rows, stack.scale_up)),
                   np.random.Philox(key=rows).random_raw(rows * stack.scale_up).reshape(rows, stack.scale_up)):
-        for top in (0, 1, 2**63, 2**64 - 1, 2**64):
+        for top in (0, 1, 2**63, 2**64 - 1):
             assert _critical_words_at(words, stack, top) == _failing_reference(words, stack, top)
-        assert len(_critical_words_at(words, stack, 2**64)) == rows
         assert _critical_words_at(words, stack, 0) == []
+    below_top = rng.choice(edge_words[:-1], size=(rows, stack.scale_up))   # every row fails
+    critical = _critical_words_at(below_top, stack, 2**64 - 1)
+    assert len(critical) == rows and critical == _failing_reference(below_top, stack, 2**64 - 1)
 
 
 @pytest.mark.parametrize("spec, p_ts", [
@@ -526,6 +541,8 @@ _BUILTIN = st.sampled_from([code.spec() for code in builtin_codes()])
     seed=st.integers(0, 2**64 - 1),
 )
 @example(spec="23-1-7+7-1-3", p_ts=[0.05, 0.0, 0.05, 0.2], trials=40_000, seed=2**64 - 1)
+@example(spec="7-1-3", p_ts=[1.0, 0.05], trials=20_000, seed=5)
+@example(spec="7-1-3+7-1-3", p_ts=[1.0], trials=20_000, seed=5)
 def test_engine_matches_brute_force_reference(spec, p_ts, trials, seed):
     stack = parse_stack(spec)
     configs = [McConfig(stack, LinkParams(p_t), trials, seed) for p_t in p_ts]
