@@ -15,6 +15,7 @@ and serial_penalty_ratio.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,7 @@ from .codes import CodeStack, QecCode, parse_stack
 # Linearizing 1 - (1 - p_e)^t to t * p_e is only honest while t * p_e is
 # small; estimates past this threshold are flagged.
 LINEARIZATION_LIMIT = 0.1
+_LOG_MAX = math.log(sys.float_info.max)   # exp() of anything larger overflows
 
 # Default axes of the allowable-error-rate reference table: the three
 # workload sizes crossed with no coding, the two stock codes, and all four
@@ -220,18 +222,31 @@ def serial_penalty_ratio(code: QecCode, p_t: float, p_m: float) -> float:
     (1 - p_t)^(n-m) before the sum, so no p_t^m is formed. Events are not
     faulty qubits: a qubit hit twice is two events here, one in the
     simulation. 1.0 where both failures vanish; raises where unbounded.
+
+    Past w = 1/2, 1 - w is taken from log(1 - w) = (n - 1) log1p(-p_m), as
+    fault_probability forms w: w rounded near 1 has lost the digits of 1 - w,
+    and may even be 1. A term that overflows on the way, or whose
+    (1 - w)^(n - i) is below the normal float range, is formed in logs.
     """
     _check_prob(p_t, "p_t")
     n, m = code.n, code.min_fail
     w = LinkParams(0.0, p_m).fault_probability(n)
-    if p_t == 1.0 or p_t == 0.0 and w in (0.0, 1.0):
+    if p_t == 1.0 or p_t == 0.0 and (w == 0.0 or p_m == 1.0):
         return 1.0   # both failures vanish
+    log_clear = (n - 1) * math.log1p(-p_m) if p_m < 1.0 else -math.inf
+    clear = 1.0 - w if w <= 0.5 else math.exp(log_clear)
     rate = w / p_t if p_t else math.inf
     total, power = 0.0, 1.0   # power is (w / p_t)^i, by products that overflow to inf
     for i in range(m + 1):
         share = math.comb(n, i) * math.comb(n, m - i) / math.comb(n, m)
-        total += share * power * (1.0 - w) ** (n - i) * (1.0 - p_t) ** i
-        if w < 1.0:   # at w = 1 every term is 0, and inf * 0 would be nan
+        factor = clear ** (n - i)
+        term = share * power * factor * (1.0 - p_t) ** i
+        if not (term < math.inf and factor >= sys.float_info.min):   # inf, nan, or inexact
+            log_term = (math.log(share) + i * (math.log(w) - math.log(p_t) + math.log1p(-p_t))
+                        + (n - i) * log_clear) if p_t else math.inf
+            term = math.exp(log_term) if log_term <= _LOG_MAX else math.inf
+        total += term
+        if clear > 0.0:   # where it is 0 the terms come from logs, and inf * 0 would be nan
             power *= rate
     if not total < math.inf:
         raise ValueError(f"failure-probability ratio is unbounded at p_t = {p_t:g}, p_m = {p_m:g}")

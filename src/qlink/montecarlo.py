@@ -12,11 +12,12 @@ dominates the parallel one trial by trial.
 
 Reproducibility contract (layout `philox-jumped-block16384`): trials are
 grouped in fixed blocks of 2**14, and block j draws from the Philox substream
-jumped(j) of the master seed. Philox is counter-based, so that substream
-starts at counter [0, 0, j, 0] and is built there directly. Each qubit
-consumes one 64-bit Philox word w, whose uniform is (w >> 11) * 2**-53. The
-mapping from trial index to words never depends on worker count, so any
-partitioning of blocks across workers gives bit-identical failure counts.
+jumped(j) of the master seed. Philox is counter-based, so word w of that
+substream is made from counter [w // 4 + 1, 0, j, 0], and a generator can be
+seated at any word of any block (_seat). Each qubit consumes one 64-bit
+Philox word w, whose uniform is (w >> 11) * 2**-53. The mapping from trial
+index to words never depends on worker count, so any partitioning of the
+trials across workers gives bit-identical failure counts.
 
 The engine never forms that uniform. Because q * 2**53 is exact for q in
 [0, 1], the uniform is below q exactly when w < ceil(q * 2**53) * 2**11
@@ -35,24 +36,32 @@ level takes the min_fail-th smallest c of its sub-blocks, up to the one
 top-level block (an uncoded qubit's c is its word). So `c < cut` holds
 exactly when decoding `words < cut` fails. Each block is thresholded and
 decoded once, at the largest requested cut (top); only the trials that fail
-there can fail at a smaller one. Their critical words come from a pruned
-rank: decoding keeps every level's block-failure mask, and only the blocks
-that fail at top inside failing trials are ranked, while every other block
-stands in as 2**64 - 1. A block that passes at top has a critical word >= top
-anyway, and a block that fails has at least min_fail members below top, so
-no failing trial's word changes (_critical_words). The words are then
-counted below every cut with one sort and a binary search per tile (see
-below).
+there can fail at a smaller one. When no cut lies strictly between 0 and top
+(every single config, and any batch whose live rates coincide), the failing
+rows are counted once and nothing is ranked. Otherwise their critical words
+come from a pruned rank: decoding keeps every level's block-failure mask,
+and only the blocks that fail at top inside failing trials are ranked, while
+every other block stands in as 2**64 - 1. A block that passes at top has a
+critical word >= top anyway, and a block that fails has at least min_fail
+members below top, so no failing trial's word changes (_critical_words). The
+words are then counted below every cut with one sort and a binary search per
+tile (see below).
 
-A block is drawn in row tiles of at most TILE_BYTES of words (one row if a
-row is larger), one after the other from the block's generator, so the words
-are those of drawing the whole block at once. Each tile is thresholded,
-decoded and ranked, and dropped before the next one is drawn (random_raw
-cannot fill a reused buffer), so a worker's draw memory is bounded by
-TILE_BYTES, not by a block of 2**14 * N words (69 MB for N = 529).
+The work unit is a tile: the largest power-of-two number of rows whose
+words fit in TILE_BYTES (one row if a row is larger), so tiles divide every
+full block evenly. At most one thread per core takes tile indices from one
+shared counter, so a slower thread simply takes fewer tiles. Each thread owns
+one generator for the whole call and seats it at its tile's first word, so
+the words are those of drawing the whole block at once. Each tile is
+thresholded, decoded and counted, and dropped before the next one is drawn
+(random_raw cannot fill a reused buffer), so a worker's draw memory is
+bounded by TILE_BYTES, not by a block of 2**14 * N words (69 MB for N = 529).
+Integer counts sum alike in any grouping, so the totals do not depend on
+which thread took which tile.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -113,9 +122,22 @@ def wilson_interval(failures: int, trials: int, z: float = Z_95) -> tuple[float,
     return min(max(0.0, center - half), p_hat), max(min(1.0, center + half), p_hat)
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Philox:
-    """Trial block j's bit generator, in the state Philox(key=seed).jumped(j) gives."""
-    return np.random.Philox(key=seed, counter=[0, 0, block_index, 0])
+def _seat(bits: np.random.Philox, seed: int, block: int, word: int) -> None:
+    """Seat bits so that its next words are Philox(key=seed).jumped(block)'s from `word` on.
+
+    Philox raises counter[0] before it makes each group of four words, so a
+    generator with that counter at word // 4 and an empty buffer makes the
+    group that holds `word` next; the first word % 4 of it are discarded.
+    """
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [word // 4, 0, block, 0], "key": [seed, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits.random_raw(word % 4)
 
 
 def _word_cut(q: float) -> int:
@@ -181,18 +203,6 @@ def _critical_words(words: np.ndarray, masks: list[np.ndarray], stack: CodeStack
     return np.sort(critical[rows, 0])   # widths multiply to N, so one block is left
 
 
-def _run_blocks(config: McConfig, per_block) -> np.ndarray:
-    """Sum per_block(j) over all blocks on k threads, at most one per core.
-
-    Thread w sums blocks w, w + k, w + 2k, ..., so only k tasks are queued.
-    Integer counts sum alike in any grouping, so the totals do not depend on k.
-    """
-    n_blocks = (config.trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    k = min(config.workers, n_blocks, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return sum(pool.map(lambda w: sum(per_block(j) for j in range(w, n_blocks, k)), range(k)))
-
-
 def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
     """Estimate the transfer failure probability of every config from one draw.
 
@@ -217,21 +227,37 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
     certain = [q == 1.0 for q in rates]
     bounds = np.array([0 if sure else _word_cut(q) for q, sure in zip(rates, certain)], dtype=np.uint64)
     top = bounds.max()
-    tile_rows = max(1, min(TRIAL_BLOCK, TILE_BYTES // (8 * width)))
+    # With no cut strictly between 0 and top, a tile's failing rows at top
+    # are every count: cuts equal to top take them, and cut 0 fails nothing.
+    ranked = bool(((bounds > 0) & (bounds < top)).any())
+    at_top = (bounds == top).astype(np.int64)
+    # Power-of-two tiles divide a block evenly, so tile i starts at trial
+    # i * tile_rows, in block i * tile_rows // TRIAL_BLOCK.
+    tile_rows = 1 << max(0, min(TRIAL_BLOCK, TILE_BYTES // (8 * width)).bit_length() - 1)
+    tiles = (first.trials + tile_rows - 1) // tile_rows
+    queue = itertools.count()   # next() is atomic under the GIL: each tile goes to one thread
 
-    def per_block(j: int) -> np.ndarray:
-        bits = _block_rng(first.seed, j)
-        rows = min(TRIAL_BLOCK, first.trials - j * TRIAL_BLOCK)
+    def tile_counts(words: np.ndarray) -> np.ndarray:
+        masks = _decode(words < top, stack)
+        if not ranked:
+            return np.count_nonzero(masks[-1]) * at_top
+        return np.searchsorted(_critical_words(words, masks, stack), bounds, side="left")
+
+    def work() -> np.ndarray:
+        bits = np.random.Philox()
         counts = np.zeros(len(bounds), dtype=np.int64)
-        for lo in range(0, rows, tile_rows):
-            tile = min(tile_rows, rows - lo)
-            words = bits.random_raw(tile * width).reshape(tile, width)
-            critical = _critical_words(words, _decode(words < top, stack), stack)
-            del words   # one tile of words per worker: free it before the next draw
-            counts += np.searchsorted(critical, bounds, side="left")
-        return counts
+        for i in queue:
+            if i >= tiles:
+                return counts
+            block, lo = divmod(i * tile_rows, TRIAL_BLOCK)
+            rows = min(tile_rows, first.trials - i * tile_rows)
+            _seat(bits, first.seed, block, lo * width)
+            # The words are freed when tile_counts returns, before the next draw.
+            counts += tile_counts(bits.random_raw(rows * width).reshape(rows, width))
 
-    counts = _run_blocks(first, per_block)
+    k = min(first.workers, tiles, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        counts = sum(pool.map(lambda _: work(), range(k)))
     estimates = []
     for config, sure, counted in zip(configs, certain, counts.tolist()):
         failures = config.trials if sure else counted

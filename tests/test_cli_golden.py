@@ -79,6 +79,9 @@ OTHER = [
      "--slowdown-threshold", "10", "--reliability-threshold", "2"],
     ["recommend", "--stack", "7-1-3", "--tt", "1", "--tlqec", "100", "--pt", "1e-200"],
     ["recommend", "--stack", "23-1-7", "--tt", "1", "--tlqec", "100", "--pt", "1e-100"],
+    # (w / p_t)^2 overflows while (1 - w)^98 underflows: that term is formed in logs.
+    ["recommend", "--stack", "100-1-3", "--tt", "1", "--tlqec", "100", "--pt", "1e-200",
+     "--pm", "0.1"],
 ]
 
 # Invalid input: each exits 1 with a message on stderr.

@@ -31,9 +31,9 @@ from qlink.codes import CodeStack, QecCode, builtin_codes, parse_code, parse_sta
 from qlink.montecarlo import (
     TRIAL_BLOCK,
     McConfig,
-    _block_rng,
     _critical_words,
     _decode,
+    _seat,
     _word_cut,
     serial_penalty_report,
     simulate_block_transfer,
@@ -157,24 +157,60 @@ def test_seed_determinism_across_workers():
     assert len(counts) == 1
 
 
-@pytest.mark.parametrize("cores", [2, 5])
-def test_engine_runs_at_most_one_thread_per_core(cores, monkeypatch):
-    # 13 blocks over 8 requested workers: the engine starts one thread per
-    # core, and the striped block sums give the one-thread counts.
-    config = _config(STEANE, 0.01, trials=12 * TRIAL_BLOCK + 1, seed=9)
+@pytest.mark.parametrize("cores, trials", [
+    (2, 12 * TRIAL_BLOCK + 1),   # 13 tiles
+    (5, 12 * TRIAL_BLOCK + 1),
+    (5, 1000),                   # 1 tile: one thread
+])
+def test_engine_runs_at_most_one_thread_per_core(cores, trials, monkeypatch):
+    # 8 requested workers: the engine starts at most one thread per core and
+    # per tile, seats a generator once per tile, and the queued tile sums
+    # give the one-thread counts.
+    config = _config(STEANE, 0.01, trials=trials, seed=9)
     expected = simulate_block_transfer(config).failures
-    threads = set()
-    block_rng = montecarlo._block_rng
+    tiles = -(-trials // TRIAL_BLOCK)   # a 7-1-3 tile is a whole block
+    threads, seats = set(), []
+    seat = montecarlo._seat
 
-    def spy(seed, block_index):
+    def spy(bits, seed, block, word):
         threads.add(threading.get_ident())
-        return block_rng(seed, block_index)
+        seats.append((block, word))
+        seat(bits, seed, block, word)
 
-    monkeypatch.setattr(montecarlo, "_block_rng", spy)
+    monkeypatch.setattr(montecarlo, "_seat", spy)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     estimate = simulate_block_transfer(McConfig(**{**vars(config), "workers": 8}))
-    assert 1 <= len(threads) <= cores
+    assert 1 <= len(threads) <= min(cores, tiles)
+    assert sorted(seats) == [(block, 0) for block in range(tiles)]
     assert estimate.failures == expected
+
+
+def test_tile_queue_hands_each_tile_to_one_thread_under_stress(monkeypatch):
+    # 8 threads on one-row tiles with a tiny switch interval: a tile taken
+    # twice or lost from the shared queue would show in the seats and counts.
+    monkeypatch.setattr(montecarlo, "TILE_BYTES", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    seats, estimates = [], []
+    seat = montecarlo._seat
+
+    def spy(bits, seed, block, word):
+        seats.append((block, word))
+        seat(bits, seed, block, word)
+
+    monkeypatch.setattr(montecarlo, "_seat", spy)
+    config = _config(STEANE, 0.05, trials=3000, seed=4, workers=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: estimates.append(simulate_block_transfer(config)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(seats) == [(0, row * 7) for row in range(3000)]
+    rate = config.link.fault_probability(7)
+    assert [estimates[0].failures] == reference_failures(_levels(STEANE), [rate], 3000, 4)
 
 
 def test_different_seeds_differ():
@@ -280,6 +316,38 @@ def test_batch_matches_one_run_per_config(spec):
     assert len(set(batch)) >= 4
 
 
+@pytest.mark.parametrize("spec, links", [
+    ("7-1-3", [(0.05, 0.0, SERIAL)]),                               # one mc config
+    ("23-1-7", [(0.05, 0.0, SERIAL), (0.05, 0.0, PARALLEL)]),        # a pair at p_m = 0
+    ("7-1-3+7-1-3", [(0.0, 0.0, PARALLEL), (0.02, 1e-4, SERIAL), (1.0, 0.0, SERIAL)]),
+])
+def test_one_live_cut_is_counted_without_a_rank(spec, links, monkeypatch):
+    # With no cut strictly between 0 and the top one, the failing rows at
+    # top are every count, so nothing is ranked.
+    monkeypatch.setattr(montecarlo, "_critical_words", lambda *args: pytest.fail("ranked"))
+    stack = parse_stack(spec)
+    configs = _batch(stack, links, trials=TRIAL_BLOCK + 1000)
+    rates = [config.link.fault_probability(stack.scale_up) for config in configs]
+    expected = reference_failures(_levels(stack), rates, TRIAL_BLOCK + 1000, 11)
+    assert [est.failures for est in simulate_block_transfers(configs)] == expected
+    assert max(expected) > 0
+
+
+def test_a_cut_below_top_is_ranked(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _critical_words(*args)
+
+    monkeypatch.setattr(montecarlo, "_critical_words", spy)
+    configs = _batch(STEANE, [(0.05, 0.0, PARALLEL), (0.02, 0.0, PARALLEL)], trials=1000)
+    rates = [config.link.fault_probability(7) for config in configs]
+    expected = reference_failures(_levels(STEANE), rates, 1000, 11)
+    assert [est.failures for est in simulate_block_transfers(configs)] == expected
+    assert calls
+
+
 def test_batch_with_no_failure_at_its_largest_rate():
     configs = _batch(STEANE, [(1e-4, 0.0, PARALLEL), (3e-4, 0.0, SERIAL)], trials=1000)
     assert [est.failures for est in simulate_block_transfers(configs)] == [0, 0]
@@ -321,7 +389,7 @@ def _fault_histogram(config):
     hist = np.zeros(width + 1, dtype=np.int64)
     for j in range(-(-config.trials // TRIAL_BLOCK)):
         rows = min(TRIAL_BLOCK, config.trials - j * TRIAL_BLOCK)
-        faulty = np.random.Generator(_block_rng(config.seed, j)).random((rows, width)) < q
+        faulty = reference_uniforms(config.seed, j, rows, width) < q
         hist += np.bincount(faulty.sum(axis=1), minlength=width + 1)
     return hist
 
@@ -351,9 +419,17 @@ def test_event_convolution_tracks_faulty_qubit_frequency():
 # --------------------------------------------------------------------- engine
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("block", [0, 1, 610, 2**40])
-def test_block_rng_is_the_jumped_substream(seed, block):
-    jumped = np.random.Philox(key=seed).jumped(block)
-    assert (_block_rng(seed, block).random_raw(1000) == jumped.random_raw(1000)).all()
+def test_seat_gives_the_jumped_substream_from_any_word(seed, block):
+    # Offsets inside and across Philox's four-word groups, an odd one deep in
+    # a 23-1-7+23-1-7 block (row 511 of N = 529, plus one) and a block's last
+    # word; one generator is re-seated at each, as a worker is for each tile.
+    bits = np.random.Philox()
+    for word in (0, 1, 3, 4, 5, 511 * 529 + 1, 2**14 * 529 - 1):
+        jumped = np.random.Philox(key=seed).jumped(block)
+        for chunk in range(0, word, 1 << 20):   # skip to the word in bounded draws
+            jumped.random_raw(min(1 << 20, word - chunk))
+        _seat(bits, seed, block, word)
+        assert (bits.random_raw(1000) == jumped.random_raw(1000)).all()
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -512,16 +588,20 @@ def test_critical_words_at_the_edge_cuts_and_words(spec, rows):
 
 @pytest.mark.parametrize("spec, p_ts", [
     ("7-1-3+7-1-3", (0.1, 0.02, 0.05)),       # N = 49: two tiles per block
-    ("23-1-7+23-1-7", (0.15, 0.05, 0.1)),     # N = 529: 17 tiles per block
+    ("23-1-7+23-1-7", (0.15, 0.05, 0.1)),     # N = 529: 32 tiles per block
 ])
 @pytest.mark.parametrize("tile_bytes, trials", [
     (montecarlo.TILE_BYTES, TRIAL_BLOCK + 1000),   # a partial last block and tile
     (1, 40),                                       # one row per tile
 ])
-def test_tiled_draws_match_whole_block_draws(spec, p_ts, tile_bytes, trials, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_tiled_draws_match_whole_block_draws(spec, p_ts, tile_bytes, trials, workers, monkeypatch):
+    # With 3 workers (and 3 cores, whatever the host has) the tiles of one
+    # block land on different threads.
     monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
     stack = parse_stack(spec)
-    configs = [_config(stack, p_t, trials=trials, seed=31) for p_t in p_ts]
+    configs = [_config(stack, p_t, trials=trials, seed=31, workers=workers) for p_t in p_ts]
     rates = [config.link.fault_probability(stack.scale_up) for config in configs]
     expected = reference_failures(_levels(stack), rates, trials, 31)
     assert [est.failures for est in simulate_block_transfers(configs)] == expected
@@ -652,6 +732,36 @@ def test_penalty_ratio_matches_decimal_event_ratio(code, log_p_t, p_m):
             serial_penalty_ratio(code, p_t, p_m)
     elif expected <= 1e300:
         assert serial_penalty_ratio(code, p_t, p_m) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _custom_codes(draw):
+    n = draw(st.integers(2, 200))
+    return QecCode(n, 1, draw(st.integers(0, (n - 1) // 2)) * 2 + 1)
+
+
+@settings(deadline=None)
+@given(code=_custom_codes(), log_p_t=_LOG_RATES, p_m=st.one_of(st.none(), st.floats(0.0, 1.0)))
+@example(code=QecCode(100, 1, 3), log_p_t=-200.0, p_m=0.1).via("(w / p_t)^2 is inf, (1 - w)^98 is 0")
+@example(code=QecCode(127, 1, 35), log_p_t=math.log10(6.01e-130), p_m=0.321).via("w rounds to 1")
+@example(code=QecCode(186, 1, 121), log_p_t=math.log10(4.6e-8), p_m=0.0145).via("share * power overflows")
+@example(code=QecCode(9, 1, 3), log_p_t=-3.0, p_m=0.9).via("1 - w lost its digits")
+def test_penalty_ratio_on_custom_codes_matches_decimal_event_ratio(code, log_p_t, p_m):
+    # Large codes at high memory rates: w near 1, (w / p_t)^i past the float
+    # range and (1 - w)^(n - i) below it. One ulp of p_m moves the ratio by
+    # up to about eps * n (n - 1) |log1p(-p_m)| (the exponent of 1 - p_m),
+    # which no float evaluation can resolve; it is below 5e-13 for p_m <= 0.05.
+    p_t = 10**log_p_t
+    if p_m is None:
+        p_m = p_t / (10 * (code.n - 1))
+    expected = event_ratio(code.n, code.min_fail, p_t, p_m)
+    if expected > sys.float_info.max:
+        with pytest.raises(ValueError, match="^failure-probability ratio is unbounded"):
+            serial_penalty_ratio(code, p_t, p_m)
+    elif sys.float_info.min <= expected <= 1e300:
+        exponent = code.n * (code.n - 1) * -math.log1p(-p_m) if p_m < 1.0 else 0.0
+        rel = 1e-12 + 2 * sys.float_info.epsilon * exponent
+        assert serial_penalty_ratio(code, p_t, p_m) == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize(("p_t", "p_m", "expected"), [
