@@ -184,6 +184,8 @@ def allowable_pt(
 
     LEADING_ORDER inverts the linearized chain in closed form, peeling levels
     outer to inner: q -> (q / C(n, m))^(1/m), starting from target_pf / t.
+    Once a quotient q / C(n, m) falls below the normal float range, the rest
+    of the chain is peeled in logs, so a tiny target keeps its digits.
     EXACT_TAIL bisects the monotone map p_t -> p_f over (0, 0.5) to 1e-9
     relative width.
     """
@@ -194,8 +196,15 @@ def allowable_pt(
 
     if mode is ModelMode.LEADING_ORDER:
         q = target_pf / t
-        for code in reversed(stack.levels):
-            q = (q / math.comb(code.n, code.min_fail)) ** (1.0 / code.min_fail)
+        levels = stack.levels[::-1]
+        for i, code in enumerate(levels):
+            ways = math.comb(code.n, code.min_fail)
+            if q / ways < sys.float_info.min:   # a subnormal quotient has lost digits
+                log_q = math.log(q) if q >= sys.float_info.min else math.log(target_pf) - math.log(t)
+                for inner in levels[i:]:
+                    log_q = (log_q - math.log(math.comb(inner.n, inner.min_fail))) / inner.min_fail
+                return math.exp(log_q)
+            q = (q / ways) ** (1.0 / code.min_fail)
         return q
 
     lo, hi = 0.0, 0.5

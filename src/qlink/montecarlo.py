@@ -35,12 +35,14 @@ innermost code block's c is its min_fail-th smallest word, and each higher
 level takes the min_fail-th smallest c of its sub-blocks, up to the one
 top-level block (an uncoded qubit's c is its word). So `c < cut` holds
 exactly when decoding `words < cut` fails. Each block is thresholded and
-decoded once, at the largest requested cut (top); only the trials that fail
-there can fail at a smaller one. When no cut lies strictly between 0 and top
-(every single config, and any batch whose live rates coincide), the failing
-rows are counted once and nothing is ranked. Otherwise their critical words
-come from a pruned rank: decoding keeps every level's block-failure mask,
-and only the blocks that fail at top inside failing trials are ranked, while
+decoded once, at the largest requested cut (top), with one einsum count per
+code level; only the trials that fail there can fail at a smaller one. When
+top is 0 (every rate 0 or certain) no trial can fail, and no tile is drawn.
+When no cut lies strictly between 0 and top (every single config, and any
+batch whose live rates coincide), the failing rows are counted once and
+nothing is ranked. Otherwise their critical words come from a pruned rank:
+decoding keeps every level's block-failure mask, and only the blocks that
+fail at top inside failing trials are gathered (np.take) and ranked, while
 every other block stands in as 2**64 - 1. A block that passes at top has a
 critical word >= top anyway, and a block that fails has at least min_fail
 members below top, so no failing trial's word changes (_critical_words). The
@@ -154,21 +156,18 @@ def _decode(faulty: np.ndarray, stack: CodeStack) -> list[np.ndarray]:
 
     Returns one (rows, blocks) mask per level, innermost first, so the last
     one has a single column, True where the top level fails; the uncoded
-    stack has no levels and returns [faulty]. Counts each code block's faulty
-    members by adding its n member columns, which is much faster than a sum
-    over a short last axis. The counts are just wide enough for n, so codes
-    with n >= 256 do not wrap. Reshapes name every size, because -1 is
-    ambiguous on zero rows.
+    stack has no levels and returns [faulty]. Each level counts every code
+    block's faulty members with one einsum over the member axis, not one add
+    per member. The counts are just wide enough for n, so codes with
+    n >= 256 do not wrap. Reshapes name every size, because -1 is ambiguous
+    on zero rows.
     """
     rows, width = faulty.shape
     masks = []
     for code in stack.levels:
         width //= code.n
         members = faulty.view(np.uint8).reshape(rows, width, code.n)
-        counts = members[:, :, 0].astype(np.min_scalar_type(code.n))
-        for i in range(1, code.n):
-            counts += members[:, :, i]
-        faulty = counts >= code.min_fail
+        faulty = np.einsum("ijk->ij", members, dtype=np.min_scalar_type(code.n)) >= code.min_fail
         masks.append(faulty)
     return masks or [faulty]
 
@@ -181,12 +180,13 @@ def _critical_words(words: np.ndarray, masks: list[np.ndarray], stack: CodeStack
 
     `masks` is _decode of `words < top`. A trial fails at cut c iff its
     critical word is < c. Level by level, only the blocks that fail at top
-    inside failing trials are gathered, by flat block index, and ranked; every
-    other block of those trials stands in as 2**64 - 1. That changes no
-    failing trial's word: a block that passes at top has a critical word >=
-    top, as the stand-in has, and a failing block's word is its min_fail-th
-    smallest member, at least min_fail of which are < top and exact.
-    Reshapes name every size, because -1 is ambiguous on zero rows.
+    inside failing trials are gathered, with np.take by flat block index,
+    and ranked; every other block of those trials stands in as 2**64 - 1.
+    That changes no failing trial's word: a block that passes at top has a
+    critical word >= top, as the stand-in has, and a failing block's word is
+    its min_fail-th smallest member, at least min_fail of which are < top
+    and exact. Reshapes name every size, because -1 is ambiguous on zero
+    rows.
     """
     failing = np.flatnonzero(masks[-1][:, 0])
     rows, critical = failing, words   # critical's row of each failing trial
@@ -194,7 +194,8 @@ def _critical_words(words: np.ndarray, masks: list[np.ndarray], stack: CodeStack
         blocks = mask.shape[1]
         fails = np.flatnonzero(mask[failing])   # over (failing trial, block)
         trial, block = np.divmod(fails, blocks)
-        members = critical.reshape(len(critical) * blocks, code.n)[rows[trial] * blocks + block]
+        index = rows[trial] * blocks + block
+        members = np.take(critical.reshape(len(critical) * blocks, code.n), index, axis=0)
         members.partition(code.min_fail - 1, axis=1)
         critical = np.full(len(failing) * blocks, _STAND_IN, dtype=np.uint64)
         critical[fails] = members[:, code.min_fail - 1]
@@ -232,9 +233,10 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
     ranked = bool(((bounds > 0) & (bounds < top)).any())
     at_top = (bounds == top).astype(np.int64)
     # Power-of-two tiles divide a block evenly, so tile i starts at trial
-    # i * tile_rows, in block i * tile_rows // TRIAL_BLOCK.
+    # i * tile_rows, in block i * tile_rows // TRIAL_BLOCK. No trial fails
+    # at top 0 (every rate 0 or certain), so then no tile is drawn.
     tile_rows = 1 << max(0, min(TRIAL_BLOCK, TILE_BYTES // (8 * width)).bit_length() - 1)
-    tiles = (first.trials + tile_rows - 1) // tile_rows
+    tiles = (first.trials + tile_rows - 1) // tile_rows if top else 0
     queue = itertools.count()   # next() is atomic under the GIL: each tile goes to one thread
 
     def tile_counts(words: np.ndarray) -> np.ndarray:
@@ -255,7 +257,7 @@ def simulate_block_transfers(configs: Sequence[McConfig]) -> list[McEstimate]:
             # The words are freed when tile_counts returns, before the next draw.
             counts += tile_counts(bits.random_raw(rows * width).reshape(rows, width))
 
-    k = min(first.workers, tiles, os.cpu_count() or 1)
+    k = max(1, min(first.workers, tiles, os.cpu_count() or 1))   # with no tile, one thread returns zeros
     with ThreadPoolExecutor(max_workers=k) as pool:
         counts = sum(pool.map(lambda _: work(), range(k)))
     estimates = []

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -196,9 +197,11 @@ TABLE3_T = (1e5, 1e8, 1e11)
 
 
 def test_allowable_pt_uncoded_is_budget_over_t():
+    # No level is peeled, so the rounded quotient stands, subnormal or not.
     stack = CodeStack()
     for t in TABLE3_T:
-        assert allowable_pt(stack, t, 0.1, LEADING) == pytest.approx(0.1 / t, rel=1e-14)
+        for target_pf in (0.1, 1e-310, 5e-324):
+            assert allowable_pt(stack, t, target_pf, LEADING) == target_pf / t
 
 
 @pytest.mark.parametrize(
@@ -261,6 +264,21 @@ def test_round_trip_exact(spec, t):
     stack = parse_stack(spec)
     rate = allowable_pt(stack, t, 0.1, EXACT)
     assert p_algorithm_failure(stack, t, rate, EXACT).p_f == pytest.approx(0.1, rel=1e-6)
+
+
+@pytest.mark.parametrize("spec", ["7-1-3", "23-1-7", "7-1-3+7-1-3", "23-1-7+23-1-7"])
+@pytest.mark.parametrize("t", [1e5, 1e11])
+@pytest.mark.parametrize("target_pf", [5e-324, 1e-310])
+def test_leading_inversion_of_a_subnormal_budget_matches_decimal(spec, t, target_pf):
+    # target_pf / t underflows, to 0 or to a subnormal with few digits, so the
+    # chain is peeled in logs; a 50-digit Decimal inversion is the reference.
+    stack = parse_stack(spec)
+    with decimal.localcontext() as context:
+        context.prec = 50
+        q = decimal.Decimal(target_pf) / decimal.Decimal(t)
+        for code in reversed(stack.levels):
+            q = (q / math.comb(code.n, code.min_fail)) ** (decimal.Decimal(1) / code.min_fail)
+    assert allowable_pt(stack, t, target_pf, LEADING) == pytest.approx(float(q), rel=1e-12, abs=0.0)
 
 
 def test_allowable_pt_validates_inputs():

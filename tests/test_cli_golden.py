@@ -61,6 +61,8 @@ OTHER = [
     ["analyze", "--stack", "7-1-3+7-1-3+7-1-3", "--t", "1e5"],
     ["analyze", "--stack", "23-1-7+23-1-7", "--t", "10", "--pt", "0.4"],
     ["analyze", "--t", "1e5", "--pt", "0"],
+    # target_pf / t underflows to 0: the inversion is finished in logs.
+    ["analyze", "--stack", "23-1-7+23-1-7", "--t", "1e5", "--target-pf", "5e-324"],
     ["mc", "--stack", "none", "--pt", "0.05", "--trials", "2e4", "--seed", "2", "--workers", "1"],
     ["mc", "--stack", "7-1-3", "--pt", "0.01", "--pm", "1e-3", "--lanes", "3", "--trials", "5e4",
      "--seed", "9", "--workers", "2"],

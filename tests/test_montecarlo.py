@@ -353,6 +353,19 @@ def test_batch_with_no_failure_at_its_largest_rate():
     assert [est.failures for est in simulate_block_transfers(configs)] == [0, 0]
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_no_tile_is_drawn_when_no_rate_can_fail(workers, monkeypatch):
+    # Every rate 0 or certain: the largest cut is 0, so no tile is drawn, and
+    # no thread's count is lost either.
+    monkeypatch.setattr(montecarlo, "_seat", lambda *args: pytest.fail("drew a tile"))
+    stack = parse_stack("7-1-3+7-1-3")
+    trials = 3 * TRIAL_BLOCK + 7
+    assert simulate_block_transfer(_config(stack, 0.0, trials=trials, workers=workers)).failures == 0
+    configs = _batch(stack, [(0.0, 0.0, PARALLEL), (1.0, 0.0, SERIAL), (0.0, 1.0, SERIAL)],
+                     trials, workers=workers)
+    assert [est.failures for est in simulate_block_transfers(configs)] == [0, trials, trials]
+
+
 def test_batch_determinism_across_workers():
     stack = parse_stack("7-1-3+7-1-3")
     runs = {
@@ -538,6 +551,37 @@ def test_decode_counts_past_255_members():
     faulty[2] = np.arange(257) < 127
     decoded = _assert_decode_matches_reference(faulty, stack)
     assert decoded[:3].tolist() == [True, True, False]
+
+
+class _CountedCalls(np.ndarray):
+    """An array that counts the numpy functions and ufuncs called on it and on what they return."""
+
+    calls = 0
+
+    def __array_function__(self, func, types, args, kwargs):
+        _CountedCalls.calls += 1
+        result = super().__array_function__(func, types, args, kwargs)
+        return result.view(_CountedCalls) if isinstance(result, np.ndarray) else result
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _CountedCalls.calls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(_CountedCalls) if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("spec", ["5-1-3", "7-1-3", "23-1-7+23-1-7", "5-1-3+9-1-3+7-1-3"])
+def test_decode_counts_each_level_in_one_call(spec, monkeypatch):
+    # One count and one threshold per level, whatever n is: a loop over a
+    # block's members would make n - 1 calls at that level.
+    monkeypatch.setattr(_CountedCalls, "calls", 0)
+    stack = parse_stack(spec)
+    faulty = np.random.default_rng(5).random((300, stack.scale_up)) < 0.3
+    masks = _decode(faulty.view(_CountedCalls), stack)
+    assert 0 < _CountedCalls.calls <= 2 * len(stack.levels)
+    assert all((mask == plain).all() for mask, plain in zip(masks, _decode(faulty, stack)))
 
 
 def _critical_words_at(words, stack, top):
