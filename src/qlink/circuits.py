@@ -18,7 +18,6 @@ stabilizers plus logical Z.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -294,6 +293,8 @@ def circuit_from_dict(data: dict) -> EncoderCircuit:
 
 
 def load_circuit(path: str | Path) -> EncoderCircuit:
+    import json   # only circuit files need it, so `qlink cut` and its CSV do not load it
+
     with open(path, encoding="utf-8") as handle:
         return circuit_from_dict(json.load(handle))
 

@@ -7,10 +7,8 @@ byte-identical output.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
-import json
 import math
 import os
 import re
@@ -20,11 +18,10 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import analytic, timing, workload
 from .codes import CodeStack, builtin_codes, parse_stack
 
-if TYPE_CHECKING:  # the simulation and circuit layers, imported by the commands that use them
-    from . import circuits, montecarlo
+if TYPE_CHECKING:  # every model layer is imported inside the commands that use it
+    from . import analytic, circuits, montecarlo, timing, workload
 
 
 def _finite(number: float, kind: click.ParamType, value, param, ctx) -> float:
@@ -42,10 +39,11 @@ class FiniteFloat(click.types.FloatParamType):
 
 
 class ScientificInt(click.ParamType):
-    """Integer that also accepts scientific notation, e.g. 1e7.
+    """Integer that also accepts scientific notation, e.g. 1e7, parsed exactly.
 
-    Integer literals are parsed exactly; only other forms go through float.
-    A literal past the interpreter's integer digit limit is rejected as such.
+    float's grammar decides what is a number, and Decimal gives its exact
+    value, so 1e23 is 10**23. A value past the interpreter's integer digit
+    limit is rejected as such, before any int is formed.
     """
 
     name = "integer"
@@ -58,16 +56,32 @@ class ScientificInt(click.ParamType):
             return int(value)
         except ValueError:
             if self.literal.fullmatch(value):   # well formed, so int() refused its length
-                self.fail(f"integer literal {value[:20]!r}... has more than "
-                          f"{sys.get_int_max_str_digits()} digits", param, ctx)
+                self._too_long(value, param, ctx)
         try:
             as_float = float(value)
         except ValueError:
             self.fail(f"{value!r} is not an integer", param, ctx)
-        _finite(as_float, self, value, param, ctx)
-        if as_float != int(as_float):
+        from decimal import Decimal, InvalidOperation
+
+        try:
+            number = Decimal(value)
+        except InvalidOperation:   # an exponent past 10**18 in size, which float reads as inf or 0
+            if math.isinf(as_float):
+                self._too_long(value, param, ctx)
+            if float(value.lower().partition("e")[0]) != 0:
+                self.fail(f"{value!r} is not a whole number", param, ctx)
+            return 0
+        if not number.is_finite():
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        if number != number.to_integral_value():
             self.fail(f"{value!r} is not a whole number", param, ctx)
-        return int(as_float)
+        if number and 0 < sys.get_int_max_str_digits() <= number.adjusted():
+            self._too_long(value, param, ctx)
+        return int(number)
+
+    def _too_long(self, value, param, ctx):
+        self.fail(f"integer literal {value[:20]!r}... has more than "
+                  f"{sys.get_int_max_str_digits()} digits", param, ctx)
 
 
 class FloatList(click.ParamType):
@@ -89,8 +103,10 @@ FLOAT = FiniteFloat()
 SCI_INT = ScientificInt()
 FLOAT_LIST = FloatList()
 
-_mode_option = click.option("--mode", type=click.Choice([mode.value for mode in analytic.ModelMode]),
-                            default=analytic.ModelMode.LEADING_ORDER.value, show_default=True,
+# analytic.ModelMode's values, written out so that loading the CLI loads no model;
+# tests/test_cli.py pins these literals, and the two thresholds below, to their sources.
+_mode_option = click.option("--mode", type=click.Choice(("leading", "exact")),
+                            default="leading", show_default=True,
                             help="leading: lowest failure mode; exact: full binomial tail.")
 
 
@@ -117,9 +133,13 @@ def _fields(record) -> dict:
 
 def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2, allow_nan=False) + "\n"
     buffer = io.StringIO()
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -138,6 +158,8 @@ def _render_report(payload: dict, fmt: str) -> str:
     if fmt == "text":
         width = max(len(k) for k in payload)
         return "".join(f"{k.ljust(width)}  {_fmt_number(v)}\n" for k, v in payload.items())
+    import json
+
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -208,7 +230,7 @@ def _simulation_options(body):
 
 def _mc_config(stack: CodeStack, pt, pm, serial, lanes, trials, seed, workers) -> montecarlo.McConfig:
     """One simulated link configuration; lanes None means the link style's natural width."""
-    from . import montecarlo
+    from . import analytic, montecarlo
 
     mux = analytic.Multiplexing.SERIAL if serial else analytic.Multiplexing.PARALLEL
     if lanes is None:
@@ -240,6 +262,8 @@ def codes_cmd():
 @_mode_option
 def analyze_cmd(stack, t, target_pf, pt, mode):
     """Allowable teleportation error rate for a stack and workload."""
+    from . import analytic
+
     stack_obj = _load_stack(stack)
     model = analytic.ModelMode(mode)
     payload = {
@@ -267,6 +291,8 @@ def analyze_cmd(stack, t, target_pf, pt, mode):
 @_mode_option
 def table3_cmd(t_values, stack_specs, target_pf, mode):
     """Allowable error rate per stack and workload size (reference table)."""
+    from . import analytic
+
     stacks = None
     if stack_specs is not None:
         stacks = [_load_stack(s) for s in stack_specs.split(",")]
@@ -345,10 +371,12 @@ def dqec_cost_cmd(circuit_ref, syndromes, repeats):
 
 @_command("workload", "json")
 @click.option("--bits", type=SCI_INT, required=True, help="Problem size in bits.")
-@click.option("--adder", type=click.Choice([kind.value for kind in workload.AdderKind]), default=None,
+@click.option("--adder", type=click.Choice(("ripple", "lookahead")), default=None,   # workload.AdderKind
               help="Adder choice [default: report the full range].")
 def workload_cmd(bits, adder):
     """Teleportation count for the modular-exponentiation workload."""
+    from . import workload
+
     estimate = workload.teleport_count(bits, workload.AdderKind(adder) if adder else None)
     return {"bits": bits, "adder": adder or "range", **_fields(estimate)}
 
@@ -360,6 +388,8 @@ def workload_cmd(bits, adder):
 @click.option("--lanes", type=SCI_INT, default=1, show_default=True)
 def link_timing_cmd(tt, tlqec, n, lanes):
     """Cycle times of serial vs parallel links for one block transfer."""
+    from . import timing
+
     times = timing.cycle_times(tt, tlqec, n, lanes)
     return {"t_t": tt, "t_lqec": tlqec, "n": n, "lanes": lanes, **_fields(times)}
 
@@ -371,12 +401,13 @@ def link_timing_cmd(tt, tlqec, n, lanes):
 @click.option("--pt", type=FLOAT, required=True)
 @click.option("--pm", type=FLOAT, default=None,
               help="Memory error rate per slot [default: pt / (10 (n - 1)), or 0 for a one-qubit code].")
-@click.option("--slowdown-threshold", type=FLOAT, default=timing.DEFAULT_SLOWDOWN_THRESHOLD,
-              show_default=True)
-@click.option("--reliability-threshold", type=FLOAT, default=timing.DEFAULT_RELIABILITY_THRESHOLD,
-              show_default=True)
+# the values of timing.DEFAULT_SLOWDOWN_THRESHOLD and timing.DEFAULT_RELIABILITY_THRESHOLD
+@click.option("--slowdown-threshold", type=FLOAT, default=1.5, show_default=True)
+@click.option("--reliability-threshold", type=FLOAT, default=1.5, show_default=True)
 def recommend_cmd(stack, tt, tlqec, pt, pm, slowdown_threshold, reliability_threshold):
     """Recommend serial or parallel links for one code's block transfers."""
+    from . import timing
+
     stack_obj = _load_stack(stack)
     if len(stack_obj) != 1:
         raise click.UsageError("recommend needs a single-level stack, e.g. --stack 7-1-3")

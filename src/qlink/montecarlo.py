@@ -91,6 +91,8 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials >= 2**63:   # the engine counts in int64
+            raise ValueError("trials must be below 2**63")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.seed < 2**64:

@@ -31,7 +31,7 @@ def test_p_success_no_errors_is_certain():
 
 
 def test_p_success_single_teleport():
-    assert p_algorithm_failure(CodeStack(), 1, 0.3).p_f == pytest.approx(0.3, rel=1e-15)
+    assert p_algorithm_failure(CodeStack(), 1, 0.3).p_f == pytest.approx(0.3, rel=1e-15, abs=0.0)
 
 
 def test_p_success_uses_exact_power_not_linearization():
@@ -40,9 +40,9 @@ def test_p_success_uses_exact_power_not_linearization():
     for _ in range(100_000):
         survival *= 1.0 - 1e-6
     value = 1.0 - p_algorithm_failure(CodeStack(), 1e5, 1e-6).p_f
-    assert value == pytest.approx(survival, rel=1e-10)
+    assert value == pytest.approx(survival, rel=1e-10, abs=0.0)
     # (1 - 1e-6)^1e5 from the decimal oracle.
-    assert value == pytest.approx(0.9048373727940596, rel=1e-12)
+    assert value == pytest.approx(0.9048373727940596, rel=1e-12, abs=0.0)
     # The linearized 1 - t*p would give 0.9 instead.
     assert abs(value - 0.9) > 4e-3
 
@@ -56,8 +56,8 @@ def test_p_success_rejects_bad_probability():
 # ------------------------------------------------- one-level block failure
 def test_leading_order_is_single_lowest_mode():
     for p in (1e-6, 1e-4, 1e-2):
-        assert p_stack_block_error(STEANE, p, LEADING) == pytest.approx(21 * p**2, rel=1e-15)
-        assert p_stack_block_error(GOLAY, p, LEADING) == pytest.approx(8855 * p**4, rel=1e-15)
+        assert p_stack_block_error(STEANE, p, LEADING) == pytest.approx(21 * p**2, rel=1e-15, abs=0.0)
+        assert p_stack_block_error(GOLAY, p, LEADING) == pytest.approx(8855 * p**4, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -65,12 +65,12 @@ def test_leading_order_is_single_lowest_mode():
 def test_exact_tail_matches_pattern_enumeration(n, p):
     m = 2  # distance-3 codes fail at two errors
     stack = CodeStack((QecCode(n, 1, 3),))
-    assert p_stack_block_error(stack, p, EXACT) == pytest.approx(pattern_tail(n, m, p), rel=1e-12)
+    assert p_stack_block_error(stack, p, EXACT) == pytest.approx(pattern_tail(n, m, p), rel=1e-12, abs=0.0)
 
 
 def test_exact_tail_frozen_value():
     # Frozen from the 2^7 pattern enumeration oracle.
-    assert p_stack_block_error(STEANE, 0.01, EXACT) == pytest.approx(2.03104163494e-3, rel=1e-11)
+    assert p_stack_block_error(STEANE, 0.01, EXACT) == pytest.approx(2.03104163494e-3, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("code", builtin_codes(), ids=QecCode.spec)
@@ -78,7 +78,7 @@ def test_exact_tail_matches_weight_enumeration_for_large_block(code):
     stack = CodeStack((code,))
     for p in (0.003, 0.01, 0.03):
         expected = weight_tail(code.n, code.min_fail, p)
-        assert p_stack_block_error(stack, p, EXACT) == pytest.approx(expected, rel=1e-12)
+        assert p_stack_block_error(stack, p, EXACT) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_block_error_domain_checks():
@@ -101,12 +101,12 @@ def test_two_level_leading_order_expands_symbolically():
     # 21 * (21 p^2)^2 = 9261 p^4
     stack = parse_stack("7-1-3+7-1-3")
     for p in (1e-5, 1e-3, 1e-2):
-        assert p_stack_block_error(stack, p, LEADING) == pytest.approx(9261 * p**4, rel=1e-14)
+        assert p_stack_block_error(stack, p, LEADING) == pytest.approx(9261 * p**4, rel=1e-14, abs=0.0)
 
 
 def test_single_level_leading_order_value():
     assert p_stack_block_error(parse_stack("23-1-7"), 1e-2, LEADING) == pytest.approx(
-        8855e-8, rel=1e-14
+        8855e-8, rel=1e-14, abs=0.0
     )
 
 
@@ -126,9 +126,9 @@ def test_stack_error_monotone_in_pt(mode, spec):
 # ---------------------------------------------------------- algorithm failure
 def test_algorithm_failure_uncoded_example():
     result = p_algorithm_failure(CodeStack(), 1e5, 1e-6)
-    assert result.p_f == pytest.approx(exact_failure(1e-6, 1e5), rel=1e-14)
-    assert result.p_f == pytest.approx(0.09516262720594036, rel=1e-12)   # the oracle's value
-    assert result.linearized == pytest.approx(0.1, rel=1e-12)
+    assert result.p_f == pytest.approx(exact_failure(1e-6, 1e5), rel=1e-14, abs=0.0)
+    assert result.p_f == pytest.approx(0.09516262720594036, rel=1e-12, abs=0.0)   # the oracle's value
+    assert result.linearized == pytest.approx(0.1, rel=1e-12, abs=0.0)
     assert result.linearization_valid
 
 
@@ -143,10 +143,10 @@ def test_algorithm_failure_matches_decimal_oracle(p_e, t):
 
 def test_algorithm_failure_stays_exact_below_float_resolution():
     result = p_algorithm_failure(parse_stack("7-1-3"), 1e5, 1e-7, EXACT)
-    assert result.p_f == pytest.approx(exact_failure(result.block_error, 1e5), rel=1e-13)
-    assert result.p_f == pytest.approx(result.linearized, rel=2e-8)
+    assert result.p_f == pytest.approx(exact_failure(result.block_error, 1e5), rel=1e-13, abs=0.0)
+    assert result.p_f == pytest.approx(result.linearized, rel=2e-8, abs=0.0)
     tiny = p_algorithm_failure(CodeStack(), 1e5, 1e-20)
-    assert tiny.p_f == pytest.approx(1e-15, rel=1e-13)
+    assert tiny.p_f == pytest.approx(1e-15, rel=1e-13, abs=0.0)
 
 
 def test_certain_block_error_fails_any_nonempty_computation():
@@ -161,14 +161,14 @@ def test_certain_block_error_fails_any_nonempty_computation():
 def test_exact_inversion_finds_the_root_below_float_resolution():
     stack = parse_stack("7-1-3")
     rate = allowable_pt(stack, 1e11, 1e-6, EXACT)
-    assert rate == pytest.approx(6.90e-10, rel=1e-3)
-    assert exact_failure(weight_tail(7, 2, rate), 1e11) == pytest.approx(1e-6, rel=1e-6)
+    assert rate == pytest.approx(6.90e-10, rel=1e-3, abs=0.0)
+    assert exact_failure(weight_tail(7, 2, rate), 1e11) == pytest.approx(1e-6, rel=1e-6, abs=0.0)
 
 
 def test_exact_inversion_terminates_among_subnormal_rates():
     # The root, about target / t, sits below the smallest normal float, where
     # a relative width of 1e-9 is narrower than one ulp.
-    assert allowable_pt(CodeStack(), 1e308, 1e-10, EXACT) == pytest.approx(1e-318, rel=1e-4)
+    assert allowable_pt(CodeStack(), 1e308, 1e-10, EXACT) == pytest.approx(1e-318, rel=1e-4, abs=0.0)
     assert allowable_pt(CodeStack(), 1e308, 5e-324, EXACT) == 0.0
 
 
@@ -185,7 +185,7 @@ def test_algorithm_failure_zero_error_rate():
 def test_algorithm_failure_at_tabulated_single_level_point():
     # At the tabulated allowable rate the linearized failure sits at the target.
     result = p_algorithm_failure(parse_stack("7-1-3"), 1e5, 2.2e-4, LEADING)
-    assert result.linearized == pytest.approx(0.1, rel=0.05)
+    assert result.linearized == pytest.approx(0.1, rel=0.05, abs=0.0)
 
 
 def test_linearization_flag_trips_above_limit():
@@ -218,7 +218,7 @@ def test_allowable_pt_uncoded_is_budget_over_t():
 def test_allowable_pt_reference_values_at_two_figures(spec, expected):
     stack = parse_stack(spec)
     for t, want in zip(TABLE3_T, expected):
-        assert round_sig(allowable_pt(stack, t, 0.1, LEADING), 2) == pytest.approx(want, rel=1e-12)
+        assert round_sig(allowable_pt(stack, t, 0.1, LEADING), 2) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_known_double_rounding_cell():
@@ -226,7 +226,7 @@ def test_known_double_rounding_cell():
     # figure comes from evaluating the prefactor after rounding it to 0.053.
     # The closed form itself gives the value below, which rounds to 0.012.
     value = allowable_pt(parse_stack("7-1-3+23-1-7"), 1e5, 0.1, LEADING)
-    assert value == pytest.approx(1.2459246606929155e-2, rel=1e-12)
+    assert value == pytest.approx(1.2459246606929155e-2, rel=1e-12, abs=0.0)
     assert round_sig(value, 2) == 0.012
 
 
@@ -239,7 +239,7 @@ def test_ordering_swap_changes_allowable_pt_by_fixed_factor():
     for t in TABLE3_T:
         a = allowable_pt(parse_stack("23-1-7+7-1-3"), t, 0.1, LEADING)
         b = allowable_pt(parse_stack("7-1-3+23-1-7"), t, 0.1, LEADING)
-        assert a / b == pytest.approx(factor, rel=1e-12)
+        assert a / b == pytest.approx(factor, rel=1e-12, abs=0.0)
         assert a / b < 1.006
 
 
@@ -255,7 +255,7 @@ def test_single_golay_level_close_to_double_hamming_level():
 def test_round_trip_leading(spec, t):
     stack = parse_stack(spec)
     rate = allowable_pt(stack, t, 0.1, LEADING)
-    assert p_algorithm_failure(stack, t, rate, LEADING).linearized == pytest.approx(0.1, rel=1e-9)
+    assert p_algorithm_failure(stack, t, rate, LEADING).linearized == pytest.approx(0.1, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("spec", ["none", "7-1-3", "23-1-7", "7-1-3+7-1-3"])
@@ -263,7 +263,7 @@ def test_round_trip_leading(spec, t):
 def test_round_trip_exact(spec, t):
     stack = parse_stack(spec)
     rate = allowable_pt(stack, t, 0.1, EXACT)
-    assert p_algorithm_failure(stack, t, rate, EXACT).p_f == pytest.approx(0.1, rel=1e-6)
+    assert p_algorithm_failure(stack, t, rate, EXACT).p_f == pytest.approx(0.1, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("spec", ["7-1-3", "23-1-7", "7-1-3+7-1-3", "23-1-7+23-1-7"])
@@ -301,7 +301,7 @@ def test_table3_single_cell():
     rows = table3(t_values=(1e5,), stacks=[parse_stack("7-1-3")])
     assert len(rows) == 1
     assert rows[0].stack == "7-1-3"
-    assert rows[0].allowable_pt == pytest.approx(2.182178902e-4, rel=1e-9)
+    assert rows[0].allowable_pt == pytest.approx(2.182178902e-4, rel=1e-9, abs=0.0)
 
 
 def test_table3_reordered_stacks_nearly_agree():

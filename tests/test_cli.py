@@ -5,16 +5,19 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON
 
 import qlink
-from qlink import workload
-from qlink.cli import cli, main
+from qlink import analytic, timing, workload
+from qlink.cli import SCI_INT, cli, main
 from qlink.codes import builtin_codes
 
 
@@ -256,6 +259,48 @@ def test_integer_options_accept_scientific_notation(value, expected, capsys):
     assert json.loads(capsys.readouterr().out)["syndromes"] == expected
 
 
+@pytest.mark.parametrize("value, expected", [
+    ("1e23", 10**23),
+    ("1.0000000000000001e16", 10**16 + 1),
+    ("9007199254740993e0", 2**53 + 1),
+])
+def test_scientific_notation_is_parsed_exactly(value, expected, capsys):
+    # float would give 99999999999999991611392, 10**16 and 2**53.
+    assert main(["workload", "--bits", value]) == 0
+    assert json.loads(capsys.readouterr().out)["bits"] == expected
+
+
+def test_scientific_notation_past_the_digit_limit_is_named(capsys):
+    assert main(["workload", "--bits", "1e5000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"integer literal '1e5000'... has more than {sys.get_int_max_str_digits()} digits" in captured.err
+
+
+def test_exponents_past_the_decimal_range_are_still_judged():
+    # Decimal refuses exponents past 10**18 in size; float reads these as inf or 0.
+    with pytest.raises(click.BadParameter, match="has more than"):
+        SCI_INT.convert("1e99999999999999999999", None, None)
+    with pytest.raises(click.BadParameter, match="is not a whole number"):
+        SCI_INT.convert("1e-99999999999999999999", None, None)
+    assert SCI_INT.convert("-0.0e-99999999999999999999", None, None) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**40), 10**40), st.integers(0, 45), st.integers(-45, 45), st.sampled_from("eE"))
+def test_every_accepted_value_is_the_int_written_as_a_literal(mantissa, point, exponent, e):
+    # mantissa * 10**(exponent - point), written with a decimal point `point` digits from the right.
+    digits = str(abs(mantissa)).rjust(point + 1, "0")
+    whole, fraction = digits[:len(digits) - point], digits[len(digits) - point:]
+    text = f"{'-' * (mantissa < 0)}{whole}.{fraction}{e}{exponent}"
+    value = Fraction(mantissa) * Fraction(10) ** (exponent - point)
+    if value.denominator != 1:
+        with pytest.raises(click.BadParameter, match="is not a whole number"):
+            SCI_INT.convert(text, None, None)
+    else:
+        assert SCI_INT.convert(text, None, None) == SCI_INT.convert(str(int(value)), None, None)
+
+
 def test_seed_past_64_bits_exits_one(capsys):
     assert main(["mc", "--pt", "0.01", "--trials", "100", "--seed", str(2**64), "--workers", "1"]) == 1
     captured = capsys.readouterr()
@@ -354,6 +399,11 @@ def test_analyze_rejects_pt_outside_inversion_range(capsys):
     ["link-timing", "--tt", "1e308", "--tlqec", "1e308", "--n", "7", "--format", "text"],
     ["link-timing", "--tt", "1e308", "--tlqec", "1e308", "--n", "7", "--format", "csv"],
     pytest.param(["workload", "--bits", "1" * 5000], id="workload --bits <5000 ones>"),
+    pytest.param(["mc", "--stack", "7-1-3", "--pt", "0", "--workers", "1", "--trials", "1" + "0" * 400],
+                 id="mc --pt 0 --trials <1 and 400 zeros>"),
+    ["mc", "--stack", "7-1-3", "--pt", "0", "--workers", "1", "--trials", "1e400"],
+    ["mc", "--stack", "7-1-3", "--pt", "0", "--workers", "1", "--trials", "1e23"],
+    ["sweep", "--pt", "0", "--workers", "1", "--trials", "1e400"],
 ], ids=" ".join)
 def test_invalid_input_exits_one_with_nothing_on_stdout(argv, capsys):
     assert main(argv) == 1
@@ -395,39 +445,69 @@ def test_success_exit_zero(capsys):
 
 
 # ------------------------------------------------------------------ start-up
-FRESH_MAIN = ("import sys\nfrom qlink.cli import main\ncode = main(sys.argv[1:])\n"
-              "print('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)")
+def option(command, name):
+    return next(param for param in cli.commands[command].params if param.name == name)
+
+
+def test_option_literals_match_their_model_sources():
+    # cli.py writes these out so that loading it loads no model.
+    for command in ("analyze", "table3"):
+        mode = option(command, "mode")
+        assert tuple(mode.type.choices) == tuple(m.value for m in analytic.ModelMode)
+        assert mode.default == analytic.ModelMode.LEADING_ORDER.value
+    assert tuple(option("workload", "adder").type.choices) == tuple(k.value for k in workload.AdderKind)
+    assert option("recommend", "slowdown_threshold").default == timing.DEFAULT_SLOWDOWN_THRESHOLD
+    assert option("recommend", "reliability_threshold").default == timing.DEFAULT_RELIABILITY_THRESHOLD
+
+
+# The qlink modules and formats whose loading a command should pay for only when it uses them.
+LAYERS = {"analytic", "circuits", "montecarlo", "timing", "workload", "json", "csv", "numpy"}
+FRESH_MAIN = ("import sys\nbefore = set(sys.modules)\nfrom qlink.cli import main\n"
+              "code = main(sys.argv[1:])\nadded = set(sys.modules) - before\n"
+              "print(*sorted(name.removeprefix('qlink.') for name in added), file=sys.stderr)\n"
+              "sys.exit(code)")
 
 
 def run_fresh(argv):
-    """main(argv) in a new interpreter on the tree under test: (stdout, whether numpy was imported)."""
+    """main(argv) in a new interpreter on the tree under test: (stdout, the LAYERS it loaded).
+
+    Modules loaded before qlink.cli, by a site hook for instance, do not count.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(qlink.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout, done.stderr.splitlines()[-1] == "True"
+    return done.stdout, LAYERS & set(done.stderr.splitlines()[-1].split())
 
 
-@pytest.mark.parametrize("argv", [
-    ["codes"],
-    ["analyze", "--t", "1e8"],
-    ["table3"],
-    ["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"],
-    ["workload", "--bits", "1024"],
-    ["link-timing", "--tt", "1", "--tlqec", "100", "--n", "7"],
-    ["--help"],
-    ["mc", "--help"],
-    ["cut"],
-    ["dqec-cost"],
-    ["cut", "--circuit", "{circuit}"],
-], ids=" ".join)
-def test_closed_form_commands_start_without_numpy(argv, tmp_path):
+# argv, the LAYERS it must load, the LAYERS it must not load
+COMMAND_LAYERS = [
+    (["codes"], set(), LAYERS),
+    (["--help"], set(), LAYERS),
+    (["recommend", "--help"], set(), LAYERS),
+    (["mc", "--help"], set(), LAYERS),
+    (["cut"], {"circuits", "csv"}, LAYERS - {"circuits", "csv"}),
+    (["cut", "--circuit", "{circuit}"], {"circuits", "csv", "json"}, LAYERS - {"circuits", "csv", "json"}),
+    (["dqec-cost"], {"circuits", "json"}, LAYERS - {"circuits", "json"}),
+    (["analyze", "--t", "1e8"], {"analytic"}, {"timing", "workload", "numpy"}),
+    (["table3"], {"analytic"}, {"timing", "workload", "numpy"}),
+    (["workload", "--bits", "1024"], {"workload"}, {"analytic", "timing", "numpy"}),
+    (["link-timing", "--tt", "1", "--tlqec", "100", "--n", "7"], {"timing", "analytic"}, {"numpy"}),
+    (["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"], {"timing", "analytic"}, {"numpy"}),
+    (["mc", "--pt", "0", "--trials", "100", "--workers", "1"], {"analytic", "montecarlo", "numpy"}, set()),
+]
+
+
+@pytest.mark.parametrize("argv, loads, skips", [pytest.param(*case, id=" ".join(case[0]))
+                                                 for case in COMMAND_LAYERS])
+def test_each_command_loads_only_its_layers(argv, loads, skips, tmp_path):
     circuit = tmp_path / "encoder.json"
     circuit.write_text(json.dumps({"n": 3, "order": [2, 0, 1], "gates": [
         {"kind": "H", "q": [0]}, {"kind": "CNOT", "q": [0, 1]}, {"kind": "CNOT", "q": [0, 2]}]}))
-    stdout, numpy_imported = run_fresh([arg.format(circuit=circuit) for arg in argv])
+    stdout, loaded = run_fresh([arg.format(circuit=circuit) for arg in argv])
     assert stdout
-    assert not numpy_imported
+    assert loads <= loaded
+    assert not loaded & skips
 
 
 @pytest.mark.parametrize("argv", [

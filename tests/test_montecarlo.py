@@ -102,6 +102,12 @@ def test_config_validation():
         McConfig(STEANE, LinkParams(p_t=0.1), trials=10, workers=0)
 
 
+def test_trials_must_fit_the_engines_int64_counts():
+    assert McConfig(STEANE, LinkParams(p_t=0.1), trials=2**63 - 1).trials == 2**63 - 1
+    with pytest.raises(ValueError, match=r"trials must be below 2\*\*63"):
+        McConfig(STEANE, LinkParams(p_t=0.1), trials=2**63)
+
+
 # -------------------------------------------------------------------- wilson
 def test_wilson_interval_basic_properties():
     for failures, trials in [(0, 100), (1, 100), (50, 100), (100, 100), (3, 10**6)]:
