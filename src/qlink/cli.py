@@ -4,19 +4,22 @@ Machine-readable output is the point: CSV for tables and sweeps, JSON for
 single reports (with the full input configuration echoed for provenance),
 plain text where a human just wants to look. Identical flags and seed give
 byte-identical output.
+
+Each command has its own argparse parser, built on its first use in the
+process, so a run builds only the parser of the command it runs.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import functools
 import io
 import math
 import os
 import re
 import sys
 from enum import Enum
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
 from .codes import CodeStack, builtin_codes, parse_stack
 
@@ -24,90 +27,98 @@ if TYPE_CHECKING:  # every model layer is imported inside the commands that use 
     from . import analytic, circuits, montecarlo, timing, workload
 
 
-def _finite(number: float, kind: click.ParamType, value, param, ctx) -> float:
+class UsageError(Exception):
+    """Bad command-line usage: main prints the command's usage line and this message."""
+
+
+class _HelpShown(Exception):
+    """--help has printed its page."""
+
+
+def _fail(message: str) -> NoReturn:
+    raise argparse.ArgumentTypeError(message)
+
+
+def _finite(number: float, text: str) -> float:
     """The one rule for every numeric input: nan and infinities are rejected."""
     if not math.isfinite(number):
-        kind.fail(f"{value!r} is not a finite number", param, ctx)
+        _fail(f"{text!r} is not a finite number")
     return number
 
 
-class FiniteFloat(click.types.FloatParamType):
+def finite_float(text: str) -> float:
     """A finite real number."""
+    try:
+        number = float(text)
+    except ValueError:
+        _fail(f"{text!r} is not a valid float")
+    return _finite(number, text)
 
-    def convert(self, value, param, ctx):
-        return _finite(super().convert(value, param, ctx), self, value, param, ctx)
+
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-class ScientificInt(click.ParamType):
+def scientific_int(text: str) -> int:
     """Integer that also accepts scientific notation, e.g. 1e7, parsed exactly.
 
     float's grammar decides what is a number, and Decimal gives its exact
     value, so 1e23 is 10**23. A value past the interpreter's integer digit
     limit is rejected as such, before any int is formed.
     """
+    try:
+        return int(text)
+    except ValueError:
+        if _INT_LITERAL.fullmatch(text):   # well formed, so int() refused its length
+            _too_long(text)
+    try:
+        as_float = float(text)
+    except ValueError:
+        _fail(f"{text!r} is not an integer")
+    from decimal import Decimal, InvalidOperation
 
-    name = "integer"
-    literal = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            if self.literal.fullmatch(value):   # well formed, so int() refused its length
-                self._too_long(value, param, ctx)
-        try:
-            as_float = float(value)
-        except ValueError:
-            self.fail(f"{value!r} is not an integer", param, ctx)
-        from decimal import Decimal, InvalidOperation
-
-        try:
-            number = Decimal(value)
-        except InvalidOperation:   # an exponent past 10**18 in size, which float reads as inf or 0
-            if math.isinf(as_float):
-                self._too_long(value, param, ctx)
-            if float(value.lower().partition("e")[0]) != 0:
-                self.fail(f"{value!r} is not a whole number", param, ctx)
-            return 0
-        if not number.is_finite():
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        if number != number.to_integral_value():
-            self.fail(f"{value!r} is not a whole number", param, ctx)
-        if number and 0 < sys.get_int_max_str_digits() <= number.adjusted():
-            self._too_long(value, param, ctx)
-        return int(number)
-
-    def _too_long(self, value, param, ctx):
-        self.fail(f"integer literal {value[:20]!r}... has more than "
-                  f"{sys.get_int_max_str_digits()} digits", param, ctx)
+    try:
+        number = Decimal(text)
+    except InvalidOperation:   # an exponent past 10**18 in size, which float reads as inf or 0
+        if math.isinf(as_float):
+            _too_long(text)
+        if float(text.lower().partition("e")[0]) != 0:
+            _fail(f"{text!r} is not a whole number")
+        return 0
+    if not number.is_finite():
+        _fail(f"{text!r} is not a finite number")
+    if number != number.to_integral_value():
+        _fail(f"{text!r} is not a whole number")
+    if number and 0 < sys.get_int_max_str_digits() <= number.adjusted():
+        _too_long(text)
+    return int(number)
 
 
-class FloatList(click.ParamType):
+def _too_long(text: str) -> NoReturn:
+    _fail(f"integer literal {text[:20]!r}... has more than {sys.get_int_max_str_digits()} digits")
+
+
+def float_list(text: str) -> tuple[float, ...]:
     """Comma-separated list of finite reals (scientific notation welcome)."""
-
-    name = "float-list"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
-            return value
-        try:
-            numbers = tuple(float(item) for item in str(value).split(","))
-        except ValueError:
-            self.fail(f"{value!r} is not a comma-separated list of reals", param, ctx)
-        return tuple(_finite(number, self, value, param, ctx) for number in numbers)
+    try:
+        numbers = tuple(float(item) for item in text.split(","))
+    except ValueError:
+        _fail(f"{text!r} is not a comma-separated list of reals")
+    return tuple(_finite(number, text) for number in numbers)
 
 
-FLOAT = FiniteFloat()
-SCI_INT = ScientificInt()
-FLOAT_LIST = FloatList()
+# argparse keywords for each kind of value an option takes.
+FLOAT = {"type": finite_float, "metavar": "FLOAT"}
+INTEGER = {"type": scientific_int, "metavar": "INTEGER"}
+FLOAT_LIST = {"type": float_list, "metavar": "FLOAT-LIST"}
 
-# analytic.ModelMode's values, written out so that loading the CLI loads no model;
-# tests/test_cli.py pins these literals, and the two thresholds below, to their sources.
-_mode_option = click.option("--mode", type=click.Choice(("leading", "exact")),
-                            default="leading", show_default=True,
-                            help="leading: lowest failure mode; exact: full binomial tail.")
+
+def _env_seed() -> int:
+    """--seed when it is not given: QLINK_SEED if set and not empty, else 0."""
+    text = os.environ.get("QLINK_SEED")
+    try:
+        return scientific_int(text) if text else 0
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"argument --seed (from QLINK_SEED): {exc}") from None
 
 
 def _fmt_number(value) -> str:
@@ -166,10 +177,8 @@ def _render_report(payload: dict, fmt: str) -> str:
 def _load_stack(spec: str) -> CodeStack:
     stack = parse_stack(spec)
     if len(stack) > 2:
-        click.echo(
-            f"warning: {len(stack)}-level stack; the models are exercised only up to two levels",
-            err=True,
-        )
+        print(f"warning: {len(stack)}-level stack; the models are exercised only up to two levels",
+              file=sys.stderr)
     return stack
 
 
@@ -181,51 +190,113 @@ def _load_circuit(ref: str) -> circuits.EncoderCircuit:
     return circuits.load_circuit(ref)
 
 
-@click.group()
-def cli():
-    """Failure probabilities and EPR-pair costs for teleported logical qubits."""
+class Command(NamedTuple):
+    """A subcommand: its body, its natural output format and its options.
 
-
-def _command(name: str, default_fmt: str):
-    """Register a subcommand whose body returns a report dict or a (header, rows) table.
-
-    The command gains --format and --out after its own options and writes
-    what the body returns in the chosen format.
+    Each option is (flag, argparse.add_argument keywords). The body takes
+    the parsed options as keywords and returns a report dict or a
+    (header, rows) table.
     """
 
-    def register(body):
-        @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default=default_fmt,
-                      help="Output format (each command has a natural default).")
-        @click.option("--out", type=click.Path(dir_okay=False), default=None,
-                      help="Write output to a file instead of stdout.")
-        def run(fmt, out, **options):
-            result = body(**options)
-            text = _render_report(result, fmt) if isinstance(result, dict) else _render_table(*result, fmt)
-            if out:
-                with open(out, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                click.echo(f"wrote {out}", err=True)
-            else:
-                click.echo(text, nl=False)
+    body: Callable
+    fmt: str
+    options: tuple
 
-        # click keeps a function's options last-declared first.
-        run.__click_params__ += getattr(body, "__click_params__", [])
-        run.__doc__ = body.__doc__
-        return cli.command(name)(run)
+
+COMMANDS: dict[str, Command] = {}
+USAGE = "usage: qlink COMMAND [OPTIONS]\n"
+
+
+def _command(name: str, fmt: str, *options):
+    """Register a subcommand; it gains --format, --out and --help after its own options."""
+
+    def register(body):
+        COMMANDS[name] = Command(body, fmt, options)
+        return body
 
     return register
 
 
-def _simulation_options(body):
-    """Options shared by mc and sweep: --stack leads, --trials, --seed and --workers close."""
-    body.__click_params__[:0] = [
-        click.Option(["--workers"], type=SCI_INT, default=lambda: os.cpu_count() or 1,
-                     help="Worker threads for trial blocks [default: all cores]."),
-        click.Option(["--seed"], type=SCI_INT, default=0, envvar="QLINK_SEED", show_default=True,
-                     help="Master RNG seed (or env QLINK_SEED)."),
-        click.Option(["--trials"], type=SCI_INT, default=100_000, show_default=True),
-    ]
-    return click.option("--stack", default="7-1-3", show_default=True)(body)
+class _Parser(argparse.ArgumentParser):
+    """One command's parser: a usage error raises UsageError and --help returns.
+
+    An option that takes a value takes the token after it, even one that
+    looks like an option, such as -1e-5.
+    """
+
+    takes_value: dict[str, bool]   # each flag: whether it takes a value
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+    def exit(self, status=0, message=None) -> NoReturn:   # only --help exits, once it has printed
+        raise _HelpShown
+
+    def parse(self, args: list[str]) -> dict:
+        """The options in args; a default that is a function is called now."""
+        tokens, joined, unknown = iter(args), [], []
+        for token in tokens:
+            if token.partition("=")[0] not in self.takes_value:
+                unknown.append(token)
+                continue
+            value = next(tokens, None) if self.takes_value.get(token) else None
+            joined.append(token if value is None else f"{token}={value}")
+        if unknown:   # named before argparse would report a missing required option instead
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return {key: value() if callable(value) else value
+                for key, value in vars(self.parse_args(joined)).items()}
+
+
+@functools.cache
+def _parser(name: str) -> _Parser:
+    """The parser of one command, built on its first use in the process."""
+    command = COMMANDS[name]
+    parser = _Parser(prog=f"qlink {name}", usage="%(prog)s [OPTIONS]", description=command.body.__doc__,
+                     allow_abbrev=False, add_help=False)
+    options = command.options + (
+        ("--format", dict(choices=("csv", "json", "text"), default=command.fmt,
+                          help="Output format [default: %(default)s].")),
+        ("--out", dict(metavar="FILE", help="Write output to a file instead of stdout.")),
+        ("--help", dict(action="help", help="Show this message and exit.")),
+    )
+    for flag, settings in options:
+        parser.add_argument(flag, **settings)
+    parser.takes_value = {flag: "action" not in settings for flag, settings in options}
+    return parser
+
+
+def _overview() -> str:
+    """`qlink --help`: every command with the first line of its description."""
+    width = max(map(len, COMMANDS))
+    summaries = {name: (command.body.__doc__ or "").partition("\n")[0] for name, command in COMMANDS.items()}
+    lines = "".join(f"  {name.ljust(width)}  {summary}\n" for name, summary in summaries.items())
+    return (f"{USAGE}\nFailure probabilities and EPR-pair costs for teleported logical qubits.\n\n"
+            f"commands:\n{lines}\nRun 'qlink COMMAND --help' for the options of a command.\n")
+
+
+# analytic.ModelMode's values, written out so that loading the CLI loads no model;
+# tests/test_cli.py pins these literals, and the two thresholds below, to their sources.
+_MODE = ("--mode", dict(choices=("leading", "exact"), default="leading",
+                        help="leading: lowest failure mode; exact: full binomial tail "
+                             "[default: %(default)s]."))
+_TARGET_PF = ("--target-pf", dict(FLOAT, default=0.1, help="Acceptable whole-computation failure "
+                                                           "probability [default: %(default)s]."))
+_CIRCUIT = ("--circuit", dict(default="default", help="Encoder circuit: 'default' or a JSON file path "
+                                                      "[default: %(default)s]."))
+
+
+def _simulation(*options) -> tuple:
+    """Options of mc and sweep: --stack leads, --trials, --seed and --workers close."""
+    return (
+        ("--stack", dict(default="7-1-3", help="Code stack spec, inner first [default: %(default)s].")),
+        *options,
+        ("--trials", dict(INTEGER, default=100_000, help="Trials per configuration "
+                                                         "[default: %(default)s].")),
+        ("--seed", dict(INTEGER, default=_env_seed, help="Master RNG seed [default: env QLINK_SEED, "
+                                                         "else 0].")),
+        ("--workers", dict(INTEGER, default=lambda: os.cpu_count() or 1,
+                           help="Worker threads for trial blocks [default: all cores].")),
+    )
 
 
 def _mc_config(stack: CodeStack, pt, pm, serial, lanes, trials, seed, workers) -> montecarlo.McConfig:
@@ -253,13 +324,14 @@ def codes_cmd():
     return header, [[c.spec(), c.n, c.k, c.d, c.correctable] for c in builtin_codes()]
 
 
-@_command("analyze", "json")
-@click.option("--stack", default="none", show_default=True, help="Code stack spec, inner first.")
-@click.option("--t", type=FLOAT, required=True, help="Total logical teleportations.")
-@click.option("--target-pf", type=FLOAT, default=0.1, show_default=True,
-              help="Acceptable whole-computation failure probability.")
-@click.option("--pt", type=FLOAT, default=None, help="Also evaluate the failure at this error rate.")
-@_mode_option
+@_command(
+    "analyze", "json",
+    ("--stack", dict(default="none", help="Code stack spec, inner first [default: %(default)s].")),
+    ("--t", dict(FLOAT, required=True, help="Total logical teleportations [required].")),
+    _TARGET_PF,
+    ("--pt", dict(FLOAT, help="Also evaluate the failure at this error rate.")),
+    _MODE,
+)
 def analyze_cmd(stack, t, target_pf, pt, mode):
     """Allowable teleportation error rate for a stack and workload."""
     from . import analytic
@@ -282,34 +354,32 @@ def analyze_cmd(stack, t, target_pf, pt, mode):
     return payload
 
 
-@_command("table3", "csv")
-@click.option("--t", "t_values", type=FLOAT_LIST, default=None,
-              help="Comma-separated workload sizes [default: 1e5,1e8,1e11].")
-@click.option("--stack", "stack_specs", default=None,
-              help="Comma-separated stack specs [default: the seven reference stacks].")
-@click.option("--target-pf", type=FLOAT, default=0.1, show_default=True)
-@_mode_option
-def table3_cmd(t_values, stack_specs, target_pf, mode):
+@_command(
+    "table3", "csv",
+    ("--t", dict(FLOAT_LIST, help="Comma-separated workload sizes [default: 1e5,1e8,1e11].")),
+    ("--stack", dict(help="Comma-separated stack specs [default: the seven reference stacks].")),
+    _TARGET_PF,
+    _MODE,
+)
+def table3_cmd(t, stack, target_pf, mode):
     """Allowable error rate per stack and workload size (reference table)."""
     from . import analytic
 
-    stacks = None
-    if stack_specs is not None:
-        stacks = [_load_stack(s) for s in stack_specs.split(",")]
-    rows = analytic.table3(t_values, stacks, target_pf, analytic.ModelMode(mode))
+    stacks = None if stack is None else [_load_stack(spec) for spec in stack.split(",")]
+    rows = analytic.table3(t, stacks, target_pf, analytic.ModelMode(mode))
     header = [field.name for field in dataclasses.fields(analytic.Table3Row)]
     return header, [list(_fields(row).values()) for row in rows]
 
 
-@_command("mc", "json")
-@_simulation_options
-@click.option("--pt", type=FLOAT, required=True, help="Per-qubit teleportation failure probability.")
-@click.option("--pm", type=FLOAT, default=0.0, show_default=True,
-              help="Per-qubit memory error probability per waiting slot.")
-@click.option("--serial/--parallel", "serial", default=False,
-              help="Link multiplexing [default: parallel].")
-@click.option("--lanes", type=SCI_INT, default=None,
-              help="Parallel lane count [default: full block width].")
+@_command("mc", "json", *_simulation(
+    ("--pt", dict(FLOAT, required=True, help="Per-qubit teleportation failure probability [required].")),
+    ("--pm", dict(FLOAT, default=0.0, help="Per-qubit memory error probability per waiting slot "
+                                           "[default: %(default)s].")),
+    ("--serial", dict(action="store_true", default=False, help="Serial link.")),
+    ("--parallel", dict(dest="serial", action="store_false", default=False,
+                        help="Parallel link; the default, and of the two the last one given wins.")),
+    ("--lanes", dict(INTEGER, help="Parallel lane count [default: full block width].")),
+))
 def mc_cmd(stack, pt, pm, serial, lanes, trials, seed, workers):
     """Simulate logical-block transfers and estimate the failure probability."""
     from . import montecarlo
@@ -321,58 +391,60 @@ def mc_cmd(stack, pt, pm, serial, lanes, trials, seed, workers):
 SWEEP_HEADER = ["stack", "mode", "p_t", "p_m", "trials", "failures", "p_hat", "ci_low", "ci_high", "seed"]
 
 
-@_command("sweep", "csv")
-@_simulation_options
-@click.option("--pt", "pt_values", type=FLOAT_LIST, default=(0.003, 0.01, 0.03),
-              help="Comma-separated teleportation error rates [default: 0.003,0.01,0.03].")
-@click.option("--pm", "pm_values", type=FLOAT_LIST, default=(0.0,),
-              help="Comma-separated memory error rates [default: 0].")
-@click.option("--serial/--parallel", "serial", default=None,
-              help="Restrict to one link style [default: both].")
-def sweep_cmd(stack, pt_values, pm_values, serial, trials, seed, workers):
+@_command("sweep", "csv", *_simulation(
+    ("--pt", dict(FLOAT_LIST, default=(0.003, 0.01, 0.03),
+                  help="Comma-separated teleportation error rates [default: 0.003,0.01,0.03].")),
+    ("--pm", dict(FLOAT_LIST, default=(0.0,), help="Comma-separated memory error rates [default: 0].")),
+    ("--serial", dict(action="store_true", default=None, help="Serial links only.")),
+    ("--parallel", dict(dest="serial", action="store_false", default=None,
+                        help="Parallel links only [default: both]; of the two the last one given wins.")),
+))
+def sweep_cmd(stack, pt, pm, serial, trials, seed, workers):
     """Grid of simulations over error rates, as plot-ready rows."""
     from . import montecarlo
 
     stack_obj = _load_stack(stack)
     modes = [True, False] if serial is None else [serial]
     configs = [
-        _mc_config(stack_obj, pt, pm, is_serial, None, trials, seed, workers)
-        for pt in pt_values for pm in pm_values for is_serial in modes
+        _mc_config(stack_obj, p_t, p_m, is_serial, None, trials, seed, workers)
+        for p_t in pt for p_m in pm for is_serial in modes
     ]
     rows = map(_mc_row, configs, montecarlo.simulate_block_transfers(configs))
     return SWEEP_HEADER, [[row[key] for key in SWEEP_HEADER] for row in rows]
 
 
-@_command("cut", "csv")
-@click.option("--circuit", "circuit_ref", default="default", show_default=True,
-              help="Encoder circuit: 'default' or a JSON file path.")
-def cut_cmd(circuit_ref):
+@_command("cut", "csv", _CIRCUIT)
+def cut_cmd(circuit):
     """EPR cost of telegate vs teledata at every breakpoint of an encoder."""
     from . import circuits
 
-    circuit = _load_circuit(circuit_ref)
     header = ["breakpoint", "telegate", "teledata", "direction"]
     return header, [
         [row.label, row.telegate_eprs, row.teledata_eprs, row.teledata_direction.value]
-        for row in circuits.cut_table(circuit)
+        for row in circuits.cut_table(_load_circuit(circuit))
     ]
 
 
-@_command("dqec-cost", "json")
-@click.option("--circuit", "circuit_ref", default="default", show_default=True)
-@click.option("--syndromes", type=SCI_INT, default=6, show_default=True)
-@click.option("--repeats", type=SCI_INT, default=2, show_default=True)
-def dqec_cost_cmd(circuit_ref, syndromes, repeats):
+@_command(
+    "dqec-cost", "json",
+    _CIRCUIT,
+    ("--syndromes", dict(INTEGER, default=6, help="Syndromes measured per correction cycle "
+                                                  "[default: %(default)s].")),
+    ("--repeats", dict(INTEGER, default=2, help="Measurements of each syndrome [default: %(default)s].")),
+)
+def dqec_cost_cmd(circuit, syndromes, repeats):
     """EPR budgets for distributed error correction, static and in motion."""
     from . import circuits
 
-    return _fields(circuits.dqec_budget(_load_circuit(circuit_ref), syndromes, repeats))
+    return _fields(circuits.dqec_budget(_load_circuit(circuit), syndromes, repeats))
 
 
-@_command("workload", "json")
-@click.option("--bits", type=SCI_INT, required=True, help="Problem size in bits.")
-@click.option("--adder", type=click.Choice(("ripple", "lookahead")), default=None,   # workload.AdderKind
-              help="Adder choice [default: report the full range].")
+@_command(
+    "workload", "json",
+    ("--bits", dict(INTEGER, required=True, help="Problem size in bits [required].")),
+    ("--adder", dict(choices=("ripple", "lookahead"),   # workload.AdderKind
+                     help="Adder choice [default: report the full range].")),
+)
 def workload_cmd(bits, adder):
     """Teleportation count for the modular-exponentiation workload."""
     from . import workload
@@ -381,11 +453,13 @@ def workload_cmd(bits, adder):
     return {"bits": bits, "adder": adder or "range", **_fields(estimate)}
 
 
-@_command("link-timing", "json")
-@click.option("--tt", type=FLOAT, required=True, help="Single teleportation time.")
-@click.option("--tlqec", type=FLOAT, required=True, help="Local correction cycle time.")
-@click.option("--n", type=SCI_INT, required=True, help="Physical qubits per transferred block.")
-@click.option("--lanes", type=SCI_INT, default=1, show_default=True)
+@_command(
+    "link-timing", "json",
+    ("--tt", dict(FLOAT, required=True, help="Single teleportation time [required].")),
+    ("--tlqec", dict(FLOAT, required=True, help="Local correction cycle time [required].")),
+    ("--n", dict(INTEGER, required=True, help="Physical qubits per transferred block [required].")),
+    ("--lanes", dict(INTEGER, default=1, help="Parallel lane count [default: %(default)s].")),
+)
 def link_timing_cmd(tt, tlqec, n, lanes):
     """Cycle times of serial vs parallel links for one block transfer."""
     from . import timing
@@ -394,23 +468,27 @@ def link_timing_cmd(tt, tlqec, n, lanes):
     return {"t_t": tt, "t_lqec": tlqec, "n": n, "lanes": lanes, **_fields(times)}
 
 
-@_command("recommend", "json")
-@click.option("--stack", default="7-1-3", show_default=True, help="Single-level code spec.")
-@click.option("--tt", type=FLOAT, required=True)
-@click.option("--tlqec", type=FLOAT, required=True)
-@click.option("--pt", type=FLOAT, required=True)
-@click.option("--pm", type=FLOAT, default=None,
-              help="Memory error rate per slot [default: pt / (10 (n - 1)), or 0 for a one-qubit code].")
-# the values of timing.DEFAULT_SLOWDOWN_THRESHOLD and timing.DEFAULT_RELIABILITY_THRESHOLD
-@click.option("--slowdown-threshold", type=FLOAT, default=1.5, show_default=True)
-@click.option("--reliability-threshold", type=FLOAT, default=1.5, show_default=True)
+@_command(
+    "recommend", "json",
+    ("--stack", dict(default="7-1-3", help="Single-level code spec [default: %(default)s].")),
+    ("--tt", dict(FLOAT, required=True, help="Single teleportation time [required].")),
+    ("--tlqec", dict(FLOAT, required=True, help="Local correction cycle time [required].")),
+    ("--pt", dict(FLOAT, required=True, help="Per-qubit teleportation failure probability [required].")),
+    ("--pm", dict(FLOAT, help="Memory error rate per slot [default: pt / (10 (n - 1)), or 0 for a "
+                              "one-qubit code].")),
+    # the values of timing.DEFAULT_SLOWDOWN_THRESHOLD and timing.DEFAULT_RELIABILITY_THRESHOLD
+    ("--slowdown-threshold", dict(FLOAT, default=1.5, help="Largest serial cycle slowdown to accept "
+                                                           "[default: %(default)s].")),
+    ("--reliability-threshold", dict(FLOAT, default=1.5, help="Largest serial/parallel failure ratio to "
+                                                              "accept [default: %(default)s].")),
+)
 def recommend_cmd(stack, tt, tlqec, pt, pm, slowdown_threshold, reliability_threshold):
     """Recommend serial or parallel links for one code's block transfers."""
     from . import timing
 
     stack_obj = _load_stack(stack)
     if len(stack_obj) != 1:
-        raise click.UsageError("recommend needs a single-level stack, e.g. --stack 7-1-3")
+        raise UsageError("recommend needs a single-level stack, e.g. --stack 7-1-3")
     code = stack_obj.levels[0]
     if pm is None:   # a one-qubit block never waits, so its memory rate is moot
         pm = pt / (10 * (code.n - 1)) if code.n > 1 else 0.0
@@ -420,18 +498,37 @@ def recommend_cmd(stack, tt, tlqec, pt, pm, slowdown_threshold, reliability_thre
 
 def main(argv=None) -> int:
     """Entry point with the documented exit codes: 0 ok, 1 bad input, 2 internal."""
-    try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Abort:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--help"]:
+        sys.stdout.write(_overview())
+        return 0
+    if not argv or argv[0] not in COMMANDS:
+        problem = f"no such command {argv[0]!r}" if argv else "missing command"
+        sys.stderr.write(f"{USAGE}qlink: error: {problem}; 'qlink --help' lists the commands\n")
         return 1
-    except click.ClickException as exc:
-        exc.show()
+    parser = _parser(argv[0])
+    try:
+        options = parser.parse(argv[1:])
+        fmt, out = options.pop("format"), options.pop("out")
+        result = COMMANDS[argv[0]].body(**options)
+        text = _render_report(result, fmt) if isinstance(result, dict) else _render_table(*result, fmt)
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            print(f"wrote {out}", file=sys.stderr)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except _HelpShown:
+        return 0
+    except UsageError as exc:
+        sys.stderr.write(f"{parser.format_usage()}{parser.prog}: error: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - anything else is an internal failure
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

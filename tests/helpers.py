@@ -10,16 +10,22 @@ words from a full sort of every block, encoder validity from a numpy
 stabilizer tableau reduced to row echelon form, and cut costs from a
 per-cut, per-gate side test. The malformed circuit files
 at the end are shared by the library and CLI tests that must both reject
-them. The circuit writers and the gate-deletion mutant builder at the very
-end are test tools, not oracles: the library only reads circuit files.
+them. The circuit writers and the gate-deletion mutant builder near the
+end are test tools, not oracles: the library only reads circuit files. So
+is the in-process CLI runner at the very end.
 """
+import contextlib
+import io
 import json
 import math
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+
+from qlink.cli import main
 
 
 def round_sig(value: float, figs: int) -> float:
@@ -317,3 +323,17 @@ def without_gate(circuit, index: int):
     if not 0 <= index < len(circuit.gates):
         raise ValueError(f"gate index {index} out of range")
     return replace(circuit, gates=circuit.gates[:index] + circuit.gates[index + 1 :])
+
+
+class CliRun(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*argv: str) -> CliRun:
+    """qlink.cli.main(argv) in this process, with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return CliRun(code, out.getvalue(), err.getvalue())

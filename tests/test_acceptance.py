@@ -22,8 +22,7 @@ import json
 import time
 
 import pytest
-from click.testing import CliRunner
-from helpers import round_sig, weight_tail, without_gate
+from helpers import round_sig, run_cli, weight_tail, without_gate
 
 from qlink.analytic import (
     ModelMode,
@@ -33,7 +32,6 @@ from qlink.analytic import (
     serial_penalty_ratio,
 )
 from qlink.circuits import default_steane_encoder, steane_stabilizers, validate_encoder
-from qlink.cli import cli
 from qlink.codes import parse_code, parse_stack
 from qlink.montecarlo import (
     LinkParams,
@@ -46,8 +44,8 @@ from qlink.workload import AdderKind, teleport_count
 
 
 def _run_cli(*args):
-    result = CliRunner().invoke(cli, list(args))
-    assert result.exit_code == 0, result.output
+    result = run_cli(*args)
+    assert result.exit_code == 0, result.stderr
     return result.stdout
 
 

@@ -5,30 +5,24 @@ import math
 import os
 import subprocess
 import sys
+from argparse import ArgumentTypeError
 from fractions import Fraction
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON
+from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON, run_cli
 
 import qlink
 from qlink import analytic, timing, workload
-from qlink.cli import SCI_INT, cli, main
+from qlink.cli import COMMANDS, main, scientific_int
 from qlink.codes import builtin_codes
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, **kwargs):
-    result = runner.invoke(cli, list(args), **kwargs)
-    assert result.exit_code == 0, result.output
+def invoke(*args):
+    result = run_cli(*args)
+    assert result.exit_code == 0, result.stderr
     return result
 
 
@@ -37,60 +31,60 @@ def parse_csv(text):
 
 
 # ------------------------------------------------------------------ commands
-def test_codes_lists_builtins(runner):
-    result = invoke(runner, "codes")
+def test_codes_lists_builtins():
+    result = invoke("codes")
     for name in ("5-1-3", "7-1-3", "9-1-3", "23-1-7"):
         assert name in result.stdout
 
 
-def test_analyze_uncoded_reference_point(runner):
-    result = invoke(runner, "analyze", "--stack", "none", "--t", "1e5", "--target-pf", "0.1")
+def test_analyze_uncoded_reference_point():
+    result = invoke("analyze", "--stack", "none", "--t", "1e5", "--target-pf", "0.1")
     payload = json.loads(result.stdout)
     assert math.isclose(payload["allowable_pt"], 1e-6, rel_tol=1e-12)
     assert payload["scale_up"] == 1
     assert payload["mode"] == "leading"
 
 
-def test_analyze_with_rate_reports_failure(runner):
-    result = invoke(runner, "analyze", "--stack", "7-1-3", "--t", "1e5", "--pt", "2.2e-4")
+def test_analyze_with_rate_reports_failure():
+    result = invoke("analyze", "--stack", "7-1-3", "--t", "1e5", "--pt", "2.2e-4")
     payload = json.loads(result.stdout)
     assert payload["p_f"] > 0
     assert math.isclose(payload["linearized"], 0.1, rel_tol=0.05)
     assert "linearization_valid" in payload
 
 
-def test_table3_shape_and_header(runner):
-    result = invoke(runner, "table3")
+def test_table3_shape_and_header():
+    result = invoke("table3")
     rows = parse_csv(result.stdout)
     assert len(rows) == 21
     assert list(rows[0]) == ["stack", "scale_up", "t", "mode", "allowable_pt"]
     assert [r["scale_up"] for r in rows[::3]] == ["1", "7", "23", "49", "161", "161", "529"]
 
 
-def test_table3_exact_mode_and_custom_axes(runner):
-    result = invoke(runner, "table3", "--mode", "exact", "--t", "1e5", "--stack", "7-1-3")
+def test_table3_exact_mode_and_custom_axes():
+    result = invoke("table3", "--mode", "exact", "--t", "1e5", "--stack", "7-1-3")
     rows = parse_csv(result.stdout)
     assert len(rows) == 1
     assert rows[0]["mode"] == "exact"
 
 
-def test_table3_custom_stack_list(runner):
-    result = invoke(runner, "table3", "--stack", "none,9-1-3", "--t", "1e6,1e9")
+def test_table3_custom_stack_list():
+    result = invoke("table3", "--stack", "none,9-1-3", "--t", "1e6,1e9")
     rows = parse_csv(result.stdout)
     assert len(rows) == 4
     assert {r["stack"] for r in rows} == {"none", "9-1-3"}
 
 
-def test_mc_uncoded_stack(runner):
+def test_mc_uncoded_stack():
     payload = json.loads(
-        invoke(runner, "mc", "--stack", "none", "--pt", "0.05", "--trials", "2e4", "--seed", "2").stdout
+        invoke("mc", "--stack", "none", "--pt", "0.05", "--trials", "2e4", "--seed", "2").stdout
     )
     # A bare qubit fails exactly when its one teleportation does.
     assert payload["ci_low"] <= 0.05 <= payload["ci_high"]
 
 
-def test_cut_reproduces_breakpoint_table(runner):
-    result = invoke(runner, "cut", "--circuit", "default")
+def test_cut_reproduces_breakpoint_table():
+    result = invoke("cut", "--circuit", "default")
     rows = parse_csv(result.stdout)
     assert [r["breakpoint"] for r in rows] == list("abcdef")
     assert [int(r["telegate"]) for r in rows] == [2, 3, 4, 3, 3, 2]
@@ -98,19 +92,19 @@ def test_cut_reproduces_breakpoint_table(runner):
     assert [r["direction"] for r in rows] == ["B->A"] * 3 + ["A->B"] * 3
 
 
-def test_cut_accepts_circuit_file(runner, tmp_path):
+def test_cut_accepts_circuit_file(tmp_path):
     from helpers import save_circuit
 
     from qlink.circuits import default_steane_encoder
 
     path = tmp_path / "c.json"
     save_circuit(default_steane_encoder(), path)
-    result = invoke(runner, "cut", "--circuit", str(path))
+    result = invoke("cut", "--circuit", str(path))
     assert [int(r["telegate"]) for r in parse_csv(result.stdout)] == [2, 3, 4, 3, 3, 2]
 
 
-def test_dqec_cost_constants(runner):
-    payload = json.loads(invoke(runner, "dqec-cost").stdout)
+def test_dqec_cost_constants():
+    payload = json.loads(invoke("dqec-cost").stdout)
     assert payload["per_syndrome_telegate"] == 17
     assert payload["per_syndrome_teledata"] == 12
     assert payload["per_cycle_telegate"] == 204
@@ -153,9 +147,9 @@ def test_dqec_cost_rejects_single_qubit_circuit(tmp_path, capsys):
     assert "in-motion correction needs at least two qubits" in captured.err
 
 
-def test_mc_reports_estimate_and_config(runner):
+def test_mc_reports_estimate_and_config():
     result = invoke(
-        runner, "mc", "--stack", "7-1-3", "--pt", "0.01",
+        "mc", "--stack", "7-1-3", "--pt", "0.01",
         "--trials", "1e4", "--seed", "5", "--workers", "2",
     )
     payload = json.loads(result.stdout)
@@ -165,9 +159,9 @@ def test_mc_reports_estimate_and_config(runner):
     assert 0 <= payload["ci_low"] <= payload["p_hat"] <= payload["ci_high"] <= 1
 
 
-def test_sweep_emits_plot_ready_rows(runner):
+def test_sweep_emits_plot_ready_rows():
     result = invoke(
-        runner, "sweep", "--stack", "5-1-3", "--pt", "0.01,0.03",
+        "sweep", "--stack", "5-1-3", "--pt", "0.01,0.03",
         "--trials", "2000", "--seed", "1", "--workers", "1",
     )
     rows = parse_csv(result.stdout)
@@ -179,34 +173,34 @@ def test_sweep_emits_plot_ready_rows(runner):
     assert {r["mode"] for r in rows} == {"serial", "parallel"}
 
 
-def test_sweep_serial_penalty_visible(runner):
+def test_sweep_serial_penalty_visible():
     result = invoke(
-        runner, "sweep", "--stack", "7-1-3", "--pt", "0.03", "--pm", "0.03",
+        "sweep", "--stack", "7-1-3", "--pt", "0.03", "--pm", "0.03",
         "--trials", "20000", "--seed", "3",
     )
     by_mode = {r["mode"]: int(r["failures"]) for r in parse_csv(result.stdout)}
     assert by_mode["serial"] > by_mode["parallel"]
 
 
-def test_workload_json(runner):
-    payload = json.loads(invoke(runner, "workload", "--bits", "1024", "--adder", "ripple").stdout)
+def test_workload_json():
+    payload = json.loads(invoke("workload", "--bits", "1024", "--adder", "ripple").stdout)
     assert payload["t_low"] == 4e9
     assert not payload["extrapolated"]
-    ranged = json.loads(invoke(runner, "workload", "--bits", "1024").stdout)
+    ranged = json.loads(invoke("workload", "--bits", "1024").stdout)
     assert (ranged["t_low"], ranged["t_high"]) == (4e9, 6e10)
 
 
-def test_link_timing_json(runner):
+def test_link_timing_json():
     payload = json.loads(
-        invoke(runner, "link-timing", "--tt", "1", "--tlqec", "100", "--n", "7").stdout
+        invoke("link-timing", "--tt", "1", "--tlqec", "100", "--n", "7").stdout
     )
     assert math.isclose(payload["slowdown"], 107 / 101, rel_tol=1e-12)
     assert payload["start_delay_factor"] == 7
 
 
-def test_recommend_serial_default_memory(runner):
+def test_recommend_serial_default_memory():
     payload = json.loads(
-        invoke(runner, "recommend", "--stack", "7-1-3", "--tt", "1",
+        invoke("recommend", "--stack", "7-1-3", "--tt", "1",
                "--tlqec", "100", "--pt", "1e-3").stdout
     )
     assert payload["choice"] == "serial"
@@ -223,9 +217,9 @@ def test_recommend_default_memory_rate_is_pt_over_ten_n_minus_one(code, pt, caps
     assert json.loads(capsys.readouterr().out)["p_m"] == pt / (10 * (code.n - 1))
 
 
-def test_recommend_parallel_when_serialization_hurts(runner):
+def test_recommend_parallel_when_serialization_hurts():
     payload = json.loads(
-        invoke(runner, "recommend", "--stack", "23-1-7", "--tt", "1",
+        invoke("recommend", "--stack", "23-1-7", "--tt", "1",
                "--tlqec", "0", "--pt", "1e-3", "--pm", "1e-3").stdout
     )
     assert payload["choice"] == "parallel"
@@ -279,11 +273,11 @@ def test_scientific_notation_past_the_digit_limit_is_named(capsys):
 
 def test_exponents_past_the_decimal_range_are_still_judged():
     # Decimal refuses exponents past 10**18 in size; float reads these as inf or 0.
-    with pytest.raises(click.BadParameter, match="has more than"):
-        SCI_INT.convert("1e99999999999999999999", None, None)
-    with pytest.raises(click.BadParameter, match="is not a whole number"):
-        SCI_INT.convert("1e-99999999999999999999", None, None)
-    assert SCI_INT.convert("-0.0e-99999999999999999999", None, None) == 0
+    with pytest.raises(ArgumentTypeError, match="has more than"):
+        scientific_int("1e99999999999999999999")
+    with pytest.raises(ArgumentTypeError, match="is not a whole number"):
+        scientific_int("1e-99999999999999999999")
+    assert scientific_int("-0.0e-99999999999999999999") == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -295,10 +289,10 @@ def test_every_accepted_value_is_the_int_written_as_a_literal(mantissa, point, e
     text = f"{'-' * (mantissa < 0)}{whole}.{fraction}{e}{exponent}"
     value = Fraction(mantissa) * Fraction(10) ** (exponent - point)
     if value.denominator != 1:
-        with pytest.raises(click.BadParameter, match="is not a whole number"):
-            SCI_INT.convert(text, None, None)
+        with pytest.raises(ArgumentTypeError, match="is not a whole number"):
+            scientific_int(text)
     else:
-        assert SCI_INT.convert(text, None, None) == SCI_INT.convert(str(int(value)), None, None)
+        assert scientific_int(text) == scientific_int(str(int(value)))
 
 
 def test_seed_past_64_bits_exits_one(capsys):
@@ -308,45 +302,70 @@ def test_seed_past_64_bits_exits_one(capsys):
     assert "seed must fit in an unsigned 64-bit integer" in captured.err
 
 
-def test_runs_are_byte_identical(runner):
-    first = invoke(runner, "table3").stdout
-    second = invoke(runner, "table3").stdout
+def test_runs_are_byte_identical():
+    first = invoke("table3").stdout
+    second = invoke("table3").stdout
     assert first == second
     mc_args = ("mc", "--stack", "7-1-3", "--pt", "0.01", "--trials", "5000", "--seed", "11")
-    assert invoke(runner, *mc_args).stdout == invoke(runner, *mc_args).stdout
+    assert invoke(*mc_args).stdout == invoke(*mc_args).stdout
 
 
-def test_seed_env_variable(runner):
-    with_env = runner.invoke(
-        cli, ["mc", "--stack", "5-1-3", "--pt", "0.03", "--trials", "2000"],
-        env={"QLINK_SEED": "77"},
-    )
-    assert with_env.exit_code == 0
-    assert json.loads(with_env.stdout)["seed"] == 77
+def test_seed_env_variable(monkeypatch):
+    monkeypatch.setenv("QLINK_SEED", "77")
+    argv = ["mc", "--stack", "5-1-3", "--pt", "0.03", "--trials", "2000", "--workers", "1"]
+    assert json.loads(invoke(*argv).stdout)["seed"] == 77
+    assert json.loads(invoke(*argv, "--seed", "5").stdout)["seed"] == 5
 
 
-def test_out_writes_file(runner, tmp_path):
+@pytest.mark.parametrize("value", ["x", "1.5", "nan"])
+def test_bad_seed_env_variable_exits_one(value, monkeypatch):
+    monkeypatch.setenv("QLINK_SEED", value)
+    result = run_cli("mc", "--pt", "0.03", "--trials", "100", "--workers", "1")
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert "argument --seed (from QLINK_SEED): " in result.stderr
+
+
+def test_workers_default_is_the_core_count_at_parse_time(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["mc", "--stack", "5-1-3", "--pt", "0.03", "--trials", "100", "--seed", "1"]
+    assert json.loads(invoke(*argv).stdout)["workers"] == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert json.loads(invoke(*argv).stdout)["workers"] == 1
+
+
+def test_out_writes_file(tmp_path):
     target = tmp_path / "t3.csv"
-    result = invoke(runner, "table3", "--out", str(target))
+    result = invoke("table3", "--out", str(target))
     assert result.stdout == ""
     assert len(parse_csv(target.read_text())) == 21
 
 
-def test_out_writes_json_report(runner, tmp_path):
+def test_out_writes_json_report(tmp_path):
     target = tmp_path / "report.json"
-    invoke(runner, "link-timing", "--tt", "1", "--tlqec", "10", "--n", "7", "--out", str(target))
+    invoke("link-timing", "--tt", "1", "--tlqec", "10", "--n", "7", "--out", str(target))
     assert json.loads(target.read_text())["start_delay_factor"] == 7
 
 
-def test_format_override(runner):
-    text = invoke(runner, "table3", "--format", "text").stdout
+@pytest.mark.parametrize("command, extra", [
+    ("mc", ["--stack", "5-1-3", "--pt", "0.03", "--trials", "2000", "--seed", "1", "--workers", "1"]),
+    ("sweep", ["--stack", "5-1-3", "--pt", "0.03", "--trials", "2000", "--seed", "1", "--workers", "1"]),
+])
+def test_of_serial_and_parallel_the_last_one_wins(command, extra):
+    serial, parallel = invoke(command, "--serial", *extra).stdout, invoke(command, "--parallel", *extra).stdout
+    assert serial != parallel
+    assert invoke(command, "--parallel", *extra, "--serial").stdout == serial
+    assert invoke(command, "--serial", *extra, "--parallel").stdout == parallel
+
+
+def test_format_override():
+    text = invoke("table3", "--format", "text").stdout
     assert "," not in text.splitlines()[0]
-    as_json = invoke(runner, "cut", "--format", "json").stdout
+    as_json = invoke("cut", "--format", "json").stdout
     assert json.loads(as_json)[0]["breakpoint"] == "a"
 
 
-def test_deep_stack_warns(runner):
-    result = invoke(runner, "analyze", "--stack", "7-1-3+7-1-3+7-1-3", "--t", "1e5")
+def test_deep_stack_warns():
+    result = invoke("analyze", "--stack", "7-1-3+7-1-3+7-1-3", "--t", "1e5")
     assert "warning" in result.stderr
 
 
@@ -354,7 +373,9 @@ def test_deep_stack_warns(runner):
 def test_unknown_flag_exits_one(capsys):
     assert main(["analyze", "--no-such-flag"]) == 1
     captured = capsys.readouterr()
-    assert "Usage" in captured.err or "Usage" in captured.out
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qlink analyze [OPTIONS]\n")
+    assert "unrecognized arguments: --no-such-flag" in captured.err
 
 
 def test_bad_stack_spec_exits_one(capsys):
@@ -418,18 +439,14 @@ def test_non_numeric_integer_option_is_named(capsys):
     assert captured.out == "" and "'abc' is not an integer" in captured.err
 
 
-@pytest.mark.parametrize("raised, code, err", [
-    (click.exceptions.Abort(), 1, ""),
-    (RuntimeError("boom"), 2, "internal error: RuntimeError: boom\n"),
-])
-def test_abort_exits_one_and_an_unexpected_exception_exits_two(raised, code, err, monkeypatch, capsys):
+def test_an_unexpected_exception_exits_two(monkeypatch, capsys):
     def fail(*args):
-        raise raised
+        raise RuntimeError("boom")
 
     monkeypatch.setattr(workload, "teleport_count", fail)
-    assert main(["workload", "--bits", "16"]) == code
+    assert main(["workload", "--bits", "16"]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", err)
+    assert (captured.out, captured.err) == ("", "internal error: RuntimeError: boom\n")
 
 
 def test_overlong_integer_literal_is_named_not_echoed(capsys):
@@ -445,23 +462,26 @@ def test_success_exit_zero(capsys):
 
 
 # ------------------------------------------------------------------ start-up
-def option(command, name):
-    return next(param for param in cli.commands[command].params if param.name == name)
+def option(command, flag):
+    """The argparse keywords of one option in a command's spec."""
+    return dict(COMMANDS[command].options)[flag]
 
 
 def test_option_literals_match_their_model_sources():
     # cli.py writes these out so that loading it loads no model.
     for command in ("analyze", "table3"):
-        mode = option(command, "mode")
-        assert tuple(mode.type.choices) == tuple(m.value for m in analytic.ModelMode)
-        assert mode.default == analytic.ModelMode.LEADING_ORDER.value
-    assert tuple(option("workload", "adder").type.choices) == tuple(k.value for k in workload.AdderKind)
-    assert option("recommend", "slowdown_threshold").default == timing.DEFAULT_SLOWDOWN_THRESHOLD
-    assert option("recommend", "reliability_threshold").default == timing.DEFAULT_RELIABILITY_THRESHOLD
+        mode = option(command, "--mode")
+        assert tuple(mode["choices"]) == tuple(m.value for m in analytic.ModelMode)
+        assert mode["default"] == analytic.ModelMode.LEADING_ORDER.value
+    assert tuple(option("workload", "--adder")["choices"]) == tuple(k.value for k in workload.AdderKind)
+    assert option("recommend", "--slowdown-threshold")["default"] == timing.DEFAULT_SLOWDOWN_THRESHOLD
+    assert option("recommend", "--reliability-threshold")["default"] == timing.DEFAULT_RELIABILITY_THRESHOLD
 
 
-# The qlink modules and formats whose loading a command should pay for only when it uses them.
-LAYERS = {"analytic", "circuits", "montecarlo", "timing", "workload", "json", "csv", "numpy"}
+# The qlink modules and formats whose loading a command should pay for only when it uses them,
+# and the modules no command may load.
+LAYERS = {"analytic", "circuits", "montecarlo", "timing", "workload", "json", "csv", "numpy", "click"}
+NEVER = {"click"}
 FRESH_MAIN = ("import sys\nbefore = set(sys.modules)\nfrom qlink.cli import main\n"
               "code = main(sys.argv[1:])\nadded = set(sys.modules) - before\n"
               "print(*sorted(name.removeprefix('qlink.') for name in added), file=sys.stderr)\n"
@@ -507,7 +527,18 @@ def test_each_command_loads_only_its_layers(argv, loads, skips, tmp_path):
     stdout, loaded = run_fresh([arg.format(circuit=circuit) for arg in argv])
     assert stdout
     assert loads <= loaded
-    assert not loaded & skips
+    assert not loaded & (skips | NEVER)
+
+
+def test_runs_without_click_installed():
+    script = ("import sys\nsys.modules['click'] = None\nfrom qlink.cli import main\n"
+              "sys.exit(main(['codes']) or main(['analyze', '--t', '1e8']))")
+    env = {**os.environ, "PYTHONPATH": str(Path(qlink.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("name    n   k  d  correctable\n")
+    assert '"allowable_pt": 1e-09' in done.stdout
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,16 +11,13 @@ Regenerate the file only for an intended, announced output change:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 import contextlib
-import io
 import json
 import os
-import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
-
-from qlink.cli import main
+from helpers import run_cli
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.json"
 
@@ -84,6 +81,13 @@ OTHER = [
     # (w / p_t)^2 overflows while (1 - w)^98 underflows: that term is formed in logs.
     ["recommend", "--stack", "100-1-3", "--tt", "1", "--tlqec", "100", "--pt", "1e-200",
      "--pm", "0.1"],
+    # An option that takes a value takes the next token, even one that looks like an option.
+    ["recommend", "--stack", "7-1-3", "--tt", "1", "--tlqec", "100", "--pt", "1e-3",
+     "--slowdown-threshold", "-1e-5"],
+    ["sweep", "--pt", "-0e0", "--trials", "1e3", "--seed", "1", "--workers", "1"],
+    ["analyze", "--t", "1e5", "--pt", "-0e0"],
+    # Of --serial and --parallel, the last one given wins.
+    ["mc", "--pt", "0.01", "--serial", "--parallel", "--trials", "1e4", "--seed", "1", "--workers", "1"],
 ]
 
 # Invalid input: each exits 1 with a message on stderr.
@@ -113,6 +117,8 @@ INVALID = [
     ["link-timing", "--tt", "0", "--tlqec", "100", "--n", "7"],
     ["recommend", "--stack", "7-1-3+7-1-3", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"],
     ["recommend", "--tt", "1", "--tlqec", "100", "--pt", "2"],
+    ["mc", "--pt", "0.01", "--pm", "-1e-3", "--workers", "1"],
+    ["analyze", "--targ", "0.1", "--t", "1e5"],
 ]
 
 SUBCOMMANDS = ["codes", "analyze", "table3", "mc", "sweep", "cut", "dqec-cost", "workload",
@@ -123,26 +129,23 @@ CASES = (
     + [argv + ["--format", fmt] for argv in FORMATTED for fmt in ("csv", "json", "text")]
     + OTHER
     + INVALID
-    + [["--help"]]
+    + [[], ["--help"]]
     + [[name, "--help"] for name in SUBCOMMANDS]
 )
 
 
 @contextlib.contextmanager
 def fixed_process():
-    """Pin what click reads from the process: terminal width, program name, seed env."""
+    """Pin what the CLI reads from the process: the help pages' width and the seed env."""
     env = {k: v for k, v in os.environ.items() if k != "QLINK_SEED"}
-    with mock.patch.dict(os.environ, {**env, "COLUMNS": "80"}, clear=True), \
-            mock.patch.object(sys, "argv", ["qlink"]), \
-            mock.patch.object(sys.modules["__main__"], "__package__", None):
+    with mock.patch.dict(os.environ, {**env, "COLUMNS": "80"}, clear=True):
         yield
 
 
 def transcript(argv: list[str]) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with fixed_process(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    with fixed_process():
+        code, stdout, stderr = run_cli(*argv)
+    return {"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr}
 
 
 def _golden() -> dict:

@@ -11,14 +11,11 @@ one-qubit code to two levels and beyond. Whatever the input:
   command's header;
 - the exit code is the same in every output format.
 """
-import contextlib
-import io
 import json
 
+from helpers import run_cli
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-from qlink.cli import main
 
 NUMBERS = st.one_of(
     st.sampled_from(["0", "0.5", "1", "5e-324", "1e308", "-1", "7", "1e5", "1e-3", "nan", "inf",
@@ -86,14 +83,6 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def _run(argv):
-    """(exit code, stdout, stderr) of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=200, deadline=None)
 @given(argv=argvs())
 @example(argv=["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3", "--stack", "1-1-1",
@@ -105,7 +94,7 @@ def _run(argv):
 @example(argv=["analyze", "--stack", "7-1-3", "--t", "1.7e308", "--pt", "0.49", "--format", "csv"])
 @example(argv=["analyze", "--stack", FIVE_LEVELS, "--t", "1", "--pt", "0.49", "--format", "json"])
 def test_exit_code_and_output_contract(argv):
-    code, stdout, stderr = _run(argv)
+    code, stdout, stderr = run_cli(*argv)
     assert code in (0, 1), stderr
     if code == 1:
         assert stdout == ""
@@ -121,5 +110,5 @@ def test_exit_code_and_output_contract(argv):
 @example(argv=["analyze", "--stack", "7-1-3", "--t", "1.7e308", "--pt", "0.49"])
 @example(argv=["analyze", "--stack", FIVE_LEVELS, "--t", "1", "--pt", "0.49"])
 def test_exit_code_does_not_depend_on_the_format(argv):
-    codes = {fmt: _run(argv + ["--format", fmt])[0] for fmt in FORMATS}
+    codes = {fmt: run_cli(*argv, "--format", fmt).exit_code for fmt in FORMATS}
     assert len(set(codes.values())) == 1, codes
