@@ -40,8 +40,6 @@ _EXPORTS = {
     "montecarlo": (
         "McConfig",
         "McEstimate",
-        "SerialPenaltyReport",
-        "serial_penalty_report",
         "simulate_block_transfer",
         "simulate_block_transfers",
         "wilson_interval",

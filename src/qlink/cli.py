@@ -40,10 +40,10 @@ def _fail(message: str) -> NoReturn:
 
 
 def _finite(number: float, text: str) -> float:
-    """The one rule for every numeric input: nan and infinities are rejected."""
+    """The one rule for every real input: nan and infinities are rejected, -0 is 0."""
     if not math.isfinite(number):
         _fail(f"{text!r} is not a finite number")
-    return number
+    return 0.0 if number == 0.0 else number
 
 
 def finite_float(text: str) -> float:

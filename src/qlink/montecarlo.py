@@ -72,8 +72,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import LinkParams, Multiplexing, serial_penalty_ratio
-from .codes import CodeStack, QecCode
+# Re-exported: perfbench/pin.py imports both from here (test_benchmark_call_forms_resolve).
+from .analytic import LinkParams, Multiplexing
+from .codes import CodeStack
 
 TRIAL_BLOCK = 1 << 14
 TILE_BYTES = 1 << 22   # most bytes of 64-bit words per drawn tile (one row at least)
@@ -281,59 +282,3 @@ def simulate_block_transfer(config: McConfig) -> McEstimate:
     """Estimate the logical-block transfer failure probability by simulation."""
     return simulate_block_transfers([config])[0]
 
-
-@dataclass(frozen=True)
-class SerialPenaltyReport:
-    """Serial-vs-parallel failure penalty for one code, analytic and simulated."""
-
-    code: str
-    p_t: float
-    p_m: float
-    analytic_ratio: float
-    serial: McEstimate
-    parallel: McEstimate
-    mc_ratio: float
-    mc_ratio_ci: tuple[float, float]
-
-
-def serial_penalty_report(
-    code: QecCode,
-    p_t: float,
-    p_m: float,
-    trials: int = 1_000_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> SerialPenaltyReport:
-    """Quantify the extra failure probability a serial link costs for one code.
-
-    The analytic ratio is serial_penalty_ratio, which raises before any
-    trial if it is unbounded. The simulated ratio compares serial and
-    parallel estimates from one batch. On the same draws every parallel
-    failure is a serial one, so given S serial failures the parallel count P
-    is Binomial(S, p_par / p_ser) and S / P is bounded by the inverted
-    Wilson interval of P out of S.
-    """
-    stack = CodeStack((code,))
-    analytic_ratio = serial_penalty_ratio(code, p_t, p_m)
-    serial, parallel = simulate_block_transfers([
-        McConfig(stack, LinkParams(p_t, p_m, Multiplexing.SERIAL), trials, seed, workers),
-        McConfig(stack, LinkParams(p_t, p_m, Multiplexing.PARALLEL, lanes=code.n), trials, seed, workers),
-    ])
-    if parallel.failures > 0:
-        mc_ratio = serial.failures / parallel.failures
-        low, high = wilson_interval(parallel.failures, serial.failures)
-        ratio_ci = (1.0 / high, 1.0 / low)
-    else:
-        mc_ratio = math.nan
-        ratio_ci = (0.0, math.inf)
-
-    return SerialPenaltyReport(
-        code=code.spec(),
-        p_t=p_t,
-        p_m=p_m,
-        analytic_ratio=analytic_ratio,
-        serial=serial,
-        parallel=parallel,
-        mc_ratio=mc_ratio,
-        mc_ratio_ci=ratio_ci,
-    )

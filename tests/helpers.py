@@ -10,8 +10,9 @@ words from a full sort of every block, encoder validity from a numpy
 stabilizer tableau reduced to row echelon form, and cut costs from a
 per-cut, per-gate side test. The malformed circuit files
 at the end are shared by the library and CLI tests that must both reject
-them. The circuit writers and the gate-deletion mutant builder near the
-end are test tools, not oracles: the library only reads circuit files. So
+them. The paired-Wilson ratio interval, the circuit writers and the
+gate-deletion mutant builder are test tools, not oracles: the library
+neither pairs estimates nor writes circuit files. So
 is the in-process CLI runner at the very end.
 """
 import contextlib
@@ -26,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qlink.cli import main
+from qlink.montecarlo import wilson_interval
 
 
 def round_sig(value: float, figs: int) -> float:
@@ -187,6 +189,17 @@ def reference_failures(levels, rates, trials: int, seed: int) -> list[int]:
         for k, q in enumerate(rates):
             counts[k] += int(reference_decode(uniforms < q, levels).sum())
     return counts
+
+
+def paired_ratio_ci(serial: int, parallel: int) -> tuple[float, float]:
+    """95% interval of the serial/parallel failure ratio S / P from one shared draw.
+
+    On the same draws every parallel failure is a serial one, so given S
+    serial failures P is Binomial(S, p_par / p_ser), and S / P is bounded
+    by the inverted Wilson interval of P out of S. Needs P > 0.
+    """
+    low, high = wilson_interval(parallel, serial)
+    return 1.0 / high, 1.0 / low
 
 
 def _rref_gf2(matrix: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import json
 import time
 
 import pytest
-from helpers import round_sig, run_cli, weight_tail, without_gate
+from helpers import paired_ratio_ci, round_sig, run_cli, weight_tail, without_gate
 
 from qlink.analytic import (
     ModelMode,
@@ -36,8 +36,8 @@ from qlink.codes import parse_code, parse_stack
 from qlink.montecarlo import (
     LinkParams,
     McConfig,
-    serial_penalty_report,
     simulate_block_transfer,
+    simulate_block_transfers,
     wilson_interval,
 )
 from qlink.workload import AdderKind, teleport_count
@@ -143,16 +143,19 @@ def test_c4_serial_memory_penalty():
     """Analytic penalty bands at p_t = 1e-3, confirmed by simulation at 1e7 trials."""
     ratio7 = serial_penalty_ratio(parse_code("7-1-3"), 1e-3, 1e-3 / 60)
     ratio23 = serial_penalty_ratio(parse_code("23-1-7"), 1e-3, 1e-3 / 220)
-    report = serial_penalty_report(
-        parse_code("7-1-3"), 1e-3, 1e-3 / 60, trials=10_000_000, seed=424242, workers=4
-    )
-    in_ci = report.mc_ratio_ci[0] <= ratio7 <= report.mc_ratio_ci[1]
+    stack = parse_stack("7-1-3")
+    serial, parallel = simulate_block_transfers([
+        McConfig(stack, LinkParams(1e-3, 1e-3 / 60, mux, lanes), trials=10_000_000, seed=424242, workers=4)
+        for mux, lanes in ((Multiplexing.SERIAL, 1), (Multiplexing.PARALLEL, 7))
+    ])
+    mc_ratio = serial.failures / parallel.failures
+    ci = paired_ratio_ci(serial.failures, parallel.failures)
+    in_ci = ci[0] <= ratio7 <= ci[1]
     ok = 1.24 <= ratio7 <= 1.26 and 1.50 <= ratio23 <= 1.56 and in_ci
     _verdict(
         "4 serial-memory-penalty",
         ok,
-        f"analytic {ratio7:.4f}/{ratio23:.4f}, mc {report.mc_ratio:.4f} "
-        f"ci [{report.mc_ratio_ci[0]:.4f}, {report.mc_ratio_ci[1]:.4f}]",
+        f"analytic {ratio7:.4f}/{ratio23:.4f}, mc {mc_ratio:.4f} ci [{ci[0]:.4f}, {ci[1]:.4f}]",
     )
     assert 1.24 <= ratio7 <= 1.26
     assert 1.50 <= ratio23 <= 1.56

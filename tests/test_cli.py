@@ -53,6 +53,16 @@ def test_analyze_with_rate_reports_failure():
     assert "linearization_valid" in payload
 
 
+def test_negative_zero_is_read_as_zero():
+    # A float option and a FLOAT-LIST item pass through the same rule, so
+    # neither echoes -0 nor carries it into the models.
+    payload = json.loads(invoke("analyze", "--t", "1e5", "--pt", "-0e0").stdout)
+    for key in ("p_t", "block_error", "p_f", "linearized"):
+        assert math.copysign(1.0, payload[key]) == 1.0, key
+    rows = parse_csv(invoke("sweep", "--pt", "-0,0.01", "--trials", "100", "--seed", "1", "--workers", "1").stdout)
+    assert [row["p_t"] for row in rows] == ["0", "0", "0.01", "0.01"]
+
+
 def test_table3_shape_and_header():
     result = invoke("table3")
     rows = parse_csv(result.stdout)

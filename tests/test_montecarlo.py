@@ -9,6 +9,7 @@ from helpers import (
     event_ratio,
     exactly_m_events,
     leading_penalty_limit,
+    paired_ratio_ci,
     reference_block_failures,
     reference_critical_words,
     reference_decode,
@@ -35,7 +36,6 @@ from qlink.montecarlo import (
     _decode,
     _seat,
     _word_cut,
-    serial_penalty_report,
     simulate_block_transfer,
     simulate_block_transfers,
     wilson_interval,
@@ -822,80 +822,81 @@ def test_penalty_ratio_on_custom_codes_matches_decimal_event_ratio(code, log_p_t
 ])
 def test_penalty_ratio_where_exactly_m_events_cannot_happen(p_t, p_m, expected):
     # p_t = 0 without memory errors, p_t = 0 with them, and p_t = 1e-160
-    # at p_m = 0.05 are pinned through recommend and the report below.
+    # at p_m = 0.05 are pinned against recommend below.
     assert serial_penalty_ratio(parse_code("7-1-3"), p_t, p_m) == expected
 
 
-# ------------------------------------------------------------- penalty report
-def test_serial_penalty_report_steane():
-    report = serial_penalty_report(parse_code("7-1-3"), 1e-3, 1e-3 / 60, trials=400_000, seed=21)
+# ----------------------------------------------------------- serial penalty
+def _pair(spec, p_t, p_m, trials, seed=0, workers=1):
+    """Serial and parallel estimates for one code from one batch, as c4 runs them."""
+    stack = parse_stack(spec)
+    return simulate_block_transfers([
+        _config(stack, p_t, p_m, mux, trials=trials, seed=seed, workers=workers) for mux in (SERIAL, PARALLEL)
+    ])
+
+
+def test_serial_parallel_pair_steane():
+    serial, parallel = _pair("7-1-3", 1e-3, 1e-3 / 60, trials=400_000, seed=21)
     # One batch, and the same counts as two separate runs.
-    for est, mux in ((report.serial, SERIAL), (report.parallel, PARALLEL)):
-        single = simulate_block_transfer(_config(STEANE, 1e-3, report.p_m, mux, trials=400_000, seed=21))
+    for est, mux in ((serial, SERIAL), (parallel, PARALLEL)):
+        single = simulate_block_transfer(_config(STEANE, 1e-3, 1e-3 / 60, mux, trials=400_000, seed=21))
         assert est.failures == single.failures
-    assert report.p_m == 1e-3 / 60
-    assert 1.24 <= report.analytic_ratio <= 1.26
-    assert report.serial.failures >= report.parallel.failures
-    assert report.mc_ratio_ci[0] <= report.mc_ratio <= report.mc_ratio_ci[1]
+    assert 1.24 <= serial_penalty_ratio(parse_code("7-1-3"), 1e-3, 1e-3 / 60) <= 1.26
+    assert serial.failures >= parallel.failures > 0
+    low, high = paired_ratio_ci(serial.failures, parallel.failures)
+    assert low <= serial.failures / parallel.failures <= high
 
 
 def test_serial_penalty_ci_inverts_the_paired_wilson_interval():
     # Parallel failures are a subset of serial ones on shared draws, so P out
     # of S is binomial and the ratio S / P inherits its Wilson bounds.
-    report = serial_penalty_report(parse_code("7-1-3"), 1e-2, 1e-2 / 6, trials=20_000, seed=5)
-    serial, parallel = report.serial.failures, report.parallel.failures
+    serial, parallel = (est.failures for est in _pair("7-1-3", 1e-2, 1e-2 / 6, trials=20_000, seed=5))
     assert serial > parallel > 0
     low, high = wilson_interval(parallel, serial)
-    assert report.mc_ratio == serial / parallel
-    assert report.mc_ratio_ci == (1.0 / high, 1.0 / low)
-
-
-def test_serial_penalty_without_parallel_failures_has_no_ratio():
-    report = serial_penalty_report(parse_code("7-1-3"), 1e-4, 1e-4 / 60, trials=1000, seed=5)
-    assert report.parallel.failures == 0
-    assert math.isnan(report.mc_ratio)
-    assert report.mc_ratio_ci == (0.0, math.inf)
+    ci = paired_ratio_ci(serial, parallel)
+    assert ci == (1.0 / high, 1.0 / low)
+    assert ci[0] <= serial / parallel <= ci[1]
 
 
 def test_serial_penalty_vanishes_with_perfect_memory():
-    report = serial_penalty_report(parse_code("7-1-3"), 1e-3, 1e-12 / 6, trials=1000)
-    assert report.analytic_ratio == pytest.approx(1.0, abs=1e-6)
+    assert serial_penalty_ratio(parse_code("7-1-3"), 1e-3, 1e-12 / 6) == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("spec", ["7-1-3", "23-1-7"])
-def test_recommend_and_report_share_the_analytic_ratio(spec):
+def test_recommend_reports_the_serial_penalty_ratio(spec):
     code = parse_code(spec)
     p_m = 1e-3 / (10 * (code.n - 1))
-    report = serial_penalty_report(code, 1e-3, p_m, trials=1000)
     rec = recommend(code, 1.0, 100.0, 1e-3, p_m)
-    assert rec.reliability_ratio == report.analytic_ratio == serial_penalty_ratio(code, 1e-3, p_m)
+    assert rec.reliability_ratio == serial_penalty_ratio(code, 1e-3, p_m)
 
 
 def test_vanishing_failures_are_no_penalty_in_both_callers():
-    report = serial_penalty_report(parse_code("7-1-3"), 0.0, 0.0, trials=1000)
     rec = recommend(parse_code("7-1-3"), 1.0, 100.0, 0.0, 0.0)
-    assert report.analytic_ratio == rec.reliability_ratio == 1.0
+    assert serial_penalty_ratio(parse_code("7-1-3"), 0.0, 0.0) == rec.reliability_ratio == 1.0
 
 
-def test_unbounded_ratio_raises_in_both_callers_before_any_trial(monkeypatch):
+def test_unbounded_ratio_raises_in_both_callers():
     # At p_t = 1e-160 and p_m = 0.05 the waiting rate is 2.6e159 times p_t,
     # so the ratio, about 1.5e318, is past the float range.
     code = parse_code("7-1-3")
-    monkeypatch.setattr(montecarlo, "simulate_block_transfers", pytest.fail)
     with pytest.raises(ValueError, match="ratio is unbounded"):
-        serial_penalty_report(code, 1e-160, 0.05)
+        serial_penalty_ratio(code, 1e-160, 0.05)
     with pytest.raises(ValueError, match="ratio is unbounded"):
         recommend(code, 1.0, 100.0, 1e-160, 0.05)
 
 
-def test_serial_penalty_rejects_negative_memory_rate_before_any_trial(monkeypatch):
-    monkeypatch.setattr(montecarlo, "simulate_block_transfers", pytest.fail)
+def test_serial_penalty_ratio_rejects_a_negative_memory_rate():
     with pytest.raises(ValueError, match=r"p_m must be in \[0, 1\]"):
-        serial_penalty_report(parse_code("7-1-3"), 1e-3, -1e-4, trials=1000)
+        serial_penalty_ratio(parse_code("7-1-3"), 1e-3, -1e-4)
+
+
+def test_serial_penalty_ratio_rejects_a_teleportation_rate_above_one():
+    with pytest.raises(ValueError, match=r"p_t must be in \[0, 1\]"):
+        serial_penalty_ratio(parse_code("7-1-3"), 1.5, 1e-4)
 
 
 def test_serial_penalty_one_qubit_code_never_waits():
     # A one-qubit block has no wait slots, so even a poor memory costs nothing.
-    report = serial_penalty_report(parse_code("1-1-1"), 0.1, 0.5, trials=2000)
-    assert report.analytic_ratio == 1.0
-    assert report.serial.failures == report.parallel.failures > 0
+    assert serial_penalty_ratio(parse_code("1-1-1"), 0.1, 0.5) == 1.0
+    serial, parallel = _pair("1-1-1", 0.1, 0.5, trials=2000)
+    assert serial.failures == parallel.failures > 0

@@ -88,6 +88,13 @@ def test_recommend_rejects_unbounded_reliability_ratio():
     assert recommend(STEANE, 1.0, 100.0, p_t=0.0, p_m=0.0).reliability_ratio == 1.0
 
 
+def test_recommend_rejects_a_rate_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"p_m must be in \[0, 1\]"):
+        recommend(STEANE, 1.0, 100.0, p_t=1e-3, p_m=-1e-4)
+    with pytest.raises(ValueError, match=r"p_t must be in \[0, 1\]"):
+        recommend(STEANE, 1.0, 100.0, p_t=1.5, p_m=1e-4)
+
+
 # ----------------------------------------------------------------- recommend
 def test_recommend_serial_in_the_friendly_regime():
     rec = recommend(STEANE, 1.0, 100.0, p_t=1e-3, p_m=1e-3 / 60)
