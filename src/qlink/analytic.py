@@ -186,11 +186,12 @@ def allowable_pt(
     outer to inner: q -> (q / C(n, m))^(1/m), starting from target_pf / t.
     Once a quotient q / C(n, m) falls below the normal float range, the rest
     of the chain is peeled in logs, so a tiny target keeps its digits.
-    EXACT_TAIL bisects the monotone map p_t -> p_f over (0, 0.5) to 1e-9
-    relative width.
+    EXACT_TAIL inverts the budget once, p_f <= target_pf exactly when the
+    block error is at most 1 - (1 - target_pf)^(1/t), and bisects the
+    monotone block error over (0, 0.5) to 1e-9 relative width.
     """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+    if not 1 <= t < math.inf:   # the exact budget turns an infinite or nan t into a silent answer
+        raise ValueError(f"need t >= 1, got {t}" if t < 1 else f"need a finite t, got {t}")
     if not 0.0 < target_pf < 1.0:
         raise ValueError(f"target_pf must be in (0, 1), got {target_pf}")
 
@@ -207,15 +208,16 @@ def allowable_pt(
             q = (q / ways) ** (1.0 / code.min_fail)
         return q
 
+    budget = -math.expm1(math.log1p(-target_pf) / t)
     lo, hi = 0.0, 0.5
-    if p_algorithm_failure(stack, t, hi, mode).p_f <= target_pf:
+    if p_stack_block_error(stack, hi, mode) <= budget:
         return hi
-    # p_f(0) = 0 < target, p_f(hi) > target: the root is bracketed.
+    # p_e(0) = 0 <= budget, p_e(hi) > budget: the root is bracketed.
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:   # adjacent subnormals: the bracket cannot shrink further
             break
-        if p_algorithm_failure(stack, t, mid, mode).p_f <= target_pf:
+        if p_stack_block_error(stack, mid, mode) <= budget:
             lo = mid
         else:
             hi = mid

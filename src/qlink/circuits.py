@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:   # only load_circuit's annotation names it, so `qlink cut` does not load pathlib
+    from pathlib import Path
 
 
 class GateKind(str, Enum):
@@ -80,8 +83,12 @@ class CutCost:
 
     @property
     def label(self) -> str:
-        """Breakpoint letters map a=1, b=2, ... left to right."""
-        return chr(ord("a") + self.index - 1)
+        """Breakpoint letters left to right in bijective base 26: a=1, ..., z=26, aa=27, ab=28, ..."""
+        label, number = "", self.index
+        while number:
+            number, letter = divmod(number - 1, 26)
+            label = chr(ord("a") + letter) + label
+        return label
 
 
 def cut_table(circuit: EncoderCircuit) -> list[CutCost]:
@@ -100,43 +107,6 @@ def cut_table(circuit: EncoderCircuit) -> list[CutCost]:
                 Direction.B_TO_A if index < n - index else Direction.A_TO_B)
         for index in range(1, n)
     ]
-
-
-# --------------------------------------------------------------------------
-# Golden seven-qubit encoder fixture
-#
-# Gates follow the reduced-row-echelon construction of the logical zero: an
-# H on each pivot qubit, then CNOTs fanning each pivot out over its
-# generator row. The layout permutation was selected by exhaustive search so
-# that the telegate cost over the six cuts is (2, 3, 4, 3, 3, 2); together
-# with stabilizer validity that cost vector is the fixture's contract, and
-# the gate list below is frozen.
-# --------------------------------------------------------------------------
-
-_STEANE_ORDER = (2, 0, 1, 6, 4, 3, 5)
-_STEANE_GATES = (
-    (GateKind.H, (0,)),
-    (GateKind.H, (1,)),
-    (GateKind.H, (3,)),
-    (GateKind.CNOT, (0, 2)),
-    (GateKind.CNOT, (0, 4)),
-    (GateKind.CNOT, (0, 6)),
-    (GateKind.CNOT, (1, 2)),
-    (GateKind.CNOT, (1, 5)),
-    (GateKind.CNOT, (1, 6)),
-    (GateKind.CNOT, (3, 4)),
-    (GateKind.CNOT, (3, 5)),
-    (GateKind.CNOT, (3, 6)),
-)
-
-
-def default_steane_encoder() -> EncoderCircuit:
-    """The shipped seven-qubit logical-zero encoder with its layout."""
-    return EncoderCircuit(
-        n_qubits=7,
-        qubit_order=_STEANE_ORDER,
-        gates=tuple(Gate(kind, qubits) for kind, qubits in _STEANE_GATES),
-    )
 
 
 def steane_stabilizers() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -162,20 +132,47 @@ def _bit_rows(matrix, n: int) -> list[int]:
 
 
 def _reduce(row: int, basis: list[int]) -> int:
-    """The row with every pivot of a descending basis cleared: 0 iff it lies in the span."""
+    """The row with every pivot (lowest set bit) of a reduced basis cleared: 0 iff it lies in the span."""
     for vector in basis:
-        row = min(row, row ^ vector)
+        if row & vector & -vector:
+            row ^= vector
     return row
 
 
 def _basis(rows: list[int]) -> list[int]:
-    """A GF(2) pivot basis of the rows' span: distinct leading bits, descending."""
+    """The fully reduced GF(2) basis of the rows' span in pivot order: each pivot is set in one row only."""
     basis: list[int] = []
     for row in rows:
         row = _reduce(row, basis)
         if row:
-            basis = sorted(basis + [row], reverse=True)
-    return basis
+            basis = [vector ^ row if vector & row & -row else vector for vector in basis] + [row]
+    return sorted(basis, key=lambda row: row & -row)
+
+
+def _css_encoder(x_checks, qubit_order: tuple[int, ...]) -> EncoderCircuit:
+    """The logical-zero encoder of a CSS code from its X checks (Gottesman, quant-ph/9705052, ch. 4).
+
+    An H on each pivot of the reduced checks, in pivot order, then a CNOT
+    from each pivot to every other qubit of its row: the state is the equal
+    superposition over the span of the X checks.
+    """
+    n = len(qubit_order)
+    rows = _basis(_bit_rows(x_checks, n))
+    pivots = [(row & -row).bit_length() - 1 for row in rows]
+    cnots = [Gate(GateKind.CNOT, (p, q)) for p, row in zip(pivots, rows) for q in range(n) if row >> q & 1 and q != p]
+    return EncoderCircuit(n, qubit_order, tuple(Gate(GateKind.H, (p,)) for p in pivots) + tuple(cnots))
+
+
+# The shipped layout was found by exhaustive search: with stabilizer
+# validity, its telegate cost over the six cuts, (2, 3, 4, 3, 3, 2), is the
+# encoder's contract. EncoderCircuit is frozen, so every caller shares it.
+_STEANE_ORDER = (2, 0, 1, 6, 4, 3, 5)
+_STEANE_ENCODER = _css_encoder(steane_stabilizers()[0], _STEANE_ORDER)
+
+
+def default_steane_encoder() -> EncoderCircuit:
+    """The shipped seven-qubit logical-zero encoder with its layout, built once per process."""
+    return _STEANE_ENCODER
 
 
 def _pauli_string(row: int, n: int) -> str:

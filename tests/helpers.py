@@ -8,7 +8,8 @@ ratio's small-rate limit from exact fractions,
 Monte Carlo counts from whole-block draws decoded once per rate, critical
 words from a full sort of every block, encoder validity from a numpy
 stabilizer tableau reduced to row echelon form, and cut costs from a
-per-cut, per-gate side test. The malformed circuit files
+per-cut, per-gate side test, with breakpoint names from an enumeration of
+letter strings. The malformed circuit files
 at the end are shared by the library and CLI tests that must both reject
 them. The paired-Wilson ratio interval, the circuit writers and the
 gate-deletion mutant builder are test tools, not oracles: the library
@@ -17,8 +18,10 @@ is the in-process CLI runner at the very end.
 """
 import contextlib
 import io
+import itertools
 import json
 import math
+import string
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
@@ -278,12 +281,20 @@ def reference_validate(circuit, stabilizers) -> tuple[bool, tuple[str, ...], tup
     return not (missing or extra), missing, extra
 
 
+def breakpoint_name(index: int) -> str:
+    """The index-th (from 1) of a..z, then aa..zz, then aaa..: every letter string, shortest first."""
+    names = ("".join(letters) for size in itertools.count(1)
+             for letters in itertools.product(string.ascii_lowercase, repeat=size))
+    return next(itertools.islice(names, index - 1, None))
+
+
 def reference_cut_table(circuit) -> list[tuple[str, int, int, str]]:
     """(breakpoint, telegate, teledata, direction) at every cut, left to right.
 
-    Cut i puts layout positions < i on node A. Each CNOT is tested at each
-    cut for operands on both sides. Teledata ships the smaller side toward
-    the larger one, and an even split builds on side A.
+    Cut i puts layout positions < i on node A and is named breakpoint_name(i).
+    Each CNOT is tested at each cut for operands on both sides. Teledata
+    ships the smaller side toward the larger one, and an even split builds
+    on side A.
     """
     n = circuit.n_qubits
     rows = []
@@ -295,7 +306,7 @@ def reference_cut_table(circuit) -> list[tuple[str, int, int, str]]:
                 crossing += len(sides) == 2
         left, right = index, n - index
         teledata, direction = (left, "B->A") if left < right else (right, "A->B")
-        rows.append((chr(ord("a") + index - 1), crossing, teledata, direction))
+        rows.append((breakpoint_name(index), crossing, teledata, direction))
     return rows
 
 

@@ -17,8 +17,11 @@ class Mutant(NamedTuple):
 
 
 ENGINE = "src/qlink/montecarlo.py"
+ANALYTIC = "src/qlink/analytic.py"
+CIRCUITS = "src/qlink/circuits.py"
 CLI = "src/qlink/cli.py"
 MC_TESTS = "tests/test_montecarlo.py::"
+ANALYTIC_TESTS = "tests/test_analytic.py::"
 
 MUTANTS = [
     # uint8 member counts wrap at 256 without the widened einsum dtype.
@@ -49,9 +52,36 @@ MUTANTS = [
            (MC_TESTS + "test_engine_runs_at_most_one_thread_per_core",)),
     Mutant(ENGINE, "failures = config.trials if sure else counted", "failures = counted",
            (MC_TESTS + "test_batch_matches_one_run_per_config",)),
-    Mutant("src/qlink/analytic.py", "term = share * power * factor * (1.0 - p_t) ** i",
+    Mutant(ANALYTIC, "term = share * power * factor * (1.0 - p_t) ** i",
            "term = share * power * factor",
            (MC_TESTS + "test_combined_ratio_frozen_values",)),
+    # A float ** raises OverflowError where the products overflow to inf and the term is redone in logs.
+    Mutant(ANALYTIC, "term = share * power * factor * (1.0 - p_t) ** i",
+           "term = share * rate**i * factor * (1.0 - p_t) ** i",
+           (MC_TESTS + "test_unbounded_ratio_raises_in_both_callers",
+            MC_TESTS + "test_penalty_ratio_where_exactly_m_events_cannot_happen")),
+    # The union-rate guards: log1p(-1) raises, and a qubit that never waits sees no memory error.
+    Mutant(ANALYTIC, "if self.p_t == 1.0 or (slots and self.p_m == 1.0):", "if slots and self.p_m == 1.0:",
+           (MC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
+    Mutant(ANALYTIC, "if self.p_t == 1.0 or (slots and self.p_m == 1.0):", "if self.p_t == 1.0:",
+           (MC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
+    Mutant(ANALYTIC, "if self.p_t == 1.0 or (slots and self.p_m == 1.0):", "if self.p_t == 1.0 or self.p_m == 1.0:",
+           (MC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
+    Mutant(ANALYTIC, "if not math.isfinite(linearized):", "if math.isnan(linearized):",
+           (ANALYTIC_TESTS + "test_algorithm_failure_rejects_a_linearization_past_the_float_range",)),
+    Mutant(ANALYTIC, "budget = -math.expm1(math.log1p(-target_pf) / t)",
+           "budget = -math.expm1(math.log1p(-target_pf) * t)",
+           (ANALYTIC_TESTS + "test_exact_inversion_finds_the_root_below_float_resolution",
+            ANALYTIC_TESTS + "test_exact_inversion_terminates_among_subnormal_rates")),
+    # Pivoting on each reduced row's highest set bit builds another encoder than the shipped one.
+    Mutant(CIRCUITS, "pivots = [(row & -row).bit_length() - 1 for row in rows]",
+           "pivots = [row.bit_length() - 1 for row in rows]",
+           ("tests/test_circuits.py::test_default_encoder_is_the_frozen_gate_table",)),
+    # Without clearing each new pivot from the other rows, the basis (and so the encoder) depends
+    # on how the checks are written down.
+    Mutant(CIRCUITS, "basis = [vector ^ row if vector & row & -row else vector for vector in basis] + [row]",
+           "basis = basis + [row]",
+           ("tests/test_circuits.py::test_encoder_depends_only_on_the_span_of_the_checks",)),
     # perfbench/pin.py imports Multiplexing from the engine module.
     Mutant(ENGINE, "from .analytic import LinkParams, Multiplexing\n", "from .analytic import LinkParams\n",
            ("tests/test_layering.py::test_benchmark_call_forms_resolve",)),

@@ -177,6 +177,21 @@ def test_exact_inversion_returns_the_bracket_end_when_it_meets_the_budget():
     assert allowable_pt(CodeStack(), 1, 0.6, EXACT) == 0.5
 
 
+def test_algorithm_failure_rejects_a_linearization_past_the_float_range():
+    # Leading order gives p_e = 21 * 0.49^2 > 1, and t * p_e is then inf.
+    with pytest.raises(ValueError, match="t \\* p_e overflows the float range"):
+        p_algorithm_failure(STEANE, 1.7e308, 0.49, LEADING)
+
+
+def test_allowable_pt_needs_a_finite_t():
+    # The exact inversion compares block errors with a budget computed from
+    # t once; an infinite or nan t must not reach it.
+    for t in (math.inf, math.nan):
+        for mode in (LEADING, EXACT):
+            with pytest.raises(ValueError, match="need a finite t"):
+                allowable_pt(STEANE, t, 0.1, mode)
+
+
 def test_algorithm_failure_zero_error_rate():
     for spec in ("none", "7-1-3", "23-1-7+23-1-7"):
         assert p_algorithm_failure(parse_stack(spec), 1e8, 0.0).p_f == 0.0

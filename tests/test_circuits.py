@@ -27,8 +27,26 @@ from qlink.circuits import (
     steane_stabilizers,
     validate_encoder,
 )
+from qlink.circuits import _css_encoder as css_encoder
 
 CHECKS = steane_stabilizers()
+
+# The shipped encoder's gates as they were once written out by hand; the
+# builder must reproduce them, in this order.
+_STEANE_GATES = (
+    (GateKind.H, (0,)),
+    (GateKind.H, (1,)),
+    (GateKind.H, (3,)),
+    (GateKind.CNOT, (0, 2)),
+    (GateKind.CNOT, (0, 4)),
+    (GateKind.CNOT, (0, 6)),
+    (GateKind.CNOT, (1, 2)),
+    (GateKind.CNOT, (1, 5)),
+    (GateKind.CNOT, (1, 6)),
+    (GateKind.CNOT, (3, 4)),
+    (GateKind.CNOT, (3, 5)),
+    (GateKind.CNOT, (3, 6)),
+)
 
 
 # ------------------------------------------------------------------ fixtures
@@ -45,6 +63,42 @@ def test_default_encoder_reproduces_breakpoint_table():
         Direction.A_TO_B,
         Direction.A_TO_B,
     ]
+
+
+def test_default_encoder_is_the_frozen_gate_table():
+    circuit = default_steane_encoder()
+    assert circuit.gates == tuple(Gate(kind, qubits) for kind, qubits in _STEANE_GATES)
+    assert (circuit.n_qubits, circuit.qubit_order) == (7, (2, 0, 1, 6, 4, 3, 5))
+    assert validate_encoder(circuit, CHECKS).ok
+    assert default_steane_encoder() is circuit   # built once, shared by every caller
+
+
+def test_encoder_depends_only_on_the_span_of_the_checks():
+    # The fully reduced basis of a span is unique, so any presentation of the
+    # same X checks (rows shuffled, added to one another) builds the same gates.
+    rng = random.Random(31)
+    h_x = [list(row) for row in CHECKS[0]]
+    shipped = default_steane_encoder()
+    for _ in range(20):
+        rng.shuffle(h_x)
+        i, j = rng.sample(range(3), 2)
+        h_x[i] = [a ^ b for a, b in zip(h_x[i], h_x[j])]
+        assert css_encoder(h_x, shipped.qubit_order) == shipped
+
+
+def test_builder_encodes_another_css_code():
+    # [[4,2,2]]: X and Z checks XXXX and ZZZZ, logical Zs Z0Z1 and Z0Z2.
+    circuit = css_encoder([(1, 1, 1, 1)], (3, 2, 1, 0))
+    assert circuit.gates == (Gate(GateKind.H, (0,)), *(Gate(GateKind.CNOT, (0, q)) for q in (1, 2, 3)))
+    assert validate_encoder(circuit, ([(1, 1, 1, 1)], [(1, 1, 1, 1)], [(1, 1, 0, 0), (1, 0, 1, 0)])).ok
+
+
+def test_breakpoint_labels_continue_past_z():
+    chain = EncoderCircuit(30, tuple(range(30)), tuple(Gate(GateKind.CNOT, (q, q + 1)) for q in range(29)))
+    labels = [row.label for row in cut_table(chain)]
+    assert labels[:3] == ["a", "b", "c"]
+    assert labels[25:] == ["z", "aa", "ab", "ac"]   # indices 26-29
+    assert len(set(labels)) == 29
 
 
 def test_breakpoint_c_and_d_gate_counts():
@@ -146,6 +200,7 @@ def _layout_circuits(draw):
 @given(circuit=_layout_circuits())
 @example(circuit=EncoderCircuit(1, (0,), ()))
 @example(circuit=default_steane_encoder())
+@example(circuit=EncoderCircuit(30, tuple(range(30)), tuple(Gate(GateKind.CNOT, (q, q + 1)) for q in range(29))))
 def test_cut_table_matches_per_cut_reference(circuit):
     table = cut_table(circuit)
     assert [row.index for row in table] == list(range(1, circuit.n_qubits))

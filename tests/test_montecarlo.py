@@ -95,6 +95,16 @@ def test_default_link_is_one_lane_serial():
     assert link.fault_probability(7) == 0.0015992501699785015
 
 
+def test_certain_events_make_certain_faults_only_where_they_strike():
+    # A certain teleportation error fails every qubit, waits or not.
+    assert LinkParams(1.0).fault_probability(7) == 1.0
+    assert LinkParams(1.0, 0.0, PARALLEL, 7).fault_probability(7) == 1.0
+    # A certain memory error fails a qubit that waits, and no other.
+    assert LinkParams(1e-3, 1.0).fault_probability(7) == 1.0
+    assert LinkParams(1e-3, 1.0, PARALLEL, 7).fault_probability(7) == pytest.approx(1e-3, rel=1e-15, abs=0.0)
+    assert LinkParams(1e-3, 1.0).fault_probability(1) == pytest.approx(1e-3, rel=1e-15, abs=0.0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(STEANE, LinkParams(p_t=0.1), trials=0)
