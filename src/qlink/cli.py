@@ -5,8 +5,10 @@ single reports (with the full input configuration echoed for provenance),
 plain text where a human just wants to look. Identical flags and seed give
 byte-identical output.
 
-Each command has its own argparse parser, built on its first use in the
-process, so a run builds only the parser of the command it runs.
+Each command's options are read in one pass over its option table, the
+(flag, argparse.add_argument keywords) pairs it registers. argparse only
+renders a --help page, from a parser built from the same table when the
+page is asked for.
 """
 from __future__ import annotations
 
@@ -29,10 +31,6 @@ if TYPE_CHECKING:  # every model layer is imported inside the commands that use 
 
 class UsageError(Exception):
     """Bad command-line usage: main prints the command's usage line and this message."""
-
-
-class _HelpShown(Exception):
-    """--help has printed its page."""
 
 
 def _fail(message: str) -> NoReturn:
@@ -193,8 +191,10 @@ def _load_circuit(ref: str) -> circuits.EncoderCircuit:
 class Command(NamedTuple):
     """A subcommand: its body, its natural output format and its options.
 
-    Each option is (flag, argparse.add_argument keywords). The body takes
-    the parsed options as keywords and returns a report dict or a
+    Each option is (flag, argparse.add_argument keywords); the reader
+    honours dest, type, choices, required, default and the store_true,
+    store_false and help actions, and the rest only shape --help. The body
+    takes the options read as keywords and returns a report dict or a
     (header, rows) table.
     """
 
@@ -217,51 +217,99 @@ def _command(name: str, fmt: str, *options):
     return register
 
 
-class _Parser(argparse.ArgumentParser):
-    """One command's parser: a usage error raises UsageError and --help returns.
-
-    An option that takes a value takes the token after it, even one that
-    looks like an option, such as -1e-5.
-    """
-
-    takes_value: dict[str, bool]   # each flag: whether it takes a value
-
-    def error(self, message: str) -> NoReturn:
-        raise UsageError(message)
-
-    def exit(self, status=0, message=None) -> NoReturn:   # only --help exits, once it has printed
-        raise _HelpShown
-
-    def parse(self, args: list[str]) -> dict:
-        """The options in args; a default that is a function is called now."""
-        tokens, joined, unknown = iter(args), [], []
-        for token in tokens:
-            if token.partition("=")[0] not in self.takes_value:
-                unknown.append(token)
-                continue
-            value = next(tokens, None) if self.takes_value.get(token) else None
-            joined.append(token if value is None else f"{token}={value}")
-        if unknown:   # named before argparse would report a missing required option instead
-            self.error(f"unrecognized arguments: {' '.join(unknown)}")
-        return {key: value() if callable(value) else value
-                for key, value in vars(self.parse_args(joined)).items()}
-
-
-@functools.cache
-def _parser(name: str) -> _Parser:
-    """The parser of one command, built on its first use in the process."""
+def _options(name: str) -> tuple:
+    """A command's option table: its own options, then --format, --out and --help."""
     command = COMMANDS[name]
-    parser = _Parser(prog=f"qlink {name}", usage="%(prog)s [OPTIONS]", description=command.body.__doc__,
-                     allow_abbrev=False, add_help=False)
-    options = command.options + (
+    return command.options + (
         ("--format", dict(choices=("csv", "json", "text"), default=command.fmt,
                           help="Output format [default: %(default)s].")),
         ("--out", dict(metavar="FILE", help="Write output to a file instead of stdout.")),
         ("--help", dict(action="help", help="Show this message and exit.")),
     )
-    for flag, settings in options:
+
+
+@functools.cache
+def _table(name: str) -> dict:
+    """A command's flags, each with its dest and keywords.
+
+    A dest is the flag with '-' turned into '_' unless the option sets one.
+    """
+    return {flag: (settings.get("dest", flag[2:].replace("-", "_")), settings)
+            for flag, settings in _options(name)}
+
+
+def _value(flag: str, settings: dict, text: str):
+    """One occurrence's value: converted by the option's type, then checked against its choices."""
+    kind, value = settings.get("type"), text
+    if kind is not None:
+        try:
+            value = kind(text)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"argument {flag}: {exc}") from None
+        except (TypeError, ValueError):
+            raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+    choices = settings.get("choices")
+    if choices is not None and value not in choices:
+        raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _read_options(name: str, args: list[str]) -> dict | None:
+    """The options in args, read in one pass over the command's table; None once --help has printed.
+
+    An option that takes a value takes the token after it, even one that
+    looks like an option, such as -1e-5. Every unknown token is named
+    first; then each occurrence is converted and checked in turn, and the
+    last one wins. A default that is a function is called only when its
+    option is absent.
+    """
+    flags = _table(name)
+    tokens, pairs, unknown = iter(args), [], []
+    for token in tokens:
+        flag, equals, text = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+        elif equals:
+            pairs.append((flag, text))
+        else:   # the next token if the option takes a value; None stands for no value
+            pairs.append((flag, None if "action" in flags[flag][1] else next(tokens, None)))
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    values = {}
+    for flag, text in pairs:
+        dest, settings = flags[flag]
+        action = settings.get("action")
+        if action is None:
+            if text is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            values[dest] = _value(flag, settings, text)
+        elif text is not None:
+            raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+        elif action == "help":
+            sys.stdout.write(_help_parser(name).format_help())
+            return None
+        else:
+            values[dest] = action == "store_true"
+    given = {flag for flag, _ in pairs}
+    missing = [flag for flag, (_, settings) in flags.items()
+               if settings.get("required") and flag not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    for dest, settings in flags.values():   # of two flags that share a dest, the first declared wins
+        if dest not in values and settings.get("action") != "help":
+            default = settings.get("default")
+            values[dest] = default() if callable(default) else default
+    return values
+
+
+def _help_parser(name: str) -> argparse.ArgumentParser:
+    """An argparse parser built from a command's option table, which renders its --help page."""
+    parser = argparse.ArgumentParser(prog=f"qlink {name}", usage="%(prog)s [OPTIONS]",
+                                     description=COMMANDS[name].body.__doc__, allow_abbrev=False,
+                                     add_help=False)
+    for flag, settings in _options(name):
         parser.add_argument(flag, **settings)
-    parser.takes_value = {flag: "action" not in settings for flag, settings in options}
     return parser
 
 
@@ -506,11 +554,13 @@ def main(argv=None) -> int:
         problem = f"no such command {argv[0]!r}" if argv else "missing command"
         sys.stderr.write(f"{USAGE}qlink: error: {problem}; 'qlink --help' lists the commands\n")
         return 1
-    parser = _parser(argv[0])
+    name = argv[0]
     try:
-        options = parser.parse(argv[1:])
+        options = _read_options(name, argv[1:])
+        if options is None:   # --help has printed the command's page
+            return 0
         fmt, out = options.pop("format"), options.pop("out")
-        result = COMMANDS[argv[0]].body(**options)
+        result = COMMANDS[name].body(**options)
         text = _render_report(result, fmt) if isinstance(result, dict) else _render_table(*result, fmt)
         if out:
             with open(out, "w", encoding="utf-8") as handle:
@@ -519,10 +569,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
-    except _HelpShown:
-        return 0
     except UsageError as exc:
-        sys.stderr.write(f"{parser.format_usage()}{parser.prog}: error: {exc}\n")
+        sys.stderr.write(f"usage: qlink {name} [OPTIONS]\nqlink {name}: error: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

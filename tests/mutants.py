@@ -22,6 +22,7 @@ CIRCUITS = "src/qlink/circuits.py"
 CLI = "src/qlink/cli.py"
 MC_TESTS = "tests/test_montecarlo.py::"
 ANALYTIC_TESTS = "tests/test_analytic.py::"
+READER_TESTS = "tests/test_cli_reader.py::"
 
 MUTANTS = [
     # uint8 member counts wrap at 256 without the widened einsum dtype.
@@ -87,6 +88,22 @@ MUTANTS = [
            ("tests/test_layering.py::test_benchmark_call_forms_resolve",)),
     Mutant(CLI, "import argparse\n", "import argparse\nimport json\n",
            ("tests/test_cli.py::test_each_command_loads_only_its_layers",)),
+    # pathlib only for a type hint: the circuit commands must not load it.
+    Mutant(CIRCUITS, "if TYPE_CHECKING:   # only load_circuit's annotation names it", "if True:   #",
+           ("tests/test_cli.py::test_each_command_loads_only_its_layers",)),
+    # The option reader: each occurrence in turn, the last one wins; required options, choices,
+    # and a default that is a function called only when its option is absent.
+    Mutant(CLI, "            values[dest] = _value(flag, settings, text)",
+           "            values.setdefault(dest, _value(flag, settings, text))",
+           (READER_TESTS + "test_each_occurrence_of_a_flag_is_checked_and_the_last_wins",)),
+    Mutant(CLI, "    if missing:\n", "    if False:\n",
+           (READER_TESTS + "test_unknown_tokens_are_named_before_a_missing_required_option",)),
+    Mutant(CLI, "if choices is not None and value not in choices:", "if False:",
+           (READER_TESTS + "test_each_occurrence_of_a_flag_is_checked_and_the_last_wins",)),
+    Mutant(CLI, "values[dest] = default() if callable(default) else default",
+           "values[dest] = default() if callable(default) else default\n"
+           "        elif callable(default := settings.get('default')):\n            default()",
+           (READER_TESTS + "test_qlink_seed_is_read_only_when_seed_is_absent",)),
     Mutant(CLI, 'choices=("leading", "exact")', 'choices=("lead", "exact")',
            ("tests/test_cli.py::test_option_literals_match_their_model_sources",)),
     Mutant(CLI, "return 0.0 if number == 0.0 else number", "return number",

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -503,10 +504,13 @@ FRESH_MAIN = ("import sys\nbefore = set(sys.modules)\nfrom qlink.cli import main
 def run_fresh(argv):
     """main(argv) in a new interpreter on the tree under test: (stdout, the LAYERS it loaded).
 
-    Modules loaded before qlink.cli, by a site hook for instance, do not count.
+    The interpreter skips its site hook (-S), so no .pth file loads a module
+    before qlink.cli does; its path is the tree under test and numpy's
+    directory, named explicitly.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(qlink.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], env=env, capture_output=True,
+    path = [Path(qlink.__file__).parents[1], Path(importlib.util.find_spec("numpy").origin).parents[1]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+    done = subprocess.run([sys.executable, "-S", "-c", FRESH_MAIN, *argv], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout, LAYERS & set(done.stderr.splitlines()[-1].split())
