@@ -58,6 +58,12 @@ def _check_prob(value: float, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+def _check_int(value: int, name: str) -> None:
+    """A count or a seed: an int or a numpy integer, never a float or a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Physical link parameters for one block transfer.
@@ -78,6 +84,7 @@ class LinkParams:
         object.__setattr__(self, "multiplexing", Multiplexing(self.multiplexing))
         _check_prob(self.p_t, "p_t")
         _check_prob(self.p_m, "p_m")
+        _check_int(self.lanes, "lanes")
         if self.lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
         if self.multiplexing is Multiplexing.SERIAL and self.lanes != 1:

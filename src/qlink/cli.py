@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import io
 import math
 import os
@@ -189,7 +188,7 @@ def _load_circuit(ref: str) -> circuits.EncoderCircuit:
 
 
 class Command(NamedTuple):
-    """A subcommand: its body, its natural output format and its options.
+    """A subcommand: its body, its option table, and its flags, each with its dest and keywords.
 
     Each option is (flag, argparse.add_argument keywords); the reader
     honours dest, type, choices, required, default and the store_true,
@@ -199,8 +198,8 @@ class Command(NamedTuple):
     """
 
     body: Callable
-    fmt: str
     options: tuple
+    flags: dict
 
 
 COMMANDS: dict[str, Command] = {}
@@ -208,34 +207,23 @@ USAGE = "usage: qlink COMMAND [OPTIONS]\n"
 
 
 def _command(name: str, fmt: str, *options):
-    """Register a subcommand; it gains --format, --out and --help after its own options."""
+    """Register a subcommand; it gains --format, --out and --help after its own options.
 
-    def register(body):
-        COMMANDS[name] = Command(body, fmt, options)
-        return body
-
-    return register
-
-
-def _options(name: str) -> tuple:
-    """A command's option table: its own options, then --format, --out and --help."""
-    command = COMMANDS[name]
-    return command.options + (
-        ("--format", dict(choices=("csv", "json", "text"), default=command.fmt,
+    A dest is the flag with '-' turned into '_' unless the option sets one.
+    """
+    options += (
+        ("--format", dict(choices=("csv", "json", "text"), default=fmt,
                           help="Output format [default: %(default)s].")),
         ("--out", dict(metavar="FILE", help="Write output to a file instead of stdout.")),
         ("--help", dict(action="help", help="Show this message and exit.")),
     )
+    flags = {flag: (settings.get("dest", flag[2:].replace("-", "_")), settings) for flag, settings in options}
 
+    def register(body):
+        COMMANDS[name] = Command(body, options, flags)
+        return body
 
-@functools.cache
-def _table(name: str) -> dict:
-    """A command's flags, each with its dest and keywords.
-
-    A dest is the flag with '-' turned into '_' unless the option sets one.
-    """
-    return {flag: (settings.get("dest", flag[2:].replace("-", "_")), settings)
-            for flag, settings in _options(name)}
+    return register
 
 
 def _value(flag: str, settings: dict, text: str):
@@ -246,8 +234,6 @@ def _value(flag: str, settings: dict, text: str):
             value = kind(text)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"argument {flag}: {exc}") from None
-        except (TypeError, ValueError):
-            raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
     choices = settings.get("choices")
     if choices is not None and value not in choices:
         raise UsageError(f"argument {flag}: invalid choice: {value!r} "
@@ -264,7 +250,7 @@ def _read_options(name: str, args: list[str]) -> dict | None:
     last one wins. A default that is a function is called only when its
     option is absent.
     """
-    flags = _table(name)
+    flags = COMMANDS[name].flags
     tokens, pairs, unknown = iter(args), [], []
     for token in tokens:
         flag, equals, text = token.partition("=")
@@ -308,7 +294,7 @@ def _help_parser(name: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"qlink {name}", usage="%(prog)s [OPTIONS]",
                                      description=COMMANDS[name].body.__doc__, allow_abbrev=False,
                                      add_help=False)
-    for flag, settings in _options(name):
+    for flag, settings in COMMANDS[name].options:
         parser.add_argument(flag, **settings)
     return parser
 

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Re-exported: perfbench/pin.py imports both from here (test_benchmark_call_forms_resolve).
-from .analytic import LinkParams, Multiplexing
+from .analytic import LinkParams, Multiplexing, _check_int
 from .codes import CodeStack
 
 TRIAL_BLOCK = 1 << 14
@@ -90,6 +90,8 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "seed", "workers"):
+            _check_int(getattr(self, name), name)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.trials >= 2**63:   # the engine counts in int64

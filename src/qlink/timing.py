@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .analytic import Multiplexing, serial_penalty_ratio
+from .analytic import Multiplexing, _check_int, serial_penalty_ratio
 from .codes import QecCode
 
 DEFAULT_SLOWDOWN_THRESHOLD = 1.5
@@ -43,6 +43,8 @@ def cycle_times(t_t: float, t_lqec: float, n: int, lanes: int = 1) -> CycleTimes
         raise ValueError(f"t_t must be > 0, got {t_t}")
     if t_lqec < 0:
         raise ValueError(f"t_lqec must be >= 0, got {t_lqec}")
+    _check_int(n, "n")
+    _check_int(lanes, "lanes")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if lanes < 1:
@@ -88,6 +90,10 @@ def recommend(
     of a one-lane link carrying code.n qubits, and the failure-probability
     ratio, analytic.serial_penalty_ratio.
     """
+    for name, value in (("slowdown_threshold", slowdown_threshold),
+                        ("reliability_threshold", reliability_threshold)):
+        if not math.isfinite(value):   # a NaN fails both comparisons below and would pick serial
+            raise ValueError(f"{name} must be finite, got {value}")
     times = cycle_times(t_t, t_lqec, code.n)
     ratio = serial_penalty_ratio(code, p_t, p_m)
 

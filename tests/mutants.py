@@ -22,6 +22,7 @@ CIRCUITS = "src/qlink/circuits.py"
 CLI = "src/qlink/cli.py"
 MC_TESTS = "tests/test_montecarlo.py::"
 ANALYTIC_TESTS = "tests/test_analytic.py::"
+TIMING_TESTS = "tests/test_timing.py::"
 READER_TESTS = "tests/test_cli_reader.py::"
 
 MUTANTS = [
@@ -55,19 +56,19 @@ MUTANTS = [
            (MC_TESTS + "test_batch_matches_one_run_per_config",)),
     Mutant(ANALYTIC, "term = share * power * factor * (1.0 - p_t) ** i",
            "term = share * power * factor",
-           (MC_TESTS + "test_combined_ratio_frozen_values",)),
+           (ANALYTIC_TESTS + "test_penalty_ratio_frozen_values",)),
     # A float ** raises OverflowError where the products overflow to inf and the term is redone in logs.
     Mutant(ANALYTIC, "term = share * power * factor * (1.0 - p_t) ** i",
            "term = share * rate**i * factor * (1.0 - p_t) ** i",
-           (MC_TESTS + "test_unbounded_ratio_raises_in_both_callers",
-            MC_TESTS + "test_penalty_ratio_where_exactly_m_events_cannot_happen")),
+           (TIMING_TESTS + "test_unbounded_ratio_raises_in_both_callers",
+            ANALYTIC_TESTS + "test_penalty_ratio_where_exactly_m_events_cannot_happen")),
     # The union-rate guards: log1p(-1) raises, and a qubit that never waits sees no memory error.
     Mutant(ANALYTIC, "if self.p_t == 1.0 or (slots and self.p_m == 1.0):", "if slots and self.p_m == 1.0:",
-           (MC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
+           (ANALYTIC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
     Mutant(ANALYTIC, "if self.p_t == 1.0 or (slots and self.p_m == 1.0):", "if self.p_t == 1.0:",
-           (MC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
+           (ANALYTIC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
     Mutant(ANALYTIC, "if self.p_t == 1.0 or (slots and self.p_m == 1.0):", "if self.p_t == 1.0 or self.p_m == 1.0:",
-           (MC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
+           (ANALYTIC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
     Mutant(ANALYTIC, "if not math.isfinite(linearized):", "if math.isnan(linearized):",
            (ANALYTIC_TESTS + "test_algorithm_failure_rejects_a_linearization_past_the_float_range",)),
     Mutant(ANALYTIC, "budget = -math.expm1(math.log1p(-target_pf) / t)",
@@ -84,7 +85,8 @@ MUTANTS = [
            "basis = basis + [row]",
            ("tests/test_circuits.py::test_encoder_depends_only_on_the_span_of_the_checks",)),
     # perfbench/pin.py imports Multiplexing from the engine module.
-    Mutant(ENGINE, "from .analytic import LinkParams, Multiplexing\n", "from .analytic import LinkParams\n",
+    Mutant(ENGINE, "from .analytic import LinkParams, Multiplexing, _check_int\n",
+           "from .analytic import LinkParams, _check_int\n",
            ("tests/test_layering.py::test_benchmark_call_forms_resolve",)),
     Mutant(CLI, "import argparse\n", "import argparse\nimport json\n",
            ("tests/test_cli.py::test_each_command_loads_only_its_layers",)),
@@ -104,6 +106,26 @@ MUTANTS = [
            "values[dest] = default() if callable(default) else default\n"
            "        elif callable(default := settings.get('default')):\n            default()",
            (READER_TESTS + "test_qlink_seed_is_read_only_when_seed_is_absent",)),
+    # Unknown tokens are named first, all of them: here only when no known flag came with them.
+    Mutant(CLI, "    if unknown:\n", "    if unknown and not pairs:\n",
+           (READER_TESTS + "test_unknown_tokens_are_named_before_a_missing_required_option",
+            READER_TESTS + "test_help_needs_no_required_option")),
+    Mutant(CLI, "        elif text is not None:\n", "        elif False:\n",
+           (READER_TESTS + "test_a_flag_without_a_value_refuses_an_explicit_one",)),
+    # A value token that looks like an option is taken, not skipped.
+    Mutant(CLI, "else next(tokens, None)", 'else next((t for t in tokens if not t.startswith("-")), None)',
+           (READER_TESTS + "test_a_value_that_looks_like_an_option_is_taken",)),
+    # --help prints when the reader reaches it, not before the values ahead of it are read.
+    Mutant(CLI, "    values = {}\n",
+           '    if any(flag == "--help" for flag, _ in pairs):\n'
+           "        sys.stdout.write(_help_parser(name).format_help())\n        return None\n"
+           "    values = {}\n",
+           (READER_TESTS + "test_help_after_a_bad_value_reports_the_value",)),
+    Mutant(CLI, "        elif equals:\n", "        elif text:\n",
+           (READER_TESTS + "test_flag_equals_nothing_is_an_empty_value",)),
+    # --parallel stores into serial's dest, which it names when it registers.
+    Mutant(CLI, 'settings.get("dest", flag[2:].replace("-", "_"))', 'flag[2:].replace("-", "_")',
+           ("tests/test_cli.py::test_of_serial_and_parallel_the_last_one_wins",)),
     Mutant(CLI, 'choices=("leading", "exact")', 'choices=("lead", "exact")',
            ("tests/test_cli.py::test_option_literals_match_their_model_sources",)),
     Mutant(CLI, "return 0.0 if number == 0.0 else number", "return number",

@@ -1,24 +1,38 @@
 import decimal
 import math
 import random
+import sys
 
 import pytest
-from helpers import exact_failure, pattern_tail, round_sig, weight_tail
-from hypothesis import given, settings
+from helpers import (
+    event_ratio,
+    exact_failure,
+    leading_penalty_limit,
+    pattern_tail,
+    round_sig,
+    union_fault,
+    weight_tail,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlink.analytic import (
     TABLE3_STACKS,
+    LinkParams,
     ModelMode,
+    Multiplexing,
     allowable_pt,
     p_algorithm_failure,
     p_stack_block_error,
+    serial_penalty_ratio,
     table3,
 )
-from qlink.codes import CodeStack, QecCode, builtin_codes, parse_stack
+from qlink.codes import CodeStack, QecCode, builtin_codes, parse_code, parse_stack
 
 LEADING = ModelMode.LEADING_ORDER
 EXACT = ModelMode.EXACT_TAIL
+SERIAL = Multiplexing.SERIAL
+PARALLEL = Multiplexing.PARALLEL
 STEANE = parse_stack("7-1-3")
 GOLAY = parse_stack("23-1-7")
 
@@ -362,3 +376,210 @@ def test_failure_non_decreasing_in_pt_exact_to_float_rounding(stack, t, p, other
     low, high = _rates(p, other)
     before = p_algorithm_failure(stack, t, low, EXACT).p_f
     assert before <= p_algorithm_failure(stack, t, high, EXACT).p_f * (1.0 + 1e-14)
+
+
+# ---------------------------------------------------------------- link model
+def test_link_params_validation():
+    with pytest.raises(ValueError):
+        LinkParams(p_t=1.5)
+    with pytest.raises(ValueError):
+        LinkParams(p_t=0.1, p_m=-0.2)
+    with pytest.raises(ValueError):
+        LinkParams(p_t=0.1, multiplexing=SERIAL, lanes=3)
+    with pytest.raises(ValueError):
+        LinkParams(p_t=0.1, lanes=0)
+
+
+def test_link_params_coerce_the_link_style():
+    # A style given by its value is the enum member, so a 3-lane "serial"
+    # link is refused like a 3-lane SERIAL one.
+    with pytest.raises(ValueError, match="serial links have exactly one lane"):
+        LinkParams(0.1, 0.0, "serial", 3)
+    with pytest.raises(ValueError, match="not a valid Multiplexing"):
+        LinkParams(0.1, 0.0, "bogus")
+    assert LinkParams(0.1, 0.0, "parallel", 7).multiplexing is PARALLEL
+
+
+@pytest.mark.parametrize("multiplexing, lanes", [(PARALLEL, 2.5), (PARALLEL, 7.0), (SERIAL, True)])
+def test_link_params_refuse_a_float_or_a_bool_lane_count(multiplexing, lanes):
+    with pytest.raises(ValueError, match="^lanes must be an integer, got "):
+        LinkParams(0.1, 0.0, multiplexing, lanes)
+
+
+def test_wait_slots():
+    serial = LinkParams(p_t=0.1, multiplexing=SERIAL)
+    wide = LinkParams(p_t=0.1, multiplexing=PARALLEL, lanes=7)
+    narrow = LinkParams(p_t=0.1, multiplexing=PARALLEL, lanes=3)
+    assert serial.wait_slots(7) == 6
+    assert wide.wait_slots(7) == 0
+    assert narrow.wait_slots(7) == 2  # ceil(7 / 3) - 1 rounds of waiting
+
+
+def test_default_link_is_one_lane_serial():
+    # With one lane a link waits N - 1 slots, which is a serial link, so the
+    # default must say so.
+    link = LinkParams(1e-3, 1e-4)
+    assert (link.multiplexing, link.multiplexing.value, link.lanes) == (SERIAL, "serial", 1)
+    assert link.wait_slots(7) == 6
+    assert link == LinkParams(1e-3, 1e-4, SERIAL, lanes=1)
+    assert link.fault_probability(7) == 0.0015992501699785015
+
+
+def test_certain_events_make_certain_faults_only_where_they_strike():
+    # A certain teleportation error fails every qubit, waits or not.
+    assert LinkParams(1.0).fault_probability(7) == 1.0
+    assert LinkParams(1.0, 0.0, PARALLEL, 7).fault_probability(7) == 1.0
+    # A certain memory error fails a qubit that waits, and no other.
+    assert LinkParams(1e-3, 1.0).fault_probability(7) == 1.0
+    assert LinkParams(1e-3, 1.0, PARALLEL, 7).fault_probability(7) == pytest.approx(1e-3, rel=1e-15, abs=0.0)
+    assert LinkParams(1e-3, 1.0).fault_probability(1) == pytest.approx(1e-3, rel=1e-15, abs=0.0)
+
+
+# --------------------------------------------------------- serial penalty ratio
+def test_penalty_ratio_collapses_without_memory_errors():
+    for spec, p in (("7-1-3", 0.01), ("23-1-7", 0.003)):
+        assert serial_penalty_ratio(parse_code(spec), p, 0.0) == 1.0
+
+
+def test_penalty_ratio_frozen_values():
+    # p_m = p_t / (10 (n-1)) puts the aggregated waiting error at p_t / 10.
+    # The constants are the decimal oracle's values.
+    assert event_ratio(7, 2, 1e-3, 1e-3 / 60) == 1.2422249034245774
+    assert event_ratio(23, 4, 1e-3, 1e-3 / 220) == 1.5328696686019845
+    r7 = serial_penalty_ratio(parse_code("7-1-3"), 1e-3, 1e-3 / 60)
+    r23 = serial_penalty_ratio(parse_code("23-1-7"), 1e-3, 1e-3 / 220)
+    assert r7 == pytest.approx(1.2422249034245774, rel=1e-12)
+    assert r23 == pytest.approx(1.5328696686019845, rel=1e-12)
+
+
+def test_faulty_qubit_union_ratio_frozen_values():
+    # The simulator's model: a qubit is faulty iff at least one event hits
+    # it, so the serial/parallel ratio is the exact tail at the union rate.
+    # It sits below the event convolution's 1.2422 and 1.5329, because the
+    # convolution counts n same-qubit pairs among its n^2 as two faults.
+    for spec, expected in (("7-1-3", 1.2094), ("23-1-7", 1.4613)):
+        code = parse_code(spec)
+        stack = CodeStack((code,))
+        p_m = 1e-3 * 0.1 / (code.n - 1)
+        q_serial = LinkParams(1e-3, p_m, SERIAL).fault_probability(code.n)
+        ratio = p_stack_block_error(stack, q_serial, EXACT) / p_stack_block_error(stack, 1e-3, EXACT)
+        assert ratio == pytest.approx(expected, abs=5e-5)
+
+
+def test_penalty_ratio_leading_order_limits():
+    # As p_t -> 0 the ratios approach the expansion coefficients:
+    # (21 + 49/10 + 21/100) / 21 for seven qubits and the matching sum for
+    # twenty-three.
+    r7 = serial_penalty_ratio(parse_code("7-1-3"), 1e-8, 1e-8 / 60)
+    assert r7 == pytest.approx(26.11 / 21, rel=1e-6)
+    r23 = serial_penalty_ratio(parse_code("23-1-7"), 1e-8, 1e-8 / 220)
+    expected = (8855 + 4073.3 + 640.09 + 40.733 + 0.8855) / 8855
+    assert r23 == pytest.approx(expected, rel=1e-6)
+
+
+@given(code=st.sampled_from(builtin_codes()), share=st.floats(0.0, 1.0))
+@example(code=parse_code("23-1-7"), share=0.0).via("the smallest p_t")
+@example(code=parse_code("7-1-3"), share=1.0).via("p_t = 1e-12")
+def test_penalty_ratio_tends_to_its_leading_order_limit(code, share):
+    # From p_t = 1e-12 down to the smallest normal float, the ratio at the
+    # CLI's default p_m sits on its p_t -> 0 limit: a memory rate cancelled
+    # against 1 would put it percents off, and p_t^m formed on the way
+    # would underflow.
+    smallest = math.log10(sys.float_info.min) + 1e-9
+    p_t = 10 ** (smallest + share * (-12 - smallest))
+    assert p_t >= sys.float_info.min
+    limit = leading_penalty_limit(code.n, code.min_fail)
+    quoted = {"5-1-3": 1.26, "7-1-3": 1.24333, "9-1-3": 1.235, "23-1-7": 1.53699}
+    assert limit == pytest.approx(quoted[code.spec()], abs=5e-6)
+    assert serial_penalty_ratio(code, p_t, p_t / (10 * (code.n - 1))) == pytest.approx(limit, rel=1e-9)
+
+
+@given(p_t=st.floats(0.0, 1.0), p_m=st.floats(0.0, 1.0), slots=st.integers(0, 600))
+@example(p_t=1e-300, p_m=1e-300, slots=528).via("rates far below one ulp of 1")
+@example(p_t=1.0, p_m=0.5, slots=6).via("certain teleportation error")
+@example(p_t=0.1, p_m=1.0, slots=6).via("certain memory error")
+@example(p_t=0.1, p_m=1.0, slots=0).via("certain memory error, no wait")
+def test_fault_probability_matches_decimal_union(p_t, p_m, slots):
+    # A serial link waits block_size - 1 slots.
+    q = LinkParams(p_t, p_m, SERIAL).fault_probability(slots + 1)
+    assert q == pytest.approx(union_fault(p_t, p_m, slots), rel=1e-13, abs=0.0)
+
+
+_LOG_RATES = st.floats(math.log10(2.3e-308), math.log10(0.5))
+
+
+@settings(deadline=None)
+@given(code=st.sampled_from(builtin_codes()), log_p_t=_LOG_RATES,
+       p_m=st.one_of(st.none(), st.floats(0.0, 0.05)))
+@example(code=parse_code("7-1-3"), log_p_t=-200.0, p_m=None).via("p_t^m underflows")
+@example(code=parse_code("23-1-7"), log_p_t=-100.0, p_m=None).via("p_t^m underflows")
+@example(code=parse_code("23-1-7"), log_p_t=math.log10(2.3e-308), p_m=0.0).via("no memory error")
+@example(code=parse_code("7-1-3"), log_p_t=-160.0, p_m=0.05).via("past the float range")
+def test_penalty_ratio_matches_decimal_event_ratio(code, log_p_t, p_m):
+    # p_m = None stands for the CLI's default, p_t / (10 (n - 1)). The
+    # ratio may round to inf, and raise, only once it is past 1e300.
+    p_t = 10**log_p_t
+    if p_m is None:
+        p_m = p_t / (10 * (code.n - 1))
+    expected = event_ratio(code.n, code.min_fail, p_t, p_m)
+    if expected > sys.float_info.max:
+        with pytest.raises(ValueError, match="^failure-probability ratio is unbounded"):
+            serial_penalty_ratio(code, p_t, p_m)
+    elif expected <= 1e300:
+        assert serial_penalty_ratio(code, p_t, p_m) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _custom_codes(draw):
+    n = draw(st.integers(2, 200))
+    return QecCode(n, 1, draw(st.integers(0, (n - 1) // 2)) * 2 + 1)
+
+
+@settings(deadline=None)
+@given(code=_custom_codes(), log_p_t=_LOG_RATES, p_m=st.one_of(st.none(), st.floats(0.0, 1.0)))
+@example(code=QecCode(100, 1, 3), log_p_t=-200.0, p_m=0.1).via("(w / p_t)^2 is inf, (1 - w)^98 is 0")
+@example(code=QecCode(127, 1, 35), log_p_t=math.log10(6.01e-130), p_m=0.321).via("w rounds to 1")
+@example(code=QecCode(186, 1, 121), log_p_t=math.log10(4.6e-8), p_m=0.0145).via("share * power overflows")
+@example(code=QecCode(9, 1, 3), log_p_t=-3.0, p_m=0.9).via("1 - w lost its digits")
+def test_penalty_ratio_on_custom_codes_matches_decimal_event_ratio(code, log_p_t, p_m):
+    # Large codes at high memory rates: w near 1, (w / p_t)^i past the float
+    # range and (1 - w)^(n - i) below it. One ulp of p_m moves the ratio by
+    # up to about eps * n (n - 1) |log1p(-p_m)| (the exponent of 1 - p_m),
+    # which no float evaluation can resolve; it is below 5e-13 for p_m <= 0.05.
+    p_t = 10**log_p_t
+    if p_m is None:
+        p_m = p_t / (10 * (code.n - 1))
+    expected = event_ratio(code.n, code.min_fail, p_t, p_m)
+    if expected > sys.float_info.max:
+        with pytest.raises(ValueError, match="^failure-probability ratio is unbounded"):
+            serial_penalty_ratio(code, p_t, p_m)
+    elif sys.float_info.min <= expected <= 1e300:
+        exponent = code.n * (code.n - 1) * -math.log1p(-p_m) if p_m < 1.0 else 0.0
+        rel = 1e-12 + 2 * sys.float_info.epsilon * exponent
+        assert serial_penalty_ratio(code, p_t, p_m) == pytest.approx(expected, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize(("p_t", "p_m", "expected"), [
+    (0.0, 1.0, 1.0),     # no teleportation error, and every qubit's waits fail: never 2 events
+    (1.0, 0.01, 1.0),    # every qubit fails teleportation, so no block has exactly 2 events
+    (0.01, 1.0, 0.0),    # every memory wait fails: 7 events, never exactly 2
+    (1e-200, 1.0, 0.0),  # the same, where (w / p_t)^2 is past the float range
+])
+def test_penalty_ratio_where_exactly_m_events_cannot_happen(p_t, p_m, expected):
+    # p_t = 0 without memory errors, p_t = 0 with them, and p_t = 1e-160
+    # at p_m = 0.05 are pinned against recommend in tests/test_timing.py.
+    assert serial_penalty_ratio(parse_code("7-1-3"), p_t, p_m) == expected
+
+
+def test_serial_penalty_vanishes_with_perfect_memory():
+    assert serial_penalty_ratio(parse_code("7-1-3"), 1e-3, 1e-12 / 6) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_serial_penalty_ratio_rejects_a_negative_memory_rate():
+    with pytest.raises(ValueError, match=r"p_m must be in \[0, 1\]"):
+        serial_penalty_ratio(parse_code("7-1-3"), 1e-3, -1e-4)
+
+
+def test_serial_penalty_ratio_rejects_a_teleportation_rate_above_one():
+    with pytest.raises(ValueError, match=r"p_t must be in \[0, 1\]"):
+        serial_penalty_ratio(parse_code("7-1-3"), 1.5, 1e-4)

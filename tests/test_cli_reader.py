@@ -9,6 +9,7 @@ a value such as -1e-3 is not read as an option. Named cases pin each
 documented rule without hypothesis, so the mutants in tests/mutants.py are
 killed whatever hypothesis draws.
 """
+import argparse
 import contextlib
 import functools
 import io
@@ -35,7 +36,7 @@ def oracle_parser(name):
 
 def argparse_reading(name, args):
     """("values", sorted items) or ("error", message) or ("help", page), as argparse reads args."""
-    takes_value = {flag: "action" not in settings for flag, settings in cli._options(name)}
+    takes_value = {flag: "action" not in settings for flag, settings in COMMANDS[name].options}
     tokens, joined, unknown = iter(args), [], []
     for token in tokens:
         if token.partition("=")[0] not in takes_value:
@@ -99,7 +100,7 @@ def argvs(draw):
     readings are drawn too, not only usage errors.
     """
     name = draw(st.sampled_from(sorted(COMMANDS)))
-    table = [(flag, settings) for flag, settings in cli._options(name) if flag != "--help"]
+    table = [(flag, settings) for flag, settings in COMMANDS[name].options if flag != "--help"]
     args = []
     if draw(st.booleans()):
         for flag, settings in draw(st.permutations([o for o in table if o[1].get("required")])):
@@ -131,13 +132,31 @@ def test_reader_agrees_with_argparse(case):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_each_command_reads_its_required_options_and_its_help(name):
     required = {"--t": "1e5", "--pt": "0.01", "--bits": "64", "--tt": "1", "--tlqec": "100", "--n": "7"}
-    args = [token for flag, settings in cli._options(name) if settings.get("required")
+    args = [token for flag, settings in COMMANDS[name].options if settings.get("required")
             for token in (flag, required[flag])]
     assert agreed(name, *args)[0] == "values"
     assert agreed(name, *args, "--help")[0] == "help"
 
 
 # ------------------------------------------------------------- named cases
+def test_every_type_refuses_a_value_with_an_argument_type_error():
+    # The reader turns ArgumentTypeError into a usage error and catches nothing else,
+    # so no type in any table may raise a bare ValueError or TypeError.
+    kinds = {settings["type"] for command in COMMANDS.values() for _, settings in command.options
+             if "type" in settings}
+    assert kinds == {cli.finite_float, cli.scientific_int, cli.float_list}
+    texts = BAD + [text for values in GOOD.values() for text in values]
+    for kind in kinds:
+        for text in texts:
+            try:
+                kind(text)
+            except argparse.ArgumentTypeError:
+                pass
+    for kind in kinds:
+        with pytest.raises(argparse.ArgumentTypeError):
+            kind("abc")
+
+
 def test_each_occurrence_of_a_flag_is_checked_and_the_last_wins():
     assert agreed("analyze", "--t", "1", "--t", "2") == agreed("analyze", "--t", "2")
     assert "('t', 2.0)" in agreed("analyze", "--t", "1", "--t", "2")[1]

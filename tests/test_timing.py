@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qlink.analytic import Multiplexing
+from qlink.analytic import Multiplexing, serial_penalty_ratio
 from qlink.codes import builtin_codes, parse_code
 from qlink.timing import cycle_times, recommend
 
@@ -67,6 +67,12 @@ def test_cycle_times_reject_non_finite_times(t_t, t_lqec):
         cycle_times(t_t, t_lqec, 7)
 
 
+@pytest.mark.parametrize("n, lanes, name", [(7.0, 1, "n"), (True, 1, "n"), (7, 2.5, "lanes"), (7, True, "lanes")])
+def test_cycle_times_reject_a_float_or_a_bool_count(n, lanes, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        cycle_times(1.0, 5.0, n, lanes)
+
+
 @pytest.mark.parametrize("t_t, t_lqec, n", [(1e308, 1e308, 7), (1e308, 0.0, 2), (1e300, 0.0, 10**9)])
 def test_cycle_times_reject_overflowing_times(t_t, t_lqec, n):
     # Each time is finite, but the serial cycle overflows to inf.
@@ -93,6 +99,14 @@ def test_recommend_rejects_a_rate_outside_the_unit_interval():
         recommend(STEANE, 1.0, 100.0, p_t=1e-3, p_m=-1e-4)
     with pytest.raises(ValueError, match=r"p_t must be in \[0, 1\]"):
         recommend(STEANE, 1.0, 100.0, p_t=1.5, p_m=1e-4)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["slowdown_threshold", "reliability_threshold"])
+def test_recommend_rejects_a_non_finite_threshold(name, threshold):
+    # A NaN threshold fails both comparisons, so it used to pick serial silently.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        recommend(GOLAY, 1.0, 0.0, 1e-3, 1e-3, **{name: threshold})
 
 
 # ----------------------------------------------------------------- recommend
@@ -144,3 +158,27 @@ def test_slower_local_qec_never_flips_toward_parallel():
         second = recommend(STEANE, 1.0, t_slow, p_t, p_t / 60).choice
         if first is Multiplexing.SERIAL:
             assert second is Multiplexing.SERIAL
+
+
+# ------------------------------------------------ recommend's serial penalty
+@pytest.mark.parametrize("spec", ["7-1-3", "23-1-7"])
+def test_recommend_reports_the_serial_penalty_ratio(spec):
+    code = parse_code(spec)
+    p_m = 1e-3 / (10 * (code.n - 1))
+    rec = recommend(code, 1.0, 100.0, 1e-3, p_m)
+    assert rec.reliability_ratio == serial_penalty_ratio(code, 1e-3, p_m)
+
+
+def test_vanishing_failures_are_no_penalty_in_both_callers():
+    rec = recommend(parse_code("7-1-3"), 1.0, 100.0, 0.0, 0.0)
+    assert serial_penalty_ratio(parse_code("7-1-3"), 0.0, 0.0) == rec.reliability_ratio == 1.0
+
+
+def test_unbounded_ratio_raises_in_both_callers():
+    # At p_t = 1e-160 and p_m = 0.05 the waiting rate is 2.6e159 times p_t,
+    # so the ratio, about 1.5e318, is past the float range.
+    code = parse_code("7-1-3")
+    with pytest.raises(ValueError, match="ratio is unbounded"):
+        serial_penalty_ratio(code, 1e-160, 0.05)
+    with pytest.raises(ValueError, match="ratio is unbounded"):
+        recommend(code, 1.0, 100.0, 1e-160, 0.05)
