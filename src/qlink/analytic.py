@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .codes import CodeStack, QecCode, parse_stack
+from .codes import CodeStack, QecCode, _check_int, parse_stack
 
 # Linearizing 1 - (1 - p_e)^t to t * p_e is only honest while t * p_e is
 # small; estimates past this threshold are flagged.
@@ -56,12 +56,6 @@ class Multiplexing(str, Enum):
 def _check_prob(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-def _check_int(value: int, name: str) -> None:
-    """A count or a seed: an int or a numpy integer, never a float or a bool."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

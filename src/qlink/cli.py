@@ -6,13 +6,11 @@ plain text where a human just wants to look. Identical flags and seed give
 byte-identical output.
 
 Each command's options are read in one pass over its option table, the
-(flag, argparse.add_argument keywords) pairs it registers. argparse only
-renders a --help page, from a parser built from the same table when the
-page is asked for.
+(flag, keywords) pairs it registers. Its --help page is laid out from the
+same table at a fixed 80 columns, so it reads the same on every terminal.
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import io
 import math
@@ -33,7 +31,7 @@ class UsageError(Exception):
 
 
 def _fail(message: str) -> NoReturn:
-    raise argparse.ArgumentTypeError(message)
+    raise ValueError(message)
 
 
 def _finite(number: float, text: str) -> float:
@@ -103,7 +101,7 @@ def float_list(text: str) -> tuple[float, ...]:
     return tuple(_finite(number, text) for number in numbers)
 
 
-# argparse keywords for each kind of value an option takes.
+# The keywords of each kind of value an option takes.
 FLOAT = {"type": finite_float, "metavar": "FLOAT"}
 INTEGER = {"type": scientific_int, "metavar": "INTEGER"}
 FLOAT_LIST = {"type": float_list, "metavar": "FLOAT-LIST"}
@@ -114,7 +112,7 @@ def _env_seed() -> int:
     text = os.environ.get("QLINK_SEED")
     try:
         return scientific_int(text) if text else 0
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise UsageError(f"argument --seed (from QLINK_SEED): {exc}") from None
 
 
@@ -188,17 +186,15 @@ def _load_circuit(ref: str) -> circuits.EncoderCircuit:
 
 
 class Command(NamedTuple):
-    """A subcommand: its body, its option table, and its flags, each with its dest and keywords.
+    """A subcommand: its body, and its flags in declaration order, each with its dest and keywords.
 
-    Each option is (flag, argparse.add_argument keywords); the reader
-    honours dest, type, choices, required, default and the store_true,
-    store_false and help actions, and the rest only shape --help. The body
-    takes the options read as keywords and returns a report dict or a
-    (header, rows) table.
+    The reader honours the keywords dest, type, choices, required, default
+    and the store_true, store_false and help actions; metavar and help
+    shape only the --help page. The body takes the options read as
+    keywords and returns a report dict or a (header, rows) table.
     """
 
     body: Callable
-    options: tuple
     flags: dict
 
 
@@ -220,7 +216,7 @@ def _command(name: str, fmt: str, *options):
     flags = {flag: (settings.get("dest", flag[2:].replace("-", "_")), settings) for flag, settings in options}
 
     def register(body):
-        COMMANDS[name] = Command(body, options, flags)
+        COMMANDS[name] = Command(body, flags)
         return body
 
     return register
@@ -232,7 +228,7 @@ def _value(flag: str, settings: dict, text: str):
     if kind is not None:
         try:
             value = kind(text)
-        except argparse.ArgumentTypeError as exc:
+        except ValueError as exc:
             raise UsageError(f"argument {flag}: {exc}") from None
     choices = settings.get("choices")
     if choices is not None and value not in choices:
@@ -273,7 +269,7 @@ def _read_options(name: str, args: list[str]) -> dict | None:
         elif text is not None:
             raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
         elif action == "help":
-            sys.stdout.write(_help_parser(name).format_help())
+            sys.stdout.write(_help_page(name))
             return None
         else:
             values[dest] = action == "store_true"
@@ -289,14 +285,20 @@ def _read_options(name: str, args: list[str]) -> dict | None:
     return values
 
 
-def _help_parser(name: str) -> argparse.ArgumentParser:
-    """An argparse parser built from a command's option table, which renders its --help page."""
-    parser = argparse.ArgumentParser(prog=f"qlink {name}", usage="%(prog)s [OPTIONS]",
-                                     description=COMMANDS[name].body.__doc__, allow_abbrev=False,
-                                     add_help=False)
-    for flag, settings in COMMANDS[name].options:
-        parser.add_argument(flag, **settings)
-    return parser
+def _help_page(name: str) -> str:
+    """A command's --help page, laid out from its option table at 80 columns on any terminal."""
+    import textwrap
+
+    doc = textwrap.fill(" ".join(COMMANDS[name].body.__doc__.split()), 78)
+    lines = [f"usage: qlink {name} [OPTIONS]\n\n{doc}\n\noptions:"]
+    for flag, (dest, settings) in COMMANDS[name].flags.items():
+        choices = settings.get("choices")
+        metavar = settings.get("metavar") or ("{" + ",".join(choices) + "}" if choices else dest.upper())
+        head = f"  {flag}" if "action" in settings else f"  {flag} {metavar}"
+        text = textwrap.indent(textwrap.fill(settings["help"] % settings, 54), " " * 24)
+        # an invocation past 20 columns takes a line of its own
+        lines.append(f"{head}\n{text}" if len(head) > 22 else head.ljust(24) + text[24:])
+    return "\n".join(lines) + "\n"
 
 
 def _overview() -> str:

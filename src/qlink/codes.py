@@ -4,6 +4,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def _check_int(value: int, name: str) -> None:
+    """A count, a seed or a code parameter: an int or a numpy integer, never a float or a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QecCode:
     """An [[n, k, d]] block code descriptor.
@@ -17,6 +23,8 @@ class QecCode:
     d: int
 
     def __post_init__(self):
+        for name in ("n", "k", "d"):
+            _check_int(getattr(self, name), name)
         if self.k < 1 or self.n < self.k:
             raise ValueError(f"need n >= k >= 1, got n={self.n}, k={self.k}")
         if self.d < 1 or self.d % 2 == 0:

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -90,8 +91,9 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("trials", "seed", "workers"):
+        for name in ("trials", "seed", "workers"):   # stored as plain ints, which json can write
             _check_int(getattr(self, name), name)
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.trials >= 2**63:   # the engine counts in int64

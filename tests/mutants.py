@@ -84,11 +84,19 @@ MUTANTS = [
     Mutant(CIRCUITS, "basis = [vector ^ row if vector & row & -row else vector for vector in basis] + [row]",
            "basis = basis + [row]",
            ("tests/test_circuits.py::test_encoder_depends_only_on_the_span_of_the_checks",)),
+    # A code's n, k and d are integers, and the engine echoes plain ints that json can write.
+    Mutant("src/qlink/codes.py", 'for name in ("n", "k", "d"):', "for name in ():",
+           ("tests/test_codes.py::test_code_parameters_must_be_integers",)),
+    Mutant(ENGINE, "            object.__setattr__(self, name, operator.index(getattr(self, name)))\n", "",
+           (MC_TESTS + "test_an_estimate_from_numpy_integers_holds_plain_numbers",)),
     # perfbench/pin.py imports Multiplexing from the engine module.
     Mutant(ENGINE, "from .analytic import LinkParams, Multiplexing, _check_int\n",
            "from .analytic import LinkParams, _check_int\n",
            ("tests/test_layering.py::test_benchmark_call_forms_resolve",)),
-    Mutant(CLI, "import argparse\n", "import argparse\nimport json\n",
+    Mutant(CLI, "import dataclasses\n", "import dataclasses\nimport json\n",
+           ("tests/test_cli.py::test_each_command_loads_only_its_layers",)),
+    # No command, --help included, loads argparse.
+    Mutant(CLI, "import dataclasses\n", "import argparse\nimport dataclasses\n",
            ("tests/test_cli.py::test_each_command_loads_only_its_layers",)),
     # pathlib only for a type hint: the circuit commands must not load it.
     Mutant(CIRCUITS, "if TYPE_CHECKING:   # only load_circuit's annotation names it", "if True:   #",
@@ -118,9 +126,12 @@ MUTANTS = [
     # --help prints when the reader reaches it, not before the values ahead of it are read.
     Mutant(CLI, "    values = {}\n",
            '    if any(flag == "--help" for flag, _ in pairs):\n'
-           "        sys.stdout.write(_help_parser(name).format_help())\n        return None\n"
+           "        sys.stdout.write(_help_page(name))\n        return None\n"
            "    values = {}\n",
            (READER_TESTS + "test_help_after_a_bad_value_reports_the_value",)),
+    # The help page wraps at argparse's 54 columns from column 24.
+    Mutant(CLI, '["help"] % settings, 54)', '["help"] % settings, 55)',
+           (READER_TESTS + "test_each_command_reads_its_required_options_and_its_help",)),
     Mutant(CLI, "        elif equals:\n", "        elif text:\n",
            (READER_TESTS + "test_flag_equals_nothing_is_an_empty_value",)),
     # --parallel stores into serial's dest, which it names when it registers.

@@ -136,9 +136,9 @@ CASES = (
 
 @contextlib.contextmanager
 def fixed_process():
-    """Pin what the CLI reads from the process: the help pages' width and the seed env."""
+    """Pin what the CLI reads from the process: the seed env, its only input besides argv."""
     env = {k: v for k, v in os.environ.items() if k != "QLINK_SEED"}
-    with mock.patch.dict(os.environ, {**env, "COLUMNS": "80"}, clear=True):
+    with mock.patch.dict(os.environ, env, clear=True):
         yield
 
 
@@ -160,6 +160,16 @@ def test_golden_file_holds_exactly_the_cases():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_cli_transcript(argv):
     assert transcript(argv) == _golden()[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS], ids=" ".join)
+def test_help_pages_do_not_depend_on_the_terminal_width(argv, monkeypatch):
+    monkeypatch.delenv("COLUMNS", raising=False)
+    pages = {run_cli(*argv)}
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        pages.add(run_cli(*argv))
+    assert len(pages) == 1
 
 
 if __name__ == "__main__":

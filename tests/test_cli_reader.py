@@ -1,8 +1,9 @@
 """The option reader against argparse: the same values, the same usage error, the same help page.
 
 `qlink.cli` reads each command's options in one pass over its option
-table. The oracle here is argparse itself, given a parser built from the
-same table (as the --help path builds it) and the front end's documented
+table and lays out its --help page from the same table. The oracle here
+is argparse itself, given a parser built from that table, at the width
+of qlink's pages whatever the terminal, and the front end's documented
 pre-pass: every unknown token is named first, and an option that takes a
 value takes the token after it, handed to argparse as `flag=value` so that
 a value such as -1e-3 is not read as an option. Named cases pin each
@@ -27,16 +28,34 @@ def _refuse(message):
     raise UsageError(message)
 
 
+def _argparse_type(kind):
+    """kind, its ValueError raised again as ArgumentTypeError, so that argparse prints its message."""
+    def convert(text):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 @functools.cache
 def oracle_parser(name):
-    parser = cli._help_parser(name)
+    """argparse's parser for a command, built from its option table; its pages are 80 columns wide."""
+    parser = argparse.ArgumentParser(prog=f"qlink {name}", usage="%(prog)s [OPTIONS]",
+                                     description=COMMANDS[name].body.__doc__, allow_abbrev=False,
+                                     add_help=False,
+                                     formatter_class=functools.partial(argparse.HelpFormatter, width=78))
+    for flag, (_, settings) in COMMANDS[name].flags.items():
+        if "type" in settings:
+            settings = {**settings, "type": _argparse_type(settings["type"])}
+        parser.add_argument(flag, **settings)
     parser.error = _refuse
     return parser
 
 
 def argparse_reading(name, args):
     """("values", sorted items) or ("error", message) or ("help", page), as argparse reads args."""
-    takes_value = {flag: "action" not in settings for flag, settings in COMMANDS[name].options}
+    takes_value = {flag: "action" not in settings for flag, (_, settings) in COMMANDS[name].flags.items()}
     tokens, joined, unknown = iter(args), [], []
     for token in tokens:
         if token.partition("=")[0] not in takes_value:
@@ -100,7 +119,7 @@ def argvs(draw):
     readings are drawn too, not only usage errors.
     """
     name = draw(st.sampled_from(sorted(COMMANDS)))
-    table = [(flag, settings) for flag, settings in COMMANDS[name].options if flag != "--help"]
+    table = [(flag, settings) for flag, (_, settings) in COMMANDS[name].flags.items() if flag != "--help"]
     args = []
     if draw(st.booleans()):
         for flag, settings in draw(st.permutations([o for o in table if o[1].get("required")])):
@@ -132,17 +151,17 @@ def test_reader_agrees_with_argparse(case):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_each_command_reads_its_required_options_and_its_help(name):
     required = {"--t": "1e5", "--pt": "0.01", "--bits": "64", "--tt": "1", "--tlqec": "100", "--n": "7"}
-    args = [token for flag, settings in COMMANDS[name].options if settings.get("required")
+    args = [token for flag, (_, settings) in COMMANDS[name].flags.items() if settings.get("required")
             for token in (flag, required[flag])]
     assert agreed(name, *args)[0] == "values"
     assert agreed(name, *args, "--help")[0] == "help"
 
 
 # ------------------------------------------------------------- named cases
-def test_every_type_refuses_a_value_with_an_argument_type_error():
-    # The reader turns ArgumentTypeError into a usage error and catches nothing else,
-    # so no type in any table may raise a bare ValueError or TypeError.
-    kinds = {settings["type"] for command in COMMANDS.values() for _, settings in command.options
+def test_every_type_refuses_a_value_with_a_value_error():
+    # The reader turns ValueError into a usage error and catches nothing else,
+    # so no type in any table may raise a TypeError or any other exception.
+    kinds = {settings["type"] for command in COMMANDS.values() for _, settings in command.flags.values()
              if "type" in settings}
     assert kinds == {cli.finite_float, cli.scientific_int, cli.float_list}
     texts = BAD + [text for values in GOOD.values() for text in values]
@@ -150,10 +169,10 @@ def test_every_type_refuses_a_value_with_an_argument_type_error():
         for text in texts:
             try:
                 kind(text)
-            except argparse.ArgumentTypeError:
+            except ValueError:
                 pass
     for kind in kinds:
-        with pytest.raises(argparse.ArgumentTypeError):
+        with pytest.raises(ValueError):
             kind("abc")
 
 

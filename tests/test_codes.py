@@ -32,6 +32,14 @@ def test_bad_code_parameters_rejected(n, k, d):
         QecCode(n, k, d)
 
 
+@pytest.mark.parametrize("n, k, d, name", [(7.5, 1, 3, "n"), (7.0, 1, 3, "n"), (7, True, 3, "k"),
+                                             (7, 1, 3.0, "d")])
+def test_code_parameters_must_be_integers(n, k, d, name):
+    # QecCode(7.5, 1, 3) used to be the code 7.5-1-3, and QecCode(7, True, 3) the code 7-True-3.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        QecCode(n, k, d)
+
+
 def test_scale_up_examples():
     assert CodeStack().scale_up == 1
     assert parse_stack("23-1-7+7-1-3").scale_up == 161

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -73,6 +74,15 @@ def test_config_takes_numpy_integers():
     config = McConfig(STEANE, link, np.int64(20_000), seed=np.uint64(1), workers=np.int32(2))
     assert simulate_block_transfer(config).failures == simulate_block_transfer(
         _config(STEANE, 0.1, mux=SERIAL, trials=20_000, seed=1)).failures
+
+
+def test_an_estimate_from_numpy_integers_holds_plain_numbers():
+    # np.int64 trials and a np.uint64 seed used to come back as numpy fields, which json refuses.
+    config = McConfig(STEANE, LinkParams(0.1), np.int64(2000), seed=np.uint64(1), workers=np.int32(1))
+    fields = vars(simulate_block_transfer(config))
+    assert {name: type(value) for name, value in fields.items()} == {
+        "trials": int, "failures": int, "p_hat": float, "ci_low": float, "ci_high": float, "seed": int}
+    assert json.loads(json.dumps(fields)) == fields
 
 
 def test_trials_must_fit_the_engines_int64_counts():
