@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
-from .codes import CodeStack, QecCode, _check_int, parse_stack
+from .codes import CodeStack, QecCode, _check_int, _Record, _set, parse_stack
 
 # Linearizing 1 - (1 - p_e)^t to t * p_e is only honest while t * p_e is
 # small; estimates past this threshold are flagged.
@@ -58,8 +57,7 @@ def _check_prob(value: float, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class LinkParams:
+class LinkParams(_Record):
     """Physical link parameters for one block transfer.
 
     p_t is the per-qubit teleportation failure probability; p_m the
@@ -69,20 +67,22 @@ class LinkParams:
     intermediate lane counts wait ceil(N / lanes) - 1 slots.
     """
 
-    p_t: float
-    p_m: float = 0.0
-    multiplexing: Multiplexing = Multiplexing.SERIAL
-    lanes: int = 1
+    __slots__ = _fields = ("p_t", "p_m", "multiplexing", "lanes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "multiplexing", Multiplexing(self.multiplexing))
-        _check_prob(self.p_t, "p_t")
-        _check_prob(self.p_m, "p_m")
-        _check_int(self.lanes, "lanes")
-        if self.lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {self.lanes}")
-        if self.multiplexing is Multiplexing.SERIAL and self.lanes != 1:
+    def __init__(self, p_t: float, p_m: float = 0.0, multiplexing: Multiplexing = Multiplexing.SERIAL,
+                 lanes: int = 1):
+        multiplexing = Multiplexing(multiplexing)
+        _check_prob(p_t, "p_t")
+        _check_prob(p_m, "p_m")
+        _check_int(lanes, "lanes")
+        if lanes < 1:
+            raise ValueError(f"lanes must be >= 1, got {lanes}")
+        if multiplexing is Multiplexing.SERIAL and lanes != 1:
             raise ValueError("serial links have exactly one lane")
+        _set(self, "p_t", p_t)
+        _set(self, "p_m", p_m)
+        _set(self, "multiplexing", multiplexing)
+        _set(self, "lanes", lanes)
 
     def wait_slots(self, block_size: int) -> int:
         """Memory wait slots each qubit spends while the rest of the block moves.
@@ -142,14 +142,16 @@ def p_stack_block_error(stack: CodeStack, p_t: float, mode: ModelMode = ModelMod
     return q
 
 
-@dataclass(frozen=True)
-class AlgorithmFailure:
+class AlgorithmFailure(_Record):
     """Whole-computation failure estimate for t logical teleportations."""
 
-    block_error: float      # p_e fed into both below
-    p_f: float              # 1 - (1 - p_e)^t
-    linearized: float       # t * p_e
-    linearization_valid: bool
+    __slots__ = _fields = ("block_error", "p_f", "linearized", "linearization_valid")
+
+    def __init__(self, block_error: float, p_f: float, linearized: float, linearization_valid: bool):
+        _set(self, "block_error", block_error)   # p_e fed into both below
+        _set(self, "p_f", p_f)                   # 1 - (1 - p_e)^t
+        _set(self, "linearized", linearized)     # t * p_e
+        _set(self, "linearization_valid", linearization_valid)
 
 
 def p_algorithm_failure(
@@ -265,13 +267,15 @@ def serial_penalty_ratio(code: QecCode, p_t: float, p_m: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Table3Row:
-    stack: str
-    scale_up: int
-    t: float
-    mode: ModelMode
-    allowable_pt: float
+class Table3Row(_Record):
+    __slots__ = _fields = ("stack", "scale_up", "t", "mode", "allowable_pt")
+
+    def __init__(self, stack: str, scale_up: int, t: float, mode: ModelMode, allowable_pt: float):
+        _set(self, "stack", stack)
+        _set(self, "scale_up", scale_up)
+        _set(self, "t", t)
+        _set(self, "mode", mode)
+        _set(self, "allowable_pt", allowable_pt)
 
 
 def table3(

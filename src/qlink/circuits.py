@@ -18,10 +18,11 @@ stabilizers plus logical Z.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
+from .codes import _check_int, _Record, _set
+
+TYPE_CHECKING = False   # type checkers read it as true; nothing need be imported to say so
 if TYPE_CHECKING:   # only load_circuit's annotation names it, so `qlink cut` does not load pathlib
     from pathlib import Path
 
@@ -36,50 +37,57 @@ class Direction(str, Enum):
     B_TO_A = "B->A"
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: GateKind
-    qubits: tuple[int, ...]
+class Gate(_Record):
+    __slots__ = _fields = ("kind", "qubits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "kind", GateKind(self.kind))
-        arity = 1 if self.kind is GateKind.H else 2
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind.value} takes {arity} qubit(s), got {self.qubits}")
-        if self.kind is GateKind.CNOT and self.qubits[0] == self.qubits[1]:
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...]):
+        qubits = tuple(qubits)
+        kind = GateKind(kind)
+        arity = 1 if kind is GateKind.H else 2
+        if len(qubits) != arity:
+            raise ValueError(f"{kind.value} takes {arity} qubit(s), got {qubits}")
+        for q in qubits:
+            _check_int(q, "gate operand")
+        if kind is GateKind.CNOT and qubits[0] == qubits[1]:
             raise ValueError("CNOT control and target must differ")
+        _set(self, "kind", kind)
+        _set(self, "qubits", qubits)
 
 
-@dataclass(frozen=True)
-class EncoderCircuit:
+class EncoderCircuit(_Record):
     """Ordered qubit layout plus the gate list of a logical-zero encoder."""
 
-    n_qubits: int
-    qubit_order: tuple[int, ...]
-    gates: tuple[Gate, ...]
+    __slots__ = _fields = ("n_qubits", "qubit_order", "gates")
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubit_order", tuple(self.qubit_order))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, qubit_order: tuple[int, ...], gates: tuple[Gate, ...]):
+        qubit_order = tuple(qubit_order)
+        gates = tuple(gates)
+        _check_int(n_qubits, "n_qubits")
+        if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if sorted(self.qubit_order) != list(range(self.n_qubits)):
-            raise ValueError(f"qubit_order must be a permutation of 0..{self.n_qubits - 1}")
-        for gate in self.gates:
+        for q in qubit_order:
+            _check_int(q, "qubit_order entry")
+        if sorted(qubit_order) != list(range(n_qubits)):
+            raise ValueError(f"qubit_order must be a permutation of 0..{n_qubits - 1}")
+        for gate in gates:
             for q in gate.qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise ValueError(f"gate operand {q} out of range for {self.n_qubits} qubits")
+                if not 0 <= q < n_qubits:
+                    raise ValueError(f"gate operand {q} out of range for {n_qubits} qubits")
+        _set(self, "n_qubits", n_qubits)
+        _set(self, "qubit_order", qubit_order)
+        _set(self, "gates", gates)
 
 
-@dataclass(frozen=True)
-class CutCost:
+class CutCost(_Record):
     """Both strategies' EPR pairs at the cut that puts layout positions < index on node A."""
 
-    index: int
-    telegate_eprs: int
-    teledata_eprs: int
-    teledata_direction: Direction
+    __slots__ = _fields = ("index", "telegate_eprs", "teledata_eprs", "teledata_direction")
+
+    def __init__(self, index: int, telegate_eprs: int, teledata_eprs: int, teledata_direction: Direction):
+        _set(self, "index", index)
+        _set(self, "telegate_eprs", telegate_eprs)
+        _set(self, "teledata_eprs", teledata_eprs)
+        _set(self, "teledata_direction", teledata_direction)
 
     @property
     def label(self) -> str:
@@ -179,11 +187,13 @@ def _pauli_string(row: int, n: int) -> str:
     return "".join("IXZY"[(row >> q & 1) + 2 * (row >> (n + q) & 1)] for q in range(n))
 
 
-@dataclass(frozen=True)
-class EncoderValidation:
-    ok: bool
-    missing: tuple[str, ...]   # expected generators absent from the prepared group
-    extra: tuple[str, ...]     # prepared generators outside the expected group
+class EncoderValidation(_Record):
+    __slots__ = _fields = ("ok", "missing", "extra")
+
+    def __init__(self, ok: bool, missing: tuple[str, ...], extra: tuple[str, ...]):
+        _set(self, "ok", ok)
+        _set(self, "missing", missing)   # expected generators absent from the prepared group
+        _set(self, "extra", extra)       # prepared generators outside the expected group
 
 
 def validate_encoder(circuit: EncoderCircuit, stabilizers: tuple) -> EncoderValidation:
@@ -219,18 +229,24 @@ def validate_encoder(circuit: EncoderCircuit, stabilizers: tuple) -> EncoderVali
     return EncoderValidation(ok=not (missing or extra), missing=missing, extra=extra)
 
 
-@dataclass(frozen=True)
-class DqecBudget:
+class DqecBudget(_Record):
     """EPR budgets for distributed error correction on one encoder, static and in motion."""
 
-    per_syndrome_telegate: int
-    per_syndrome_teledata: int
-    per_cycle_telegate: int
-    per_cycle_teledata: int
-    static_cycle_at_center_cut: int
-    worst_case_block_teleports: int
-    syndromes: int
-    repeats: int
+    __slots__ = _fields = ("per_syndrome_telegate", "per_syndrome_teledata", "per_cycle_telegate",
+                           "per_cycle_teledata", "static_cycle_at_center_cut", "worst_case_block_teleports",
+                           "syndromes", "repeats")
+
+    def __init__(self, per_syndrome_telegate: int, per_syndrome_teledata: int, per_cycle_telegate: int,
+                 per_cycle_teledata: int, static_cycle_at_center_cut: int, worst_case_block_teleports: int,
+                 syndromes: int, repeats: int):
+        _set(self, "per_syndrome_telegate", per_syndrome_telegate)
+        _set(self, "per_syndrome_teledata", per_syndrome_teledata)
+        _set(self, "per_cycle_telegate", per_cycle_telegate)
+        _set(self, "per_cycle_teledata", per_cycle_teledata)
+        _set(self, "static_cycle_at_center_cut", static_cycle_at_center_cut)
+        _set(self, "worst_case_block_teleports", worst_case_block_teleports)
+        _set(self, "syndromes", syndromes)
+        _set(self, "repeats", repeats)
 
 
 def dqec_budget(circuit: EncoderCircuit, syndromes: int = 6, repeats: int = 2) -> DqecBudget:

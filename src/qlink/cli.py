@@ -11,18 +11,19 @@ same table at a fixed 80 columns, so it reads the same on every terminal.
 """
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 import os
 import re
 import sys
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
-from .codes import CodeStack, builtin_codes, parse_stack
+from .codes import CodeStack, _Record, _set, builtin_codes, parse_stack
 
+TYPE_CHECKING = False   # type checkers read it as true; nothing need be imported to say so
 if TYPE_CHECKING:  # every model layer is imported inside the commands that use it
+    from collections.abc import Callable
+
     from . import analytic, circuits, montecarlo, timing, workload
 
 
@@ -30,14 +31,10 @@ class UsageError(Exception):
     """Bad command-line usage: main prints the command's usage line and this message."""
 
 
-def _fail(message: str) -> NoReturn:
-    raise ValueError(message)
-
-
 def _finite(number: float, text: str) -> float:
     """The one rule for every real input: nan and infinities are rejected, -0 is 0."""
     if not math.isfinite(number):
-        _fail(f"{text!r} is not a finite number")
+        raise ValueError(f"{text!r} is not a finite number")
     return 0.0 if number == 0.0 else number
 
 
@@ -46,7 +43,7 @@ def finite_float(text: str) -> float:
     try:
         number = float(text)
     except ValueError:
-        _fail(f"{text!r} is not a valid float")
+        raise ValueError(f"{text!r} is not a valid float")
     return _finite(number, text)
 
 
@@ -64,32 +61,32 @@ def scientific_int(text: str) -> int:
         return int(text)
     except ValueError:
         if _INT_LITERAL.fullmatch(text):   # well formed, so int() refused its length
-            _too_long(text)
+            raise _too_long(text)
     try:
         as_float = float(text)
     except ValueError:
-        _fail(f"{text!r} is not an integer")
+        raise ValueError(f"{text!r} is not an integer")
     from decimal import Decimal, InvalidOperation
 
     try:
         number = Decimal(text)
     except InvalidOperation:   # an exponent past 10**18 in size, which float reads as inf or 0
         if math.isinf(as_float):
-            _too_long(text)
+            raise _too_long(text)
         if float(text.lower().partition("e")[0]) != 0:
-            _fail(f"{text!r} is not a whole number")
+            raise ValueError(f"{text!r} is not a whole number")
         return 0
     if not number.is_finite():
-        _fail(f"{text!r} is not a finite number")
+        raise ValueError(f"{text!r} is not a finite number")
     if number != number.to_integral_value():
-        _fail(f"{text!r} is not a whole number")
+        raise ValueError(f"{text!r} is not a whole number")
     if number and 0 < sys.get_int_max_str_digits() <= number.adjusted():
-        _too_long(text)
+        raise _too_long(text)
     return int(number)
 
 
-def _too_long(text: str) -> NoReturn:
-    _fail(f"integer literal {text[:20]!r}... has more than {sys.get_int_max_str_digits()} digits")
+def _too_long(text: str) -> ValueError:
+    return ValueError(f"integer literal {text[:20]!r}... has more than {sys.get_int_max_str_digits()} digits")
 
 
 def float_list(text: str) -> tuple[float, ...]:
@@ -97,7 +94,7 @@ def float_list(text: str) -> tuple[float, ...]:
     try:
         numbers = tuple(float(item) for item in text.split(","))
     except ValueError:
-        _fail(f"{text!r} is not a comma-separated list of reals")
+        raise ValueError(f"{text!r} is not a comma-separated list of reals")
     return tuple(_finite(number, text) for number in numbers)
 
 
@@ -125,15 +122,15 @@ def _fmt_number(value) -> str:
 
 
 def _fields(record) -> dict:
-    """A dataclass's fields in declaration order, with enums as values and tuples as lists."""
+    """A record's fields in declaration order, with enums as values and tuples as lists."""
     payload = {}
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
+    for name in record._fields:
+        value = getattr(record, name)
         if isinstance(value, Enum):
             value = value.value
         elif isinstance(value, tuple):
             value = list(value)
-        payload[field.name] = value
+        payload[name] = value
     return payload
 
 
@@ -185,7 +182,7 @@ def _load_circuit(ref: str) -> circuits.EncoderCircuit:
     return circuits.load_circuit(ref)
 
 
-class Command(NamedTuple):
+class Command(_Record):
     """A subcommand: its body, and its flags in declaration order, each with its dest and keywords.
 
     The reader honours the keywords dest, type, choices, required, default
@@ -194,8 +191,11 @@ class Command(NamedTuple):
     keywords and returns a report dict or a (header, rows) table.
     """
 
-    body: Callable
-    flags: dict
+    __slots__ = _fields = ("body", "flags")
+
+    def __init__(self, body: Callable, flags: dict):
+        _set(self, "body", body)
+        _set(self, "flags", flags)
 
 
 COMMANDS: dict[str, Command] = {}
@@ -403,7 +403,7 @@ def table3_cmd(t, stack, target_pf, mode):
 
     stacks = None if stack is None else [_load_stack(spec) for spec in stack.split(",")]
     rows = analytic.table3(t, stacks, target_pf, analytic.ModelMode(mode))
-    header = [field.name for field in dataclasses.fields(analytic.Table3Row)]
+    header = list(analytic.Table3Row._fields)
     return header, [list(_fields(row).values()) for row in rows]
 
 

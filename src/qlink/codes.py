@@ -1,7 +1,46 @@
 """Quantum error-correcting code descriptors and concatenation stacks."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+_set = object.__setattr__   # how a record's __init__ stores a field past its own __setattr__
+
+
+class _Record:
+    """A frozen record whose fields are its __slots__, listed once as its _fields.
+
+    Each subclass declares `__slots__ = _fields = (...)` in declaration
+    order, and an __init__ that checks its arguments and stores each field
+    with _set. Equality, hashing and repr go by the field values in that
+    order; pickling rebuilds a record through its constructor, so its
+    checks run again. The class imports nothing, so the closed-form
+    commands start without the modules a generated record class would need.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_int(value: int, name: str) -> None:
@@ -10,27 +49,27 @@ def _check_int(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class QecCode:
+class QecCode(_Record):
     """An [[n, k, d]] block code descriptor.
 
     Only the block parameters live here; d must be odd so that the
     correctable budget (d - 1) / 2 is a whole number of errors.
     """
 
-    n: int
-    k: int
-    d: int
+    __slots__ = _fields = ("n", "k", "d")
 
-    def __post_init__(self):
-        for name in ("n", "k", "d"):
-            _check_int(getattr(self, name), name)
-        if self.k < 1 or self.n < self.k:
-            raise ValueError(f"need n >= k >= 1, got n={self.n}, k={self.k}")
-        if self.d < 1 or self.d % 2 == 0:
-            raise ValueError(f"distance must be odd and >= 1, got d={self.d}")
-        if self.d > self.n:
-            raise ValueError(f"distance d={self.d} cannot exceed block size n={self.n}")
+    def __init__(self, n: int, k: int, d: int):
+        for name, value in (("n", n), ("k", k), ("d", d)):
+            _check_int(value, name)
+        if k < 1 or n < k:
+            raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
+        if d < 1 or d % 2 == 0:
+            raise ValueError(f"distance must be odd and >= 1, got d={d}")
+        if d > n:
+            raise ValueError(f"distance d={d} cannot exceed block size n={n}")
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "d", d)
 
     @property
     def correctable(self) -> int:
@@ -47,21 +86,21 @@ class QecCode:
         return f"{self.n}-{self.k}-{self.d}"
 
 
-@dataclass(frozen=True)
-class CodeStack:
+class CodeStack(_Record):
     """An ordered concatenation of codes, index 0 innermost (physical-facing).
 
     The empty stack means no coding. Every level must have k = 1; block
     sizes multiply, so a logical qubit costs scale_up physical qubits.
     """
 
-    levels: tuple[QecCode, ...] = ()
+    __slots__ = _fields = ("levels",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        for code in self.levels:
+    def __init__(self, levels: tuple[QecCode, ...] = ()):
+        levels = tuple(levels)
+        for code in levels:
             if code.k != 1:
                 raise ValueError(f"only k=1 codes can be stacked, got {code.spec()}")
+        _set(self, "levels", levels)
 
     @property
     def scale_up(self) -> int:

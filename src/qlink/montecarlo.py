@@ -69,51 +69,53 @@ import operator
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 # Re-exported: perfbench/pin.py imports both from here (test_benchmark_call_forms_resolve).
 from .analytic import LinkParams, Multiplexing, _check_int
-from .codes import CodeStack
+from .codes import CodeStack, _Record, _set
 
 TRIAL_BLOCK = 1 << 14
 TILE_BYTES = 1 << 22   # most bytes of 64-bit words per drawn tile (one row at least)
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
 
-@dataclass(frozen=True)
-class McConfig:
-    stack: CodeStack
-    link: LinkParams
-    trials: int
-    seed: int = 0
-    workers: int = 1
+class McConfig(_Record):
+    __slots__ = _fields = ("stack", "link", "trials", "seed", "workers")
 
-    def __post_init__(self):
-        for name in ("trials", "seed", "workers"):   # stored as plain ints, which json can write
-            _check_int(getattr(self, name), name)
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.trials >= 2**63:   # the engine counts in int64
+    def __init__(self, stack: CodeStack, link: LinkParams, trials: int, seed: int = 0, workers: int = 1):
+        for name, value in (("trials", trials), ("seed", seed), ("workers", workers)):
+            _check_int(value, name)
+        # Stored as plain ints, which json can write.
+        trials, seed, workers = map(operator.index, (trials, seed, workers))
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if trials >= 2**63:   # the engine counts in int64
             raise ValueError("trials must be below 2**63")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0 <= self.seed < 2**64:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _set(self, "stack", stack)
+        _set(self, "link", link)
+        _set(self, "trials", trials)
+        _set(self, "seed", seed)
+        _set(self, "workers", workers)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Record):
     """Monte Carlo outcome with a 95% Wilson score interval."""
 
-    trials: int
-    failures: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    seed: int
+    __slots__ = _fields = ("trials", "failures", "p_hat", "ci_low", "ci_high", "seed")
+
+    def __init__(self, trials: int, failures: int, p_hat: float, ci_low: float, ci_high: float, seed: int):
+        _set(self, "trials", trials)
+        _set(self, "failures", failures)
+        _set(self, "p_hat", p_hat)
+        _set(self, "ci_low", ci_low)
+        _set(self, "ci_high", ci_high)
+        _set(self, "seed", seed)
 
 
 def wilson_interval(failures: int, trials: int, z: float = Z_95) -> tuple[float, float]:

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .analytic import Multiplexing, _check_int, serial_penalty_ratio
-from .codes import QecCode
+from .codes import QecCode, _Record, _set
 
 DEFAULT_SLOWDOWN_THRESHOLD = 1.5
 DEFAULT_RELIABILITY_THRESHOLD = 1.5
 
 
-@dataclass(frozen=True)
-class CycleTimes:
-    serial: float
-    parallel: float
-    slowdown: float
-    start_delay_factor: int   # rounds before correction can begin, serial vs parallel
+class CycleTimes(_Record):
+    __slots__ = _fields = ("serial", "parallel", "slowdown", "start_delay_factor")
+
+    def __init__(self, serial: float, parallel: float, slowdown: float, start_delay_factor: int):
+        _set(self, "serial", serial)
+        _set(self, "parallel", parallel)
+        _set(self, "slowdown", slowdown)
+        _set(self, "start_delay_factor", start_delay_factor)   # rounds before correction begins, vs parallel
 
 
 def cycle_times(t_t: float, t_lqec: float, n: int, lanes: int = 1) -> CycleTimes:
@@ -65,14 +66,18 @@ def cycle_times(t_t: float, t_lqec: float, n: int, lanes: int = 1) -> CycleTimes
     )
 
 
-@dataclass(frozen=True)
-class Recommendation:
-    choice: Multiplexing
-    slowdown: float
-    reliability_ratio: float
-    slowdown_threshold: float
-    reliability_threshold: float
-    reasons: tuple[str, ...]
+class Recommendation(_Record):
+    __slots__ = _fields = ("choice", "slowdown", "reliability_ratio", "slowdown_threshold",
+                           "reliability_threshold", "reasons")
+
+    def __init__(self, choice: Multiplexing, slowdown: float, reliability_ratio: float,
+                 slowdown_threshold: float, reliability_threshold: float, reasons: tuple[str, ...]):
+        _set(self, "choice", choice)
+        _set(self, "slowdown", slowdown)
+        _set(self, "reliability_ratio", reliability_ratio)
+        _set(self, "slowdown_threshold", slowdown_threshold)
+        _set(self, "reliability_threshold", reliability_threshold)
+        _set(self, "reasons", reasons)
 
 
 def recommend(

@@ -8,8 +8,9 @@ to carry-ripple addition, the high end to carry-lookahead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+
+from .codes import _Record, _set
 
 # bits -> (carry-ripple teleportations, carry-lookahead teleportations)
 ANCHORS: dict[int, tuple[float, float]] = {
@@ -24,14 +25,16 @@ class AdderKind(str, Enum):
     CARRY_LOOKAHEAD = "lookahead"
 
 
-@dataclass(frozen=True)
-class TeleportEstimate:
+class TeleportEstimate(_Record):
     """Teleportation count range; a point query fills both ends equally."""
 
-    t_low: float
-    t_high: float
-    extrapolated: bool
-    anchor_bits: int
+    __slots__ = _fields = ("t_low", "t_high", "extrapolated", "anchor_bits")
+
+    def __init__(self, t_low: float, t_high: float, extrapolated: bool, anchor_bits: int):
+        _set(self, "t_low", t_low)
+        _set(self, "t_high", t_high)
+        _set(self, "extrapolated", extrapolated)
+        _set(self, "anchor_bits", anchor_bits)
 
 
 def _nearest_anchor(bits: int) -> int:

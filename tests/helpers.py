@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import string
-from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
@@ -346,7 +345,8 @@ def without_gate(circuit, index: int):
     """Copy of the circuit with one gate removed (mutation testing helper)."""
     if not 0 <= index < len(circuit.gates):
         raise ValueError(f"gate index {index} out of range")
-    return replace(circuit, gates=circuit.gates[:index] + circuit.gates[index + 1 :])
+    gates = circuit.gates[:index] + circuit.gates[index + 1 :]
+    return type(circuit)(circuit.n_qubits, circuit.qubit_order, gates)
 
 
 class CliRun(NamedTuple):

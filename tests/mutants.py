@@ -24,6 +24,7 @@ MC_TESTS = "tests/test_montecarlo.py::"
 ANALYTIC_TESTS = "tests/test_analytic.py::"
 TIMING_TESTS = "tests/test_timing.py::"
 READER_TESTS = "tests/test_cli_reader.py::"
+LOADS = "tests/test_cli.py::test_each_command_loads_only_its_layers"
 
 MUTANTS = [
     # uint8 member counts wrap at 256 without the widened einsum dtype.
@@ -84,23 +85,32 @@ MUTANTS = [
     Mutant(CIRCUITS, "basis = [vector ^ row if vector & row & -row else vector for vector in basis] + [row]",
            "basis = basis + [row]",
            ("tests/test_circuits.py::test_encoder_depends_only_on_the_span_of_the_checks",)),
+    # Circuit records take integer qubits only, as the JSON loader does.
+    Mutant(CIRCUITS, '        for q in qubits:\n            _check_int(q, "gate operand")\n', "",
+           ("tests/test_circuits.py::test_qubits_must_be_integers",)),
     # A code's n, k and d are integers, and the engine echoes plain ints that json can write.
-    Mutant("src/qlink/codes.py", 'for name in ("n", "k", "d"):', "for name in ():",
+    Mutant("src/qlink/codes.py", 'for name, value in (("n", n), ("k", k), ("d", d)):', "for name, value in ():",
            ("tests/test_codes.py::test_code_parameters_must_be_integers",)),
-    Mutant(ENGINE, "            object.__setattr__(self, name, operator.index(getattr(self, name)))\n", "",
+    Mutant(ENGINE, "map(operator.index, (trials, seed, workers))", "(trials, seed, workers)",
            (MC_TESTS + "test_an_estimate_from_numpy_integers_holds_plain_numbers",)),
     # perfbench/pin.py imports Multiplexing from the engine module.
     Mutant(ENGINE, "from .analytic import LinkParams, Multiplexing, _check_int\n",
            "from .analytic import LinkParams, _check_int\n",
            ("tests/test_layering.py::test_benchmark_call_forms_resolve",)),
-    Mutant(CLI, "import dataclasses\n", "import dataclasses\nimport json\n",
-           ("tests/test_cli.py::test_each_command_loads_only_its_layers",)),
+    Mutant(CLI, "import io\n", "import io\nimport json\n", (LOADS,)),
     # No command, --help included, loads argparse.
-    Mutant(CLI, "import dataclasses\n", "import argparse\nimport dataclasses\n",
-           ("tests/test_cli.py::test_each_command_loads_only_its_layers",)),
+    Mutant(CLI, "import io\n", "import argparse\nimport io\n", (LOADS,)),
+    # The records import nothing: no command loads dataclasses (and with it inspect), and no
+    # closed-form command loads typing. One mutant per import the records and the CLI dropped.
+    *(Mutant(path, "from __future__ import annotations\n",
+             "from __future__ import annotations\nfrom dataclasses import dataclass\n", (LOADS,))
+      for path in ("src/qlink/codes.py", ANALYTIC, CIRCUITS, ENGINE, "src/qlink/timing.py",
+                   "src/qlink/workload.py")),
+    Mutant(CLI, "import io\n", "import dataclasses\nimport io\n", (LOADS,)),
+    *(Mutant(path, "TYPE_CHECKING = False   #", "from typing import TYPE_CHECKING  #", (LOADS,))
+      for path in (CLI, CIRCUITS)),
     # pathlib only for a type hint: the circuit commands must not load it.
-    Mutant(CIRCUITS, "if TYPE_CHECKING:   # only load_circuit's annotation names it", "if True:   #",
-           ("tests/test_cli.py::test_each_command_loads_only_its_layers",)),
+    Mutant(CIRCUITS, "if TYPE_CHECKING:   # only load_circuit's annotation names it", "if True:   #", (LOADS,)),
     # The option reader: each occurrence in turn, the last one wins; required options, choices,
     # and a default that is a function called only when its option is absent.
     Mutant(CLI, "            values[dest] = _value(flag, settings, text)",

@@ -284,6 +284,25 @@ def test_invalid_gates_rejected():
         Gate(GateKind.H, (0, 1))
 
 
+@pytest.mark.parametrize("record, args, name", [
+    (Gate, (GateKind.CNOT, (0, 1.0)), "gate operand"),
+    (Gate, (GateKind.H, (True,)), "gate operand"),
+    (EncoderCircuit, (2, (0, True), ()), "qubit_order entry"),
+    (EncoderCircuit, (2, (0.0, 1), ()), "qubit_order entry"),
+    (EncoderCircuit, (2.0, (0, 1), ()), "n_qubits"),
+    (EncoderCircuit, (False, (), ()), "n_qubits"),
+], ids=["float-operand", "bool-operand", "bool-order", "float-order", "float-width", "bool-width"])
+def test_qubits_must_be_integers(record, args, name):
+    # The JSON loader refuses these before they reach the records; the library records refuse them too.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        record(*args)
+
+
+def test_numpy_integer_qubits_are_accepted():
+    circuit = EncoderCircuit(np.int64(2), (np.int32(1), 0), (Gate(GateKind.CNOT, (np.int64(0), 1)),))
+    assert [row.telegate_eprs for row in cut_table(circuit)] == [1]
+
+
 # ------------------------------------------------------- randomized encoders
 def _reduced_basis(pivots):
     """Row-reduce the check matrix so the given columns form an identity.

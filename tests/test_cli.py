@@ -490,10 +490,13 @@ def test_option_literals_match_their_model_sources():
 
 # The qlink modules and formats whose loading a command should pay for only when it uses them,
 # and the modules no command may load. pathlib is named so that the circuit commands,
-# which need it for no more than a type hint, are seen not to load it.
+# which need it for no more than a type hint, are seen not to load it. The records import
+# neither dataclasses nor typing, so no closed-form command loads inspect or typing;
+# numpy loads both, so mc and sweep may.
 LAYERS = {"analytic", "circuits", "montecarlo", "timing", "workload", "json", "csv", "numpy", "click",
-          "argparse", "pathlib"}
-NEVER = {"click", "argparse"}
+          "argparse", "pathlib", "dataclasses", "inspect", "typing"}
+NEVER = {"click", "argparse", "dataclasses"}
+NUMPY_ONLY = {"inspect", "typing"}
 FRESH_MAIN = ("import sys\nbefore = set(sys.modules)\nfrom qlink.cli import main\n"
               "code = main(sys.argv[1:])\nadded = set(sys.modules) - before\n"
               "print(*sorted(name.removeprefix('qlink.') for name in added), file=sys.stderr)\n"
@@ -524,11 +527,12 @@ COMMAND_LAYERS = [
     (["cut"], {"circuits", "csv"}, LAYERS - {"circuits", "csv"}),
     (["cut", "--circuit", "{circuit}"], {"circuits", "csv", "json"}, LAYERS - {"circuits", "csv", "json"}),
     (["dqec-cost"], {"circuits", "json"}, LAYERS - {"circuits", "json"}),
-    (["analyze", "--t", "1e8"], {"analytic"}, {"timing", "workload", "numpy"}),
-    (["table3"], {"analytic"}, {"timing", "workload", "numpy"}),
-    (["workload", "--bits", "1024"], {"workload"}, {"analytic", "timing", "numpy"}),
-    (["link-timing", "--tt", "1", "--tlqec", "100", "--n", "7"], {"timing", "analytic"}, {"numpy"}),
-    (["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"], {"timing", "analytic"}, {"numpy"}),
+    (["analyze", "--t", "1e8"], {"analytic"}, {"timing", "workload", "numpy"} | NUMPY_ONLY),
+    (["table3"], {"analytic"}, {"timing", "workload", "numpy"} | NUMPY_ONLY),
+    (["workload", "--bits", "1024"], {"workload"}, {"analytic", "timing", "numpy"} | NUMPY_ONLY),
+    (["link-timing", "--tt", "1", "--tlqec", "100", "--n", "7"], {"timing", "analytic"}, {"numpy"} | NUMPY_ONLY),
+    (["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"], {"timing", "analytic"},
+     {"numpy"} | NUMPY_ONLY),
     (["mc", "--pt", "0", "--trials", "100", "--workers", "1"], {"analytic", "montecarlo", "numpy"}, set()),
 ]
 

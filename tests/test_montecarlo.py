@@ -79,7 +79,8 @@ def test_config_takes_numpy_integers():
 def test_an_estimate_from_numpy_integers_holds_plain_numbers():
     # np.int64 trials and a np.uint64 seed used to come back as numpy fields, which json refuses.
     config = McConfig(STEANE, LinkParams(0.1), np.int64(2000), seed=np.uint64(1), workers=np.int32(1))
-    fields = vars(simulate_block_transfer(config))
+    estimate = simulate_block_transfer(config)
+    fields = {name: getattr(estimate, name) for name in estimate._fields}
     assert {name: type(value) for name, value in fields.items()} == {
         "trials": int, "failures": int, "p_hat": float, "ci_low": float, "ci_high": float, "seed": int}
     assert json.loads(json.dumps(fields)) == fields
@@ -168,7 +169,7 @@ def test_engine_runs_at_most_one_thread_per_core(cores, trials, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_seat", spy)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    estimate = simulate_block_transfer(McConfig(**{**vars(config), "workers": 8}))
+    estimate = simulate_block_transfer(McConfig(config.stack, config.link, config.trials, config.seed, workers=8))
     assert 1 <= len(threads) <= min(cores, tiles)
     assert sorted(seats) == [(block, 0) for block in range(tiles)]
     assert estimate.failures == expected
@@ -373,7 +374,7 @@ def test_batch_determinism_across_workers():
 ])
 def test_batch_rejects_configs_that_cannot_share_draws(change):
     configs = _batch(STEANE, BATCH_LINKS[:2], trials=1000)
-    configs.append(McConfig(**{**vars(configs[0]), **change}))
+    configs.append(McConfig(**{**{name: getattr(configs[0], name) for name in McConfig._fields}, **change}))
     with pytest.raises(ValueError, match="must share"):
         simulate_block_transfers(configs)
 
