@@ -14,6 +14,7 @@ and serial_penalty_ratio.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from enum import Enum
@@ -120,10 +121,24 @@ def _block_error(n: int, m: int, q: float, mode: ModelMode) -> float:
         except OverflowError:   # float ** raises where it should give inf
             return math.inf
         return math.comb(n, m) * power
+    row, p = _binomial_row(n), 1.0 - q
     total = 0.0
     for j in range(m, n + 1):
-        total += math.comb(n, j) * q**j * (1.0 - q) ** (n - j)
+        total += row[j] * q**j * p ** (n - j)
     return min(total, 1.0)
+
+
+@functools.lru_cache(maxsize=32)   # a bisection asks for the same few rows dozens of times
+def _binomial_row(n: int) -> tuple[float, ...]:
+    """C(n, 0), ..., C(n, n) as floats, each the correctly rounded double of its exact integer.
+
+    An int times a float is that int's correctly rounded double times the
+    float, so the tail's terms are the ones math.comb's ints give, bit for
+    bit. The row is built from C(n, 0) up, so a block too wide for the
+    float range raises OverflowError at the first coefficient past it,
+    before any wider one is formed.
+    """
+    return tuple(float(math.comb(n, j)) for j in range(n + 1))
 
 
 def p_stack_block_error(stack: CodeStack, p_t: float, mode: ModelMode = ModelMode.LEADING_ORDER) -> float:

@@ -108,13 +108,19 @@ def cut_table(circuit: EncoderCircuit) -> list[CutCost]:
     min(index, n - index) qubits; an even split builds on side A.
     """
     position = {qubit: i for i, qubit in enumerate(circuit.qubit_order)}
-    spans = [sorted(position[q] for q in gate.qubits) for gate in circuit.gates if gate.kind is GateKind.CNOT]
     n = circuit.n_qubits
-    return [
-        CutCost(index, sum(lo < index <= hi for lo, hi in spans), min(index, n - index),
-                Direction.B_TO_A if index < n - index else Direction.A_TO_B)
-        for index in range(1, n)
-    ]
+    step = [0] * (n + 1)   # the CNOTs crossing cut index number step[0] + ... + step[index]
+    for gate in circuit.gates:
+        if gate.kind is GateKind.CNOT:
+            lo, hi = sorted(position[q] for q in gate.qubits)
+            step[lo + 1] += 1
+            step[hi + 1] -= 1
+    rows, crossing = [], 0
+    for index in range(1, n):
+        crossing += step[index]
+        rows.append(CutCost(index, crossing, min(index, n - index),
+                            Direction.B_TO_A if index < n - index else Direction.A_TO_B))
+    return rows
 
 
 def steane_stabilizers() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -136,9 +136,7 @@ def _fields(record) -> dict:
 
 def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
-        import json
-
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2, allow_nan=False) + "\n"
+        return _json([dict(zip(header, row)) for row in rows]) + "\n"
     buffer = io.StringIO()
     if fmt == "csv":
         import csv
@@ -161,9 +159,64 @@ def _render_report(payload: dict, fmt: str) -> str:
     if fmt == "text":
         width = max(len(k) for k in payload)
         return "".join(f"{k.ljust(width)}  {_fmt_number(v)}\n" for k, v in payload.items())
-    import json
+    return _json(payload) + "\n"
 
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+def _json(value) -> str:
+    """The json module's dump of value at indent=2 with allow_nan=False, for str-keyed reports.
+
+    json takes its C encoder only when indent is None, so on Python 3.10
+    and 3.11 an indented dump goes through a generator per value. Here
+    ints and floats, subclasses included, are written by int.__repr__ and
+    float.__repr__, strings by json's ASCII escaper, None and bools as
+    null, true and false; a non-finite float raises ValueError and any
+    other type TypeError, each with json's message.
+    """
+    from json.encoder import encode_basestring_ascii
+
+    parts = []
+    _json_parts(value, "\n", parts, encode_basestring_ascii)
+    return "".join(parts)
+
+
+def _json_parts(value, newline: str, parts: list, escape) -> None:
+    """Append value's JSON to parts; newline breaks the line and indents it to value's depth."""
+    if isinstance(value, str):
+        parts.append(escape(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        parts.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner, opener = newline + "  ", "["
+        for item in value:
+            parts.append(opener + inner)
+            opener = ","
+            _json_parts(item, inner, parts, escape)
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner, opener = newline + "  ", "{"
+        for key, item in value.items():   # the escaper refuses a key that is not a str
+            parts.append(f"{opener}{inner}{escape(key)}: ")
+            opener = ","
+            _json_parts(item, inner, parts, escape)
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load_stack(spec: str) -> CodeStack:

@@ -9,11 +9,12 @@ Monte Carlo counts from whole-block draws decoded once per rate, critical
 words from a full sort of every block, encoder validity from a numpy
 stabilizer tableau reduced to row echelon form, and cut costs from a
 per-cut, per-gate side test, with breakpoint names from an enumeration of
-letter strings. The malformed circuit files
-at the end are shared by the library and CLI tests that must both reject
-them. The paired-Wilson ratio interval, the circuit writers and the
-gate-deletion mutant builder are test tools, not oracles: the library
-neither pairs estimates nor writes circuit files. So
+letter strings. The term-by-term float tail is a rounding pin, not an
+oracle: the exact-tail block error must match it bit for bit. The
+malformed circuit files at the end are shared by the library and CLI
+tests that must both reject them. The paired-Wilson ratio interval, the
+circuit writers and the gate-deletion mutant builder are test tools, not
+oracles: the library neither pairs estimates nor writes circuit files. So
 is the in-process CLI runner at the very end.
 """
 import contextlib
@@ -124,6 +125,20 @@ def weight_tail(n: int, m: int, p: float) -> float:
     """P(at least m errors) summed over error weights."""
     coefficients = pascal_row(n)
     return sum(coefficients[w] * p**w * (1.0 - p) ** (n - w) for w in range(m, n + 1))
+
+
+def term_by_term_tail(n: int, m: int, q: float) -> float:
+    """P(at least m errors) in floats: each term C(n, j) q^j (1 - q)^(n - j) formed anew, summed
+    in rising j by plain additions, and capped at 1.
+
+    Not an oracle of the true tail: it pins how the exact-tail block error
+    rounds, so that reusing a coefficient or 1 - q across terms, which must
+    not move a bit, is seen to move none. math.comb gives the coefficients.
+    """
+    total = 0.0
+    for j in range(m, n + 1):
+        total += math.comb(n, j) * q**j * (1.0 - q) ** (n - j)
+    return min(total, 1.0)
 
 
 def pattern_tail(n: int, m: int, p: float) -> float:

@@ -151,6 +151,18 @@ MUTANTS = [
            ("tests/test_cli.py::test_option_literals_match_their_model_sources",)),
     Mutant(CLI, "return 0.0 if number == 0.0 else number", "return number",
            ("tests/test_cli.py::test_negative_zero_is_read_as_zero",)),
+    # The exact tail forms 1 - q once per call; one ulp off moves the sum.
+    Mutant(ANALYTIC, "row, p = _binomial_row(n), 1.0 - q", "row, p = _binomial_row(n), math.nextafter(1.0 - q, 0.0)",
+           (ANALYTIC_TESTS + "test_exact_tail_is_the_term_by_term_sum_bit_for_bit",)),
+    # A CNOT over positions lo..hi stops crossing after cut hi, not before it.
+    Mutant(CIRCUITS, "step[hi + 1] -= 1", "step[hi] -= 1",
+           ("tests/test_circuits.py::test_breakpoint_c_and_d_gate_counts",)),
+    # The JSON writer escapes to ASCII as json does, and indents a list one level past its key.
+    Mutant(CLI, "from json.encoder import encode_basestring_ascii\n",
+           "from json.encoder import encode_basestring as encode_basestring_ascii\n",
+           ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",)),
+    Mutant(CLI, 'inner, opener = newline + "  ", "["', 'inner, opener = newline, "["',
+           ("tests/test_cli_golden.py::test_cli_transcript[recommend --stack 7-1-3 --tt 1 --tlqec 100 --pt 1e-3]",)),
     Mutant("tests/helpers.py", "return 1.0 / high, 1.0 / low", "return 1.0 / low, 1.0 / high",
            (MC_TESTS + "test_serial_penalty_ci_inverts_the_paired_wilson_interval",)),
 ]

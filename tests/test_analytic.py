@@ -10,6 +10,7 @@ from helpers import (
     leading_penalty_limit,
     pattern_tail,
     round_sig,
+    term_by_term_tail,
     union_fault,
     weight_tail,
 )
@@ -93,6 +94,20 @@ def test_exact_tail_matches_weight_enumeration_for_large_block(code):
     for p in (0.003, 0.01, 0.03):
         expected = weight_tail(code.n, code.min_fail, p)
         assert p_stack_block_error(stack, p, EXACT) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+# Rates from the smallest subnormal to just below one half, log-spaced in between, and the ends.
+TAIL_RATES = [0.0, 5e-324, 1e-300, *(10.0 ** (-300 + k * (300 + math.log10(0.5)) / 399) for k in range(400)),
+              math.nextafter(0.5, 0.0), 0.5, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 23, 100])
+def test_exact_tail_is_the_term_by_term_sum_bit_for_bit(n):
+    # The coefficients and 1 - q are formed once per call, and no term changes by a bit.
+    for d in sorted({1, min(3, n), n if n % 2 else n - 1}):
+        stack, m = CodeStack((QecCode(n, 1, d),)), (d + 1) // 2
+        for q in TAIL_RATES:
+            assert p_stack_block_error(stack, q, EXACT).hex() == term_by_term_tail(n, m, q).hex(), (d, q)
 
 
 def test_block_error_domain_checks():

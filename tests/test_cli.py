@@ -6,9 +6,11 @@ import math
 import os
 import subprocess
 import sys
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON, run_cli
 
 import qlink
 from qlink import analytic, timing, workload
-from qlink.cli import COMMANDS, main, scientific_int
+from qlink.cli import COMMANDS, _json, main, scientific_int
 from qlink.codes import builtin_codes
 
 
@@ -379,6 +381,58 @@ def test_deep_stack_warns():
     assert "warning" in result.stderr
 
 
+# --------------------------------------------------------------- JSON writer
+def written(write, value):
+    """What write makes of value: its text, or the type and message of the error it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def dumped(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+# Strings: any code point, surrogates and control characters included, and a few picked ones.
+TEXTS = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ["", "\u00e9t\u00e9", '"\\/\b\f\n\r\t', "\x00\x1f\x7f", "\ud800", "\udfff\ud800", "\U0001f600"])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), TEXTS,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1]),
+)
+DOCUMENTS = st.recursive(SCALARS, lambda children: st.lists(children, max_size=4)
+                         | st.dictionaries(TEXTS, children, max_size=4), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_writer_matches_json_dumps(value):
+    assert _json(value) == dumped(value)
+
+
+class Shade(str, Enum):
+    DARK = "d\u00e4rk"
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, {"": [[], {}, [[{}]]]},
+    "\u00e9", ["caf\u00e9", "\ud834"], {"\u00fc": "\x00"},
+    np.float64(0.1), [np.float64(-0.0), np.float64(1e300)], np.int64(7), {"n": np.int64(7)},
+    Shade.DARK, {"shade": [Shade.DARK]}, (1, "a", (2.5, ())), {"t": (True, False, None)},
+    [1, [2, [3, {"four": [5.5, 2**70]}]]],
+    float("nan"), {"a": [1.0, float("inf")]}, [[{"x": -math.inf}]], {"a": {"b": math.inf}}, np.float64("nan"),
+    {1, 2}, {"s": [set()]}, [b"bytes"], {1: "int key"},
+], ids=repr)
+def test_writer_matches_json_dumps_on_chosen_values(value):
+    got = written(_json, value)
+    if isinstance(value, dict) and any(not isinstance(key, str) for key in value):
+        assert got[0] is TypeError   # reports have str keys; json would write 1 as "1"
+    else:
+        assert got == written(dumped, value)
+
+
 # ---------------------------------------------------------------- exit codes
 def test_unknown_flag_exits_one(capsys):
     assert main(["analyze", "--no-such-flag"]) == 1
@@ -526,13 +580,15 @@ COMMAND_LAYERS = [
     (["mc", "--help"], set(), LAYERS),
     (["cut"], {"circuits", "csv"}, LAYERS - {"circuits", "csv"}),
     (["cut", "--circuit", "{circuit}"], {"circuits", "csv", "json"}, LAYERS - {"circuits", "csv", "json"}),
+    (["cut", "--format", "json"], {"circuits", "json"}, LAYERS - {"circuits", "json"}),
     (["dqec-cost"], {"circuits", "json"}, LAYERS - {"circuits", "json"}),
-    (["analyze", "--t", "1e8"], {"analytic"}, {"timing", "workload", "numpy"} | NUMPY_ONLY),
+    (["analyze", "--t", "1e8"], {"analytic", "json"}, {"timing", "workload", "csv", "numpy"} | NUMPY_ONLY),
     (["table3"], {"analytic"}, {"timing", "workload", "numpy"} | NUMPY_ONLY),
-    (["workload", "--bits", "1024"], {"workload"}, {"analytic", "timing", "numpy"} | NUMPY_ONLY),
-    (["link-timing", "--tt", "1", "--tlqec", "100", "--n", "7"], {"timing", "analytic"}, {"numpy"} | NUMPY_ONLY),
-    (["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"], {"timing", "analytic"},
-     {"numpy"} | NUMPY_ONLY),
+    (["workload", "--bits", "1024"], {"workload", "json"}, {"analytic", "timing", "csv", "numpy"} | NUMPY_ONLY),
+    (["link-timing", "--tt", "1", "--tlqec", "100", "--n", "7"], {"timing", "analytic", "json"},
+     {"csv", "numpy"} | NUMPY_ONLY),
+    (["recommend", "--tt", "1", "--tlqec", "100", "--pt", "1e-3"], {"timing", "analytic", "json"},
+     {"csv", "numpy"} | NUMPY_ONLY),
     (["mc", "--pt", "0", "--trials", "100", "--workers", "1"], {"analytic", "montecarlo", "numpy"}, set()),
 ]
 

@@ -7,7 +7,8 @@ one-qubit code to two levels and beyond. Whatever the input:
 
 - the exit code is 0 or 1 (2 would be an internal error);
 - on exit 1, stdout is empty and stderr holds the message;
-- on exit 0, JSON output parses strictly and CSV output starts with the
+- on exit 0, JSON output parses strictly and is what json.dumps(...,
+  indent=2) writes of what it parsed to, and CSV output starts with the
   command's header;
 - the exit code is the same in every output format.
 """
@@ -99,8 +100,8 @@ def test_exit_code_and_output_contract(argv):
     if code == 1:
         assert stdout == ""
         assert stderr
-    elif argv[-1] == "json":
-        json.loads(stdout, parse_constant=_reject_constant)
+    elif argv[-1] == "json":   # and the CLI's writer prints what json itself would
+        assert stdout == json.dumps(json.loads(stdout, parse_constant=_reject_constant), indent=2) + "\n"
     elif argv[-1] == "csv":
         assert stdout.startswith(CSV_HEADERS[argv[0]])
 
