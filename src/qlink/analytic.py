@@ -112,15 +112,21 @@ def _block_error(n: int, m: int, q: float, mode: ModelMode) -> float:
     """Probability of m or more errors among n qubits at rate q: a block failure.
 
     LEADING_ORDER is C(n, m) q^m, the single lowest failure mode, and may
-    exceed 1, up to inf past the float range; EXACT_TAIL is P(X >= m) for
-    X ~ Binomial(n, q).
+    exceed 1, up to inf past the float range; a C(n, m) itself past that
+    range is multiplied in logs. EXACT_TAIL is P(X >= m) for X ~ Binomial(n, q).
     """
     if mode is ModelMode.LEADING_ORDER:
         try:
             power = q**m
         except OverflowError:   # float ** raises where it should give inf
             return math.inf
-        return math.comb(n, m) * power
+        try:
+            return math.comb(n, m) * power
+        except OverflowError:   # C(n, m) has no double: inf above the float range, 0 below it
+            if not q:
+                return 0.0
+            log_term = math.log(math.comb(n, m)) + m * math.log(q)
+            return math.exp(log_term) if log_term <= _LOG_MAX else math.inf
     row, p = _binomial_row(n), 1.0 - q
     total = 0.0
     for j in range(m, n + 1):
@@ -135,10 +141,14 @@ def _binomial_row(n: int) -> tuple[float, ...]:
     An int times a float is that int's correctly rounded double times the
     float, so the tail's terms are the ones math.comb's ints give, bit for
     bit. The row is built from C(n, 0) up, so a block too wide for the
-    float range raises OverflowError at the first coefficient past it,
-    before any wider one is formed.
+    float range raises ValueError at the first coefficient past it, before
+    any wider one is formed.
     """
-    return tuple(float(math.comb(n, j)) for j in range(n + 1))
+    try:
+        return tuple(float(math.comb(n, j)) for j in range(n + 1))
+    except OverflowError:
+        raise ValueError(f"the exact tail of a {n}-qubit block needs binomial coefficients "
+                         "past the float range") from None
 
 
 def p_stack_block_error(stack: CodeStack, p_t: float, mode: ModelMode = ModelMode.LEADING_ORDER) -> float:
@@ -202,8 +212,9 @@ def allowable_pt(
 
     LEADING_ORDER inverts the linearized chain in closed form, peeling levels
     outer to inner: q -> (q / C(n, m))^(1/m), starting from target_pf / t.
-    Once a quotient q / C(n, m) falls below the normal float range, the rest
-    of the chain is peeled in logs, so a tiny target keeps its digits.
+    Once a quotient q / C(n, m) falls below the normal float range, or
+    C(n, m) lies past it, the rest of the chain is peeled in logs, so a
+    tiny target keeps its digits.
     EXACT_TAIL inverts the budget once, p_f <= target_pf exactly when the
     block error is at most 1 - (1 - target_pf)^(1/t), and bisects the
     monotone block error over (0, 0.5) to 1e-9 relative width.
@@ -217,13 +228,16 @@ def allowable_pt(
         q = target_pf / t
         levels = stack.levels[::-1]
         for i, code in enumerate(levels):
-            ways = math.comb(code.n, code.min_fail)
-            if q / ways < sys.float_info.min:   # a subnormal quotient has lost digits
+            try:
+                quotient = q / math.comb(code.n, code.min_fail)
+            except OverflowError:   # a coefficient past the float range
+                quotient = 0.0
+            if quotient < sys.float_info.min:   # a subnormal quotient has lost digits
                 log_q = math.log(q) if q >= sys.float_info.min else math.log(target_pf) - math.log(t)
                 for inner in levels[i:]:
                     log_q = (log_q - math.log(math.comb(inner.n, inner.min_fail))) / inner.min_fail
                 return math.exp(log_q)
-            q = (q / ways) ** (1.0 / code.min_fail)
+            q = quotient ** (1.0 / code.min_fail)
         return q
 
     budget = -math.expm1(math.log1p(-target_pf) / t)
@@ -260,18 +274,23 @@ def serial_penalty_ratio(code: QecCode, p_t: float, p_m: float) -> float:
     _check_prob(p_t, "p_t")
     n, m = code.n, code.min_fail
     w = LinkParams(0.0, p_m).fault_probability(n)
-    if p_t == 1.0 or p_t == 0.0 and (w == 0.0 or p_m == 1.0):
-        return 1.0   # both failures vanish
+    if p_t == 1.0 or w == 0.0 or p_t == 0.0 and p_m == 1.0:
+        return 1.0   # no memory error, or both failures vanish
     log_clear = (n - 1) * math.log1p(-p_m) if p_m < 1.0 else -math.inf
     clear = 1.0 - w if w <= 0.5 else math.exp(log_clear)
     rate = w / p_t if p_t else math.inf
     total, power = 0.0, 1.0   # power is (w / p_t)^i, by products that overflow to inf
     for i in range(m + 1):
-        share = math.comb(n, i) * math.comb(n, m - i) / math.comb(n, m)
+        try:
+            share = math.comb(n, i) * math.comb(n, m - i) / math.comb(n, m)
+        except OverflowError:   # past the float range: the term is formed in logs
+            share = math.inf
         factor = clear ** (n - i)
         term = share * power * factor * (1.0 - p_t) ** i
         if not (term < math.inf and factor >= sys.float_info.min):   # inf, nan, or inexact
-            log_term = (math.log(share) + i * (math.log(w) - math.log(p_t) + math.log1p(-p_t))
+            log_share = math.log(share) if share < math.inf else (
+                math.log(math.comb(n, i) * math.comb(n, m - i)) - math.log(math.comb(n, m)))
+            log_term = (log_share + i * (math.log(w) - math.log(p_t) + math.log1p(-p_t))
                         + (n - i) * log_clear) if p_t else math.inf
             term = math.exp(log_term) if log_term <= _LOG_MAX else math.inf
         total += term

@@ -67,7 +67,7 @@ class EncoderCircuit(_Record):
             raise ValueError("n_qubits must be >= 1")
         for q in qubit_order:
             _check_int(q, "qubit_order entry")
-        if sorted(qubit_order) != list(range(n_qubits)):
+        if len(qubit_order) != n_qubits or sorted(qubit_order) != list(range(n_qubits)):
             raise ValueError(f"qubit_order must be a permutation of 0..{n_qubits - 1}")
         for gate in gates:
             for q in gate.qubits:
@@ -269,6 +269,8 @@ def dqec_budget(circuit: EncoderCircuit, syndromes: int = 6, repeats: int = 2) -
     """
     if circuit.n_qubits < 2:
         raise ValueError("in-motion correction needs at least two qubits")
+    _check_int(syndromes, "syndromes")
+    _check_int(repeats, "repeats")
     if syndromes < 1 or repeats < 1:
         raise ValueError("syndromes and repeats must be >= 1")
     table = cut_table(circuit)

@@ -18,7 +18,7 @@ import re
 import sys
 from enum import Enum
 
-from .codes import CodeStack, _Record, _set, builtin_codes, parse_stack
+from .codes import CodeStack, builtin_codes, parse_stack
 
 TYPE_CHECKING = False   # type checkers read it as true; nothing need be imported to say so
 if TYPE_CHECKING:  # every model layer is imported inside the commands that use it
@@ -235,30 +235,21 @@ def _load_circuit(ref: str) -> circuits.EncoderCircuit:
     return circuits.load_circuit(ref)
 
 
-class Command(_Record):
-    """A subcommand: its body, and its flags in declaration order, each with its dest and keywords.
-
-    The reader honours the keywords dest, type, choices, required, default
-    and the store_true, store_false and help actions; metavar and help
-    shape only the --help page. The body takes the options read as
-    keywords and returns a report dict or a (header, rows) table.
-    """
-
-    __slots__ = _fields = ("body", "flags")
-
-    def __init__(self, body: Callable, flags: dict):
-        _set(self, "body", body)
-        _set(self, "flags", flags)
-
-
-COMMANDS: dict[str, Command] = {}
+COMMANDS: dict[str, Callable] = {}
 USAGE = "usage: qlink COMMAND [OPTIONS]\n"
 
 
 def _command(name: str, fmt: str, *options):
-    """Register a subcommand; it gains --format, --out and --help after its own options.
+    """Register a subcommand: COMMANDS[name] is its body, which carries its option table as flags.
 
-    A dest is the flag with '-' turned into '_' unless the option sets one.
+    The table maps each flag, in declaration order, to its dest and
+    keywords; the command gains --format, --out and --help after its own
+    options. A dest is the flag with '-' turned into '_' unless the option
+    sets one. The reader honours the keywords dest, type, choices,
+    required, default and the store_true, store_false and help actions;
+    metavar and help shape only the --help page. The body takes the
+    options read as keywords and returns a report dict or a (header, rows)
+    table.
     """
     options += (
         ("--format", dict(choices=("csv", "json", "text"), default=fmt,
@@ -269,7 +260,8 @@ def _command(name: str, fmt: str, *options):
     flags = {flag: (settings.get("dest", flag[2:].replace("-", "_")), settings) for flag, settings in options}
 
     def register(body):
-        COMMANDS[name] = Command(body, flags)
+        body.flags = flags
+        COMMANDS[name] = body
         return body
 
     return register
@@ -342,7 +334,7 @@ def _help_page(name: str) -> str:
     """A command's --help page, laid out from its option table at 80 columns on any terminal."""
     import textwrap
 
-    doc = textwrap.fill(" ".join(COMMANDS[name].body.__doc__.split()), 78)
+    doc = textwrap.fill(" ".join(COMMANDS[name].__doc__.split()), 78)
     lines = [f"usage: qlink {name} [OPTIONS]\n\n{doc}\n\noptions:"]
     for flag, (dest, settings) in COMMANDS[name].flags.items():
         choices = settings.get("choices")
@@ -357,7 +349,7 @@ def _help_page(name: str) -> str:
 def _overview() -> str:
     """`qlink --help`: every command with the first line of its description."""
     width = max(map(len, COMMANDS))
-    summaries = {name: (command.body.__doc__ or "").partition("\n")[0] for name, command in COMMANDS.items()}
+    summaries = {name: (body.__doc__ or "").partition("\n")[0] for name, body in COMMANDS.items()}
     lines = "".join(f"  {name.ljust(width)}  {summary}\n" for name, summary in summaries.items())
     return (f"{USAGE}\nFailure probabilities and EPR-pair costs for teleported logical qubits.\n\n"
             f"commands:\n{lines}\nRun 'qlink COMMAND --help' for the options of a command.\n")
@@ -372,6 +364,9 @@ _TARGET_PF = ("--target-pf", dict(FLOAT, default=0.1, help="Acceptable whole-com
                                                            "probability [default: %(default)s]."))
 _CIRCUIT = ("--circuit", dict(default="default", help="Encoder circuit: 'default' or a JSON file path "
                                                       "[default: %(default)s]."))
+_PT = ("--pt", dict(FLOAT, required=True, help="Per-qubit teleportation failure probability [required]."))
+_TT = ("--tt", dict(FLOAT, required=True, help="Single teleportation time [required]."))
+_TLQEC = ("--tlqec", dict(FLOAT, required=True, help="Local correction cycle time [required]."))
 
 
 def _simulation(*options) -> tuple:
@@ -461,7 +456,7 @@ def table3_cmd(t, stack, target_pf, mode):
 
 
 @_command("mc", "json", *_simulation(
-    ("--pt", dict(FLOAT, required=True, help="Per-qubit teleportation failure probability [required].")),
+    _PT,
     ("--pm", dict(FLOAT, default=0.0, help="Per-qubit memory error probability per waiting slot "
                                            "[default: %(default)s].")),
     ("--serial", dict(action="store_true", default=False, help="Serial link.")),
@@ -544,8 +539,7 @@ def workload_cmd(bits, adder):
 
 @_command(
     "link-timing", "json",
-    ("--tt", dict(FLOAT, required=True, help="Single teleportation time [required].")),
-    ("--tlqec", dict(FLOAT, required=True, help="Local correction cycle time [required].")),
+    _TT, _TLQEC,
     ("--n", dict(INTEGER, required=True, help="Physical qubits per transferred block [required].")),
     ("--lanes", dict(INTEGER, default=1, help="Parallel lane count [default: %(default)s].")),
 )
@@ -560,9 +554,7 @@ def link_timing_cmd(tt, tlqec, n, lanes):
 @_command(
     "recommend", "json",
     ("--stack", dict(default="7-1-3", help="Single-level code spec [default: %(default)s].")),
-    ("--tt", dict(FLOAT, required=True, help="Single teleportation time [required].")),
-    ("--tlqec", dict(FLOAT, required=True, help="Local correction cycle time [required].")),
-    ("--pt", dict(FLOAT, required=True, help="Per-qubit teleportation failure probability [required].")),
+    _TT, _TLQEC, _PT,
     ("--pm", dict(FLOAT, help="Memory error rate per slot [default: pt / (10 (n - 1)), or 0 for a "
                               "one-qubit code].")),
     # the values of timing.DEFAULT_SLOWDOWN_THRESHOLD and timing.DEFAULT_RELIABILITY_THRESHOLD
@@ -601,7 +593,7 @@ def main(argv=None) -> int:
         if options is None:   # --help has printed the command's page
             return 0
         fmt, out = options.pop("format"), options.pop("out")
-        result = COMMANDS[name].body(**options)
+        result = COMMANDS[name](**options)
         text = _render_report(result, fmt) if isinstance(result, dict) else _render_table(*result, fmt)
         if out:
             with open(out, "w", encoding="utf-8") as handle:

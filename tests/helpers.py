@@ -1,10 +1,11 @@
 """Independent oracles shared across the test suite.
 
 Everything here deliberately avoids the library's own code paths: binomial
-coefficients come from Pascal's triangle, tails from explicit enumeration,
+coefficients come from Pascal's triangle or factorials, tails from explicit enumeration,
 rounding, compounded failure, link fault rates, the exactly-m event
-probability and the serial-penalty ratio from decimal arithmetic, that
-ratio's small-rate limit from exact fractions,
+probability, the serial-penalty ratio and the leading-order inversion from
+decimal arithmetic, that ratio's small-rate limit and the leading-order
+block error from exact fractions,
 Monte Carlo counts from whole-block draws decoded once per rate, critical
 words from a full sort of every block, encoder validity from a numpy
 stabilizer tableau reduced to row echelon form, and cut costs from a
@@ -119,6 +120,32 @@ def leading_penalty_limit(n: int, m: int) -> float:
     coefficients = pascal_row(n)
     total = sum(Fraction(coefficients[i] * coefficients[m - i], 10**i) for i in range(m + 1))
     return float(total / coefficients[m])
+
+
+def _choose(n: int, m: int) -> int:
+    """C(n, m) from factorials."""
+    return math.factorial(n) // (math.factorial(m) * math.factorial(n - m))
+
+
+def leading_block_error(n: int, m: int, q: float) -> float:
+    """C(n, m) q^m in exact fractions, correctly rounded to a double, or inf past the float range."""
+    try:
+        return float(_choose(n, m) * Fraction(q) ** m)
+    except OverflowError:
+        return math.inf
+
+
+def leading_inversion(levels, t: float, target_pf: float) -> float:
+    """The leading-order allowable rate in 50-digit decimal: q -> (q / C(n, m))^(1/m) from target_pf / t.
+
+    `levels` lists the stack's codes innermost first; they are peeled outer first.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(target_pf) / Decimal(t)
+        for code in reversed(levels):
+            q = (q / _choose(code.n, code.min_fail)) ** (Decimal(1) / code.min_fail)
+        return float(q)
 
 
 def weight_tail(n: int, m: int, p: float) -> float:

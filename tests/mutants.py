@@ -25,6 +25,7 @@ ANALYTIC_TESTS = "tests/test_analytic.py::"
 TIMING_TESTS = "tests/test_timing.py::"
 READER_TESTS = "tests/test_cli_reader.py::"
 LOADS = "tests/test_cli.py::test_each_command_loads_only_its_layers"
+WIDE_CLI = "tests/test_cli.py::test_blocks_too_wide_for_a_double_answer_or_name_their_width"
 
 MUTANTS = [
     # uint8 member counts wrap at 256 without the widened einsum dtype.
@@ -165,4 +166,36 @@ MUTANTS = [
            ("tests/test_cli_golden.py::test_cli_transcript[recommend --stack 7-1-3 --tt 1 --tlqec 100 --pt 1e-3]",)),
     Mutant("tests/helpers.py", "return 1.0 / high, 1.0 / low", "return 1.0 / low, 1.0 / high",
            (MC_TESTS + "test_serial_penalty_ci_inverts_the_paired_wilson_interval",)),
+    # A C(n, m) with no double: the leading order multiplies it in logs, clamps to inf past the
+    # float range and gives 0 at q = 0; the inversion peels it in logs; the exact tail names the
+    # width; the penalty ratio forms the overflowing share in logs, and is 1 with no memory error.
+    Mutant(ANALYTIC, "log_term = math.log(math.comb(n, m)) + m * math.log(q)",
+           "log_term = math.log(math.comb(n, m)) + math.log(q)",
+           (ANALYTIC_TESTS + "test_leading_order_past_the_float_range_matches_exact_fractions",)),
+    Mutant(ANALYTIC, "return math.exp(log_term) if log_term <= _LOG_MAX else math.inf", "return math.exp(log_term)",
+           (ANALYTIC_TESTS + "test_leading_order_past_the_float_range_matches_exact_fractions",)),
+    Mutant(ANALYTIC, "            if not q:\n                return 0.0\n", "",
+           (ANALYTIC_TESTS + "test_leading_order_past_the_float_range_matches_exact_fractions",)),
+    Mutant(ANALYTIC, "except OverflowError:   # a coefficient past the float range",
+           "except ZeroDivisionError:   # a coefficient past the float range",
+           (ANALYTIC_TESTS + "test_leading_inversion_in_logs_matches_decimal", WIDE_CLI)),
+    Mutant(ANALYTIC, 'raise ValueError(f"the exact tail of a {n}-qubit block',
+           'raise OverflowError(f"the exact tail of a {n}-qubit block',
+           (ANALYTIC_TESTS + "test_exact_tail_names_a_block_too_wide_for_doubles", WIDE_CLI)),
+    Mutant(ANALYTIC, "            share = math.inf\n", "            share = 0.0\n",
+           (ANALYTIC_TESTS + "test_penalty_ratio_of_a_block_too_wide_for_doubles_matches_decimal",)),
+    Mutant(ANALYTIC, " - math.log(math.comb(n, m)))", ")",
+           (ANALYTIC_TESTS + "test_penalty_ratio_of_a_block_too_wide_for_doubles_matches_decimal",)),
+    Mutant(ANALYTIC, "if p_t == 1.0 or w == 0.0 or p_t == 0.0 and p_m == 1.0:",
+           "if p_t == 1.0 or p_t == 0.0 and (w == 0.0 or p_m == 1.0):",
+           (ANALYTIC_TESTS + "test_penalty_ratio_of_a_block_too_wide_for_doubles_matches_decimal",)),
+    # A layout's length is checked before range(n_qubits) is built, which no machine holds at n = 2**62.
+    Mutant(CIRCUITS, "if len(qubit_order) != n_qubits or sorted(qubit_order)", "if sorted(qubit_order)",
+           ("tests/test_circuits.py::test_a_layout_shorter_than_the_width_is_rejected_before_the_width_is_enumerated",
+            "tests/test_cli.py::test_cut_rejects_a_circuit_wider_than_its_layout")),
+    # dqec_budget's counts are integers, as cycle_times' are.
+    Mutant(CIRCUITS, '    _check_int(syndromes, "syndromes")\n', "",
+           ("tests/test_circuits.py::test_cycle_counts_must_be_integers",)),
+    Mutant(CIRCUITS, '    _check_int(repeats, "repeats")\n', "",
+           ("tests/test_circuits.py::test_cycle_counts_must_be_integers",)),
 ]

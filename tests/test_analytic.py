@@ -1,4 +1,3 @@
-import decimal
 import math
 import random
 import sys
@@ -7,6 +6,8 @@ import pytest
 from helpers import (
     event_ratio,
     exact_failure,
+    leading_block_error,
+    leading_inversion,
     leading_penalty_limit,
     pattern_tail,
     round_sig,
@@ -108,6 +109,26 @@ def test_exact_tail_is_the_term_by_term_sum_bit_for_bit(n):
         stack, m = CodeStack((QecCode(n, 1, d),)), (d + 1) // 2
         for q in TAIL_RATES:
             assert p_stack_block_error(stack, q, EXACT).hex() == term_by_term_tail(n, m, q).hex(), (d, q)
+
+
+@pytest.mark.parametrize("spec", ["2001-1-1001", "2001-1-2001"])
+@pytest.mark.parametrize("q", [0.0, 5e-324, 1e-3, 0.2, 0.25, 0.3, 0.5, 0.9, 1.0])
+def test_leading_order_past_the_float_range_matches_exact_fractions(spec, q):
+    # C(n, m) has no double, so C(n, m) q^m is formed from logs, each of which
+    # carries a rounding of about eps times its size.
+    code = parse_code(spec)
+    n, m = code.n, code.min_fail
+    expected = leading_block_error(n, m, q)
+    rel = 4 * sys.float_info.epsilon * (math.log(math.comb(n, m)) - m * math.log(q or 1.0))
+    assert p_stack_block_error(parse_stack(spec), q, LEADING) == pytest.approx(expected, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ["1100-1-3", "2001-1-3", "2001-1-1001"])
+def test_exact_tail_names_a_block_too_wide_for_doubles(spec):
+    n = parse_code(spec).n
+    with pytest.raises(ValueError, match=f"^the exact tail of a {n}-qubit block needs binomial coefficients"):
+        p_stack_block_error(parse_stack(spec), 0.01, EXACT)
+    assert 0.0 < p_stack_block_error(parse_stack("1001-1-3"), 0.01, EXACT) < 1.0   # C(1001, 500) fits
 
 
 def test_block_error_domain_checks():
@@ -310,19 +331,17 @@ def test_round_trip_exact(spec, t):
     assert p_algorithm_failure(stack, t, rate, EXACT).p_f == pytest.approx(0.1, rel=1e-6, abs=0.0)
 
 
-@pytest.mark.parametrize("spec", ["7-1-3", "23-1-7", "7-1-3+7-1-3", "23-1-7+23-1-7"])
+@pytest.mark.parametrize("spec", ["7-1-3", "23-1-7", "7-1-3+7-1-3", "23-1-7+23-1-7", "2001-1-1001",
+                                  "2001-1-2001", "7-1-3+2001-1-1001", "2001-1-1001+23-1-7"])
 @pytest.mark.parametrize("t", [1e5, 1e11])
-@pytest.mark.parametrize("target_pf", [5e-324, 1e-310])
-def test_leading_inversion_of_a_subnormal_budget_matches_decimal(spec, t, target_pf):
-    # target_pf / t underflows, to 0 or to a subnormal with few digits, so the
-    # chain is peeled in logs; a 50-digit Decimal inversion is the reference.
+@pytest.mark.parametrize("target_pf", [5e-324, 1e-310, 0.1])
+def test_leading_inversion_in_logs_matches_decimal(spec, t, target_pf):
+    # The chain is peeled in logs where target_pf / t underflows, to 0 or to a
+    # subnormal with few digits, and where C(n, m) has no double, as C(2001, 501)
+    # and C(2001, 1001) have not; a 50-digit Decimal inversion is the reference.
     stack = parse_stack(spec)
-    with decimal.localcontext() as context:
-        context.prec = 50
-        q = decimal.Decimal(target_pf) / decimal.Decimal(t)
-        for code in reversed(stack.levels):
-            q = (q / math.comb(code.n, code.min_fail)) ** (decimal.Decimal(1) / code.min_fail)
-    assert allowable_pt(stack, t, target_pf, LEADING) == pytest.approx(float(q), rel=1e-12, abs=0.0)
+    expected = leading_inversion(stack.levels, t, target_pf)
+    assert allowable_pt(stack, t, target_pf, LEADING) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_allowable_pt_validates_inputs():
@@ -584,6 +603,18 @@ def test_penalty_ratio_where_exactly_m_events_cannot_happen(p_t, p_m, expected):
     # p_t = 0 without memory errors, p_t = 0 with them, and p_t = 1e-160
     # at p_m = 0.05 are pinned against recommend in tests/test_timing.py.
     assert serial_penalty_ratio(parse_code("7-1-3"), p_t, p_m) == expected
+
+
+@pytest.mark.parametrize(("p_t", "p_m"), [(1e-3, 1e-3 / 20000), (0.3, 1e-4), (1e-6, 1e-3), (1e-3, 0.0)])
+def test_penalty_ratio_of_a_block_too_wide_for_doubles_matches_decimal(p_t, p_m):
+    # C(2001, i) C(2001, 1001 - i) / C(2001, 1001) passes the float range for middle i.
+    code = parse_code("2001-1-2001")
+    expected = event_ratio(code.n, code.min_fail, p_t, p_m)
+    if expected > sys.float_info.max:
+        with pytest.raises(ValueError, match="^failure-probability ratio is unbounded"):
+            serial_penalty_ratio(code, p_t, p_m)
+    else:
+        assert serial_penalty_ratio(code, p_t, p_m) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_serial_penalty_vanishes_with_perfect_memory():

@@ -239,6 +239,14 @@ def test_cycle_costs_reject_zero_counts():
             dqec_budget(circuit, syndromes, repeats)
 
 
+@pytest.mark.parametrize(("syndromes", "repeats", "name"), [
+    (6.0, 2, "syndromes"), (True, 2.5, "syndromes"), (6, 2.0, "repeats"), (6, True, "repeats"),
+])
+def test_cycle_counts_must_be_integers(syndromes, repeats, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        dqec_budget(default_steane_encoder(), syndromes, repeats)
+
+
 def test_budget_needs_two_qubits():
     with pytest.raises(ValueError, match="in-motion correction needs at least two qubits"):
         dqec_budget(EncoderCircuit(1, (0,), ()))
@@ -275,6 +283,12 @@ def test_malformed_circuit_dict_rejected(data):
 def test_invalid_circuits_rejected(order, gates):
     with pytest.raises(ValueError):
         EncoderCircuit(3, order, gates)
+
+
+def test_a_layout_shorter_than_the_width_is_rejected_before_the_width_is_enumerated():
+    # No machine holds range(2**62) as a list; the lengths disagree first.
+    with pytest.raises(ValueError, match="^qubit_order must be a permutation of 0..4611686018427387903$"):
+        EncoderCircuit(2**62, (0,), ())
 
 
 def test_invalid_gates_rejected():

@@ -150,6 +150,14 @@ def test_cut_rejects_a_circuit_without_qubits(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "error: n_qubits must be >= 1\n")
 
 
+def test_cut_rejects_a_circuit_wider_than_its_layout(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 2**62, "order": [0], "gates": []}))
+    assert main(["cut", "--circuit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: qubit_order must be a permutation of 0..{2**62 - 1}\n")
+
+
 def test_dqec_cost_rejects_single_qubit_circuit(tmp_path, capsys):
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"n": 1, "order": [0], "gates": []}))
@@ -495,6 +503,26 @@ def test_invalid_input_exits_one_with_nothing_on_stdout(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert 0 < len(captured.err) < 300
+
+
+@pytest.mark.parametrize(("argv", "error"), [
+    (["analyze", "--stack", "2001-1-3", "--t", "1e5", "--mode", "exact"], 2001),
+    (["analyze", "--stack", "2001-1-1001", "--t", "1e5"], None),
+    (["analyze", "--stack", "2001-1-1001", "--t", "1e5", "--pt", "0.001"], None),
+    (["analyze", "--stack", "1100-1-3", "--t", "1e5", "--pt", "0.01", "--mode", "exact"], 1100),
+    (["table3", "--stack", "2001-1-3", "--mode", "exact", "--t", "1e5"], 2001),
+    (["recommend", "--stack", "2001-1-2001", "--tt", "1", "--tlqec", "1", "--pt", "1e-3"], None),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_blocks_too_wide_for_a_double_answer_or_name_their_width(argv, error, capsys):
+    # The leading order answers; the exact tail exits 1 naming the block width.
+    assert main(argv) == (1 if error else 0)
+    captured = capsys.readouterr()
+    if error:
+        assert captured.out == ""
+        assert captured.err == (f"error: the exact tail of a {error}-qubit block needs binomial coefficients "
+                                "past the float range\n")
+    else:
+        assert json.loads(captured.out)
 
 
 def test_non_numeric_integer_option_is_named(capsys):

@@ -3,7 +3,8 @@
 Each case runs one closed-form command in-process with options drawn from
 boundary values (0, 0.5, 1, the smallest subnormal, 1e308), non-finite
 strings, integers past float precision and range, and code stacks from the
-one-qubit code to two levels and beyond. Whatever the input:
+one-qubit code to two levels and beyond, blocks too wide for their binomial
+coefficients to be doubles among them. Whatever the input:
 
 - the exit code is 0 or 1 (2 would be an internal error);
 - on exit 1, stdout is empty and stderr holds the message;
@@ -28,7 +29,8 @@ NUMBERS = st.one_of(
 FIVE_LEVELS = "+".join(["23-1-7"] * 5)
 STACKS = st.sampled_from(["none", "1-1-1", "5-1-3", "7-1-3", "23-1-7", "1-1-1+1-1-1", "1-1-1+7-1-3",
                           "7-1-3+7-1-3", "7-1-3+23-1-7", "23-1-7+23-1-7", "7-1-3+7-1-3+7-1-3",
-                          FIVE_LEVELS, "7-1-4", "7-1"])
+                          FIVE_LEVELS, "2001-1-3", "2001-1-1001", "2001-1-2001", "1100-1-3", "7-1-4",
+                          "7-1"])
 FORMATS = ["csv", "json", "text"]
 MODES = st.sampled_from(["leading", "exact"])
 
@@ -94,6 +96,14 @@ def _reject_constant(name):
                "--format", "csv"])
 @example(argv=["analyze", "--stack", "7-1-3", "--t", "1.7e308", "--pt", "0.49", "--format", "csv"])
 @example(argv=["analyze", "--stack", FIVE_LEVELS, "--t", "1", "--pt", "0.49", "--format", "json"])
+@example(argv=["analyze", "--stack", "2001-1-3", "--t", "1e5", "--mode", "exact", "--format", "json"])
+@example(argv=["analyze", "--stack", "2001-1-1001", "--t", "1e5", "--format", "json"])
+@example(argv=["analyze", "--stack", "2001-1-1001", "--t", "1e5", "--pt", "0.001", "--format", "json"])
+@example(argv=["analyze", "--stack", "1100-1-3", "--t", "1e5", "--pt", "0.01", "--mode", "exact",
+               "--format", "json"])
+@example(argv=["table3", "--stack", "2001-1-3", "--mode", "exact", "--t", "1e5", "--format", "csv"])
+@example(argv=["recommend", "--stack", "2001-1-2001", "--tt", "1", "--tlqec", "1", "--pt", "1e-3",
+               "--format", "json"])
 def test_exit_code_and_output_contract(argv):
     code, stdout, stderr = run_cli(*argv)
     assert code in (0, 1), stderr

@@ -42,7 +42,7 @@ def _argparse_type(kind):
 def oracle_parser(name):
     """argparse's parser for a command, built from its option table; its pages are 80 columns wide."""
     parser = argparse.ArgumentParser(prog=f"qlink {name}", usage="%(prog)s [OPTIONS]",
-                                     description=COMMANDS[name].body.__doc__, allow_abbrev=False,
+                                     description=COMMANDS[name].__doc__, allow_abbrev=False,
                                      add_help=False,
                                      formatter_class=functools.partial(argparse.HelpFormatter, width=78))
     for flag, (_, settings) in COMMANDS[name].flags.items():
