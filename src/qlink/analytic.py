@@ -75,9 +75,7 @@ class LinkParams(_Record):
         multiplexing = Multiplexing(multiplexing)
         _check_prob(p_t, "p_t")
         _check_prob(p_m, "p_m")
-        _check_int(lanes, "lanes")
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
+        lanes = _check_int(lanes, "lanes", 1)
         if multiplexing is Multiplexing.SERIAL and lanes != 1:
             raise ValueError("serial links have exactly one lane")
         _set(self, "p_t", p_t)

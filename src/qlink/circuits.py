@@ -46,8 +46,7 @@ class Gate(_Record):
         arity = 1 if kind is GateKind.H else 2
         if len(qubits) != arity:
             raise ValueError(f"{kind.value} takes {arity} qubit(s), got {qubits}")
-        for q in qubits:
-            _check_int(q, "gate operand")
+        qubits = tuple(_check_int(q, "gate operand") for q in qubits)
         if kind is GateKind.CNOT and qubits[0] == qubits[1]:
             raise ValueError("CNOT control and target must differ")
         _set(self, "kind", kind)
@@ -60,13 +59,9 @@ class EncoderCircuit(_Record):
     __slots__ = _fields = ("n_qubits", "qubit_order", "gates")
 
     def __init__(self, n_qubits: int, qubit_order: tuple[int, ...], gates: tuple[Gate, ...]):
-        qubit_order = tuple(qubit_order)
+        n_qubits = _check_int(n_qubits, "n_qubits", 1)
+        qubit_order = tuple(_check_int(q, "qubit_order entry") for q in qubit_order)
         gates = tuple(gates)
-        _check_int(n_qubits, "n_qubits")
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        for q in qubit_order:
-            _check_int(q, "qubit_order entry")
         if len(qubit_order) != n_qubits or sorted(qubit_order) != list(range(n_qubits)):
             raise ValueError(f"qubit_order must be a permutation of 0..{n_qubits - 1}")
         for gate in gates:
@@ -269,10 +264,8 @@ def dqec_budget(circuit: EncoderCircuit, syndromes: int = 6, repeats: int = 2) -
     """
     if circuit.n_qubits < 2:
         raise ValueError("in-motion correction needs at least two qubits")
-    _check_int(syndromes, "syndromes")
-    _check_int(repeats, "repeats")
-    if syndromes < 1 or repeats < 1:
-        raise ValueError("syndromes and repeats must be >= 1")
+    syndromes = _check_int(syndromes, "syndromes", 1)
+    repeats = _check_int(repeats, "repeats", 1)
     table = cut_table(circuit)
     measurements = syndromes * repeats
     telegate = sum(row.telegate_eprs for row in table)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import re
 import sys
 from enum import Enum
 
@@ -47,9 +46,6 @@ def finite_float(text: str) -> float:
     return _finite(number, text)
 
 
-_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
-
 def scientific_int(text: str) -> int:
     """Integer that also accepts scientific notation, e.g. 1e7, parsed exactly.
 
@@ -59,9 +55,8 @@ def scientific_int(text: str) -> int:
     """
     try:
         return int(text)
-    except ValueError:
-        if _INT_LITERAL.fullmatch(text):   # well formed, so int() refused its length
-            raise _too_long(text)
+    except ValueError:   # not an integer literal, or one past the digit limit
+        pass
     try:
         as_float = float(text)
     except ValueError:

@@ -43,10 +43,14 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _check_int(value: int, name: str) -> None:
-    """A count, a seed or a code parameter: an int or a numpy integer, never a float or a bool."""
+def _check_int(value: int, name: str, least: int | None = None) -> int:
+    """A count, seed or code parameter as a plain int: an int or numpy integer, no float or bool, >= least."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = type(value).__index__(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class QecCode(_Record):
@@ -59,8 +63,7 @@ class QecCode(_Record):
     __slots__ = _fields = ("n", "k", "d")
 
     def __init__(self, n: int, k: int, d: int):
-        for name, value in (("n", n), ("k", k), ("d", d)):
-            _check_int(value, name)
+        n, k, d = _check_int(n, "n"), _check_int(k, "k"), _check_int(d, "d")
         if k < 1 or n < k:
             raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
         if d < 1 or d % 2 == 0:

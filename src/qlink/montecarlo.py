@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -73,8 +72,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 # Re-exported: perfbench/pin.py imports both from here (test_benchmark_call_forms_resolve).
-from .analytic import LinkParams, Multiplexing, _check_int
-from .codes import CodeStack, _Record, _set
+from .analytic import LinkParams, Multiplexing
+from .codes import CodeStack, _check_int, _Record, _set
 
 TRIAL_BLOCK = 1 << 14
 TILE_BYTES = 1 << 22   # most bytes of 64-bit words per drawn tile (one row at least)
@@ -85,16 +84,11 @@ class McConfig(_Record):
     __slots__ = _fields = ("stack", "link", "trials", "seed", "workers")
 
     def __init__(self, stack: CodeStack, link: LinkParams, trials: int, seed: int = 0, workers: int = 1):
-        for name, value in (("trials", trials), ("seed", seed), ("workers", workers)):
-            _check_int(value, name)
-        # Stored as plain ints, which json can write.
-        trials, seed, workers = map(operator.index, (trials, seed, workers))
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
+        trials = _check_int(trials, "trials", 1)
+        seed = _check_int(seed, "seed")
+        workers = _check_int(workers, "workers", 1)
         if trials >= 2**63:   # the engine counts in int64
             raise ValueError("trials must be below 2**63")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         _set(self, "stack", stack)

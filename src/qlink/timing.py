@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .analytic import Multiplexing, _check_int, serial_penalty_ratio
-from .codes import QecCode, _Record, _set
+from .analytic import Multiplexing, serial_penalty_ratio
+from .codes import QecCode, _check_int, _Record, _set
 
 DEFAULT_SLOWDOWN_THRESHOLD = 1.5
 DEFAULT_RELIABILITY_THRESHOLD = 1.5
@@ -44,12 +44,8 @@ def cycle_times(t_t: float, t_lqec: float, n: int, lanes: int = 1) -> CycleTimes
         raise ValueError(f"t_t must be > 0, got {t_t}")
     if t_lqec < 0:
         raise ValueError(f"t_lqec must be >= 0, got {t_lqec}")
-    _check_int(n, "n")
-    _check_int(lanes, "lanes")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
+    n = _check_int(n, "n", 1)
+    lanes = _check_int(lanes, "lanes", 1)
     rounds = -(-n // lanes)   # integer ceil: n may lie past float range
     if rounds > sys.float_info.max:
         raise ValueError("the number of transfer rounds overflows a float")

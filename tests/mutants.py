@@ -18,6 +18,7 @@ class Mutant(NamedTuple):
 
 ENGINE = "src/qlink/montecarlo.py"
 ANALYTIC = "src/qlink/analytic.py"
+CODES = "src/qlink/codes.py"
 CIRCUITS = "src/qlink/circuits.py"
 CLI = "src/qlink/cli.py"
 MC_TESTS = "tests/test_montecarlo.py::"
@@ -87,16 +88,15 @@ MUTANTS = [
            "basis = basis + [row]",
            ("tests/test_circuits.py::test_encoder_depends_only_on_the_span_of_the_checks",)),
     # Circuit records take integer qubits only, as the JSON loader does.
-    Mutant(CIRCUITS, '        for q in qubits:\n            _check_int(q, "gate operand")\n', "",
+    Mutant(CIRCUITS, '        qubits = tuple(_check_int(q, "gate operand") for q in qubits)\n', "",
            ("tests/test_circuits.py::test_qubits_must_be_integers",)),
     # A code's n, k and d are integers, and the engine echoes plain ints that json can write.
-    Mutant("src/qlink/codes.py", 'for name, value in (("n", n), ("k", k), ("d", d)):', "for name, value in ():",
+    Mutant(CODES, '        n, k, d = _check_int(n, "n"), _check_int(k, "k"), _check_int(d, "d")\n', "",
            ("tests/test_codes.py::test_code_parameters_must_be_integers",)),
-    Mutant(ENGINE, "map(operator.index, (trials, seed, workers))", "(trials, seed, workers)",
+    Mutant(ENGINE, 'seed = _check_int(seed, "seed")', '_check_int(seed, "seed")',
            (MC_TESTS + "test_an_estimate_from_numpy_integers_holds_plain_numbers",)),
     # perfbench/pin.py imports Multiplexing from the engine module.
-    Mutant(ENGINE, "from .analytic import LinkParams, Multiplexing, _check_int\n",
-           "from .analytic import LinkParams, _check_int\n",
+    Mutant(ENGINE, "from .analytic import LinkParams, Multiplexing\n", "from .analytic import LinkParams\n",
            ("tests/test_layering.py::test_benchmark_call_forms_resolve",)),
     Mutant(CLI, "import io\n", "import io\nimport json\n", (LOADS,)),
     # No command, --help included, loads argparse.
@@ -105,7 +105,7 @@ MUTANTS = [
     # closed-form command loads typing. One mutant per import the records and the CLI dropped.
     *(Mutant(path, "from __future__ import annotations\n",
              "from __future__ import annotations\nfrom dataclasses import dataclass\n", (LOADS,))
-      for path in ("src/qlink/codes.py", ANALYTIC, CIRCUITS, ENGINE, "src/qlink/timing.py",
+      for path in (CODES, ANALYTIC, CIRCUITS, ENGINE, "src/qlink/timing.py",
                    "src/qlink/workload.py")),
     Mutant(CLI, "import io\n", "import dataclasses\nimport io\n", (LOADS,)),
     *(Mutant(path, "TYPE_CHECKING = False   #", "from typing import TYPE_CHECKING  #", (LOADS,))
@@ -194,8 +194,14 @@ MUTANTS = [
            ("tests/test_circuits.py::test_a_layout_shorter_than_the_width_is_rejected_before_the_width_is_enumerated",
             "tests/test_cli.py::test_cut_rejects_a_circuit_wider_than_its_layout")),
     # dqec_budget's counts are integers, as cycle_times' are.
-    Mutant(CIRCUITS, '    _check_int(syndromes, "syndromes")\n', "",
+    Mutant(CIRCUITS, '    syndromes = _check_int(syndromes, "syndromes", 1)\n', "",
            ("tests/test_circuits.py::test_cycle_counts_must_be_integers",)),
-    Mutant(CIRCUITS, '    _check_int(repeats, "repeats")\n', "",
+    Mutant(CIRCUITS, '    repeats = _check_int(repeats, "repeats", 1)\n', "",
            ("tests/test_circuits.py::test_cycle_counts_must_be_integers",)),
+    # _check_int is the one integer rule: it enforces a floor when given one, and returns a plain int.
+    Mutant(CODES, "if least is not None and value < least:", "if False:",
+           ("tests/test_circuits.py::test_cycle_costs_reject_zero_counts",
+            "tests/test_cli.py::test_cut_rejects_a_circuit_without_qubits")),
+    Mutant(CODES, "    value = type(value).__index__(value)\n", "",
+           ("tests/test_integer_counts.py::test_numpy_integer_counts_are_stored_as_plain_ints",)),
 ]

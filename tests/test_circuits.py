@@ -234,8 +234,8 @@ def test_inmotion_costs():
 
 def test_cycle_costs_reject_zero_counts():
     circuit = default_steane_encoder()
-    for syndromes, repeats in ((0, 2), (6, 0)):
-        with pytest.raises(ValueError, match="syndromes and repeats must be >= 1"):
+    for syndromes, repeats, name in ((0, 2, "syndromes"), (6, 0, "repeats")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
             dqec_budget(circuit, syndromes, repeats)
 
 

@@ -147,7 +147,7 @@ def test_cut_rejects_a_circuit_without_qubits(tmp_path, capsys):
     path.write_text(json.dumps({"n": 0, "order": [], "gates": []}))
     assert main(["cut", "--circuit", str(path)]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: n_qubits must be >= 1\n")
+    assert (captured.out, captured.err) == ("", "error: n_qubits must be >= 1, got 0\n")
 
 
 def test_cut_rejects_a_circuit_wider_than_its_layout(tmp_path, capsys):
@@ -549,6 +549,11 @@ def test_overlong_integer_literal_is_named_not_echoed(capsys):
     assert "1" * 21 not in err and "finite" not in err
 
 
+def test_zero_padded_literal_past_the_digit_limit_reads_as_its_value():
+    # int() refuses the literal for its length; the digit limit is on the value's digits.
+    assert scientific_int("0" * 5000 + "7") == 7
+
+
 def test_success_exit_zero(capsys):
     assert main(["codes"]) == 0
 
@@ -574,7 +579,8 @@ def test_option_literals_match_their_model_sources():
 # and the modules no command may load. pathlib is named so that the circuit commands,
 # which need it for no more than a type hint, are seen not to load it. The records import
 # neither dataclasses nor typing, so no closed-form command loads inspect or typing;
-# numpy loads both, so mc and sweep may.
+# numpy loads both, so mc and sweep may. The option reader reads integers without re, so
+# `qlink codes` loads no re; a command's help page loads it through textwrap, reports through json and csv.
 LAYERS = {"analytic", "circuits", "montecarlo", "timing", "workload", "json", "csv", "numpy", "click",
           "argparse", "pathlib", "dataclasses", "inspect", "typing"}
 NEVER = {"click", "argparse", "dataclasses"}
@@ -586,7 +592,7 @@ FRESH_MAIN = ("import sys\nbefore = set(sys.modules)\nfrom qlink.cli import main
 
 
 def run_fresh(argv):
-    """main(argv) in a new interpreter on the tree under test: (stdout, the LAYERS it loaded).
+    """main(argv) in a new interpreter on the tree under test: (stdout, the modules it loaded).
 
     The interpreter skips its site hook (-S), so no .pth file loads a module
     before qlink.cli does; its path is the tree under test and numpy's
@@ -597,12 +603,12 @@ def run_fresh(argv):
     done = subprocess.run([sys.executable, "-S", "-c", FRESH_MAIN, *argv], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout, LAYERS & set(done.stderr.splitlines()[-1].split())
+    return done.stdout, set(done.stderr.splitlines()[-1].split())
 
 
 # argv, the LAYERS it must load, the LAYERS it must not load
 COMMAND_LAYERS = [
-    (["codes"], set(), LAYERS),
+    (["codes"], set(), LAYERS | {"re"}),
     (["--help"], set(), LAYERS),
     (["recommend", "--help"], set(), LAYERS),
     (["mc", "--help"], set(), LAYERS),
