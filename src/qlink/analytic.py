@@ -26,6 +26,12 @@ from .codes import CodeStack, QecCode, _check_int, _Record, _set, parse_stack
 LINEARIZATION_LIMIT = 0.1
 _LOG_MAX = math.log(sys.float_info.max)   # exp() of anything larger overflows
 
+# The exact inversion brackets its root at x (1 -+ _BRACKET_WIDTH) and accepts the bracket only
+# where the tail at its ends clears the budget by the relative _BRACKET_MARGIN: far above the
+# float tail's error, far below the width, and the width well above the bisection's 1e-9 stop.
+_BRACKET_WIDTH = 1e-8
+_BRACKET_MARGIN = 1e-9
+
 # Default axes of the allowable-error-rate reference table: the three
 # workload sizes crossed with no coding, the two stock codes, and all four
 # two-level combinations of them.
@@ -132,7 +138,7 @@ def _block_error(n: int, m: int, q: float, mode: ModelMode) -> float:
     return min(total, 1.0)
 
 
-@functools.lru_cache(maxsize=32)   # a bisection asks for the same few rows dozens of times
+@functools.lru_cache(maxsize=32)   # an exact inversion asks for the same few rows a dozen times
 def _binomial_row(n: int) -> tuple[float, ...]:
     """C(n, 0), ..., C(n, n) as floats, each the correctly rounded double of its exact integer.
 
@@ -214,8 +220,12 @@ def allowable_pt(
     C(n, m) lies past it, the rest of the chain is peeled in logs, so a
     tiny target keeps its digits.
     EXACT_TAIL inverts the budget once, p_f <= target_pf exactly when the
-    block error is at most 1 - (1 - target_pf)^(1/t), and bisects the
-    monotone block error over (0, 0.5) to 1e-9 relative width.
+    block error is at most 1 - (1 - target_pf)^(1/t), and bisects the block
+    error over (0, 0.5) to 1e-9 relative width. The float tail is monotone
+    only to within its rounding, so the bisection is the definition of the
+    answer; a verified bracket (_bracket) only spares it the evaluations
+    whose outcome is already known, and the result is the plain bisection's
+    double.
     """
     if not 1 <= t < math.inf:   # the exact budget turns an infinite or nan t into a silent answer
         raise ValueError(f"need t >= 1, got {t}" if t < 1 else f"need a finite t, got {t}")
@@ -223,35 +233,111 @@ def allowable_pt(
         raise ValueError(f"target_pf must be in (0, 1), got {target_pf}")
 
     if mode is ModelMode.LEADING_ORDER:
-        q = target_pf / t
-        levels = stack.levels[::-1]
-        for i, code in enumerate(levels):
-            try:
-                quotient = q / math.comb(code.n, code.min_fail)
-            except OverflowError:   # a coefficient past the float range
-                quotient = 0.0
-            if quotient < sys.float_info.min:   # a subnormal quotient has lost digits
-                log_q = math.log(q) if q >= sys.float_info.min else math.log(target_pf) - math.log(t)
-                for inner in levels[i:]:
-                    log_q = (log_q - math.log(math.comb(inner.n, inner.min_fail))) / inner.min_fail
-                return math.exp(log_q)
-            q = quotient ** (1.0 / code.min_fail)
-        return q
+        return _leading_root(stack, t, target_pf)
 
     budget = -math.expm1(math.log1p(-target_pf) / t)
+    a, b = _bracket(stack, budget)   # rates at or below a meet the budget, at or above b miss it
     lo, hi = 0.0, 0.5
-    if p_stack_block_error(stack, hi, mode) <= budget:
+    if hi < b and p_stack_block_error(stack, hi, mode) <= budget:
         return hi
     # p_e(0) = 0 <= budget, p_e(hi) > budget: the root is bracketed.
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:   # adjacent subnormals: the bracket cannot shrink further
             break
-        if p_stack_block_error(stack, mid, mode) <= budget:
+        if mid <= a or mid < b and p_stack_block_error(stack, mid, mode) <= budget:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _leading_root(stack: CodeStack, t: float, target_pf: float) -> float:
+    """The LEADING_ORDER allowable rate, also the exact inversion's first guess; see allowable_pt."""
+    q = target_pf / t
+    levels = stack.levels[::-1]
+    for i, code in enumerate(levels):
+        try:
+            quotient = q / math.comb(code.n, code.min_fail)
+        except OverflowError:   # a coefficient past the float range
+            quotient = 0.0
+        if quotient < sys.float_info.min:   # a subnormal quotient has lost digits
+            log_q = math.log(q) if q >= sys.float_info.min else math.log(target_pf) - math.log(t)
+            for inner in levels[i:]:
+                log_q = (log_q - math.log(math.comb(inner.n, inner.min_fail))) / inner.min_fail
+            return math.exp(log_q)
+        q = quotient ** (1.0 / code.min_fail)
+    return q
+
+
+def _bracket(stack: CodeStack, budget: float) -> tuple[float, float]:
+    """Rates (a, b) around the exact-tail root: p_e <= budget at every rate up to a, above it from b on.
+
+    The float tail is not monotone: adjacent rates can give block errors a
+    few 1e-15 relative out of order. So a bracket a = x (1 - w), b = x (1 + w)
+    around the secant root x is accepted only where p_e(a) <= budget (1 - k)
+    and p_e(b) > budget (1 + k), with w = _BRACKET_WIDTH and k =
+    _BRACKET_MARGIN, and where k / 8 bounds the tail's error at every rate:
+    then each rate below a evaluates within budget and each above b past it,
+    as the bisection would find. (0, inf) stands for no bracket.
+    """
+    for code in stack.levels:
+        _binomial_row(code.n)   # names a block too wide for doubles before any C(n, m) is formed
+    rel, floor = _tail_error_bound(stack)
+    if not (budget > 0.0 and rel <= _BRACKET_MARGIN / 8 and floor <= _BRACKET_MARGIN / 8 * budget):
+        return 0.0, math.inf
+    x = _secant_root(stack, budget)
+    a, b = x * (1.0 - _BRACKET_WIDTH), x * (1.0 + _BRACKET_WIDTH)
+    if (x and p_stack_block_error(stack, a, ModelMode.EXACT_TAIL) <= budget * (1.0 - _BRACKET_MARGIN)
+            and p_stack_block_error(stack, b, ModelMode.EXACT_TAIL) > budget * (1.0 + _BRACKET_MARGIN)):
+        return a, b
+    return 0.0, math.inf
+
+
+def _tail_error_bound(stack: CodeStack) -> tuple[float, float]:
+    """(r, f): the float exact tail is within p_e r + f of the true p_e at every rate.
+
+    Carried level by level, inner to outer. Each term rounds within n - j + 7
+    units of 2^-53 and the positive sum adds n more, and an input error r
+    grows at most m-fold, since p d/dp P(X >= m) = m P(X = m). Underflow
+    adds at most 2^(n + 3) units of 2^-1074, and an absolute input error f
+    grows at most n-fold, since d/dp P(X >= m) = n P(Bin(n - 1, p) = m - 1).
+    """
+    rel = floor = 0.0
+    for code in stack.levels:
+        rel = code.min_fail * rel + 2 * (code.n + 4) * 2.0**-53
+        floor = code.n * floor + math.ldexp(1.0, code.n + 3 - 1074)
+    return rel, floor
+
+
+def _secant_root(stack: CodeStack, budget: float) -> float:
+    """A rate near where the exact tail meets budget in (0, 0.5], or 0.0 where none is found.
+
+    Starts from the leading-order root of the budget and takes secant steps
+    on log p_e against log p_t, the first with the small-rate slope, the
+    product of the levels' m (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), until a step moves log p_t by less than
+    w / 8, evaluating the tail at most five times.
+    """
+    x = _leading_root(stack, 1.0, budget)
+    slope, last = math.prod(code.min_fail for code in stack.levels), None
+    log_budget = math.log(budget)
+    for _ in range(5):
+        if not 0.0 < x <= 0.5:
+            return 0.0
+        p_e = p_stack_block_error(stack, x, ModelMode.EXACT_TAIL)
+        if p_e == 0.0:   # the tail underflows: no slope in logs
+            return 0.0
+        point = (math.log(x), math.log(p_e))
+        if last is not None:
+            slope = (point[1] - last[1]) / (point[0] - last[0])
+        if not slope > 0.0:
+            return 0.0
+        step = (log_budget - point[1]) / slope
+        x, last = math.exp(min(point[0] + step, 0.0)), point   # past 1 is out of range: no overflow
+        if abs(step) < _BRACKET_WIDTH / 8:
+            break
+    return x if 0.0 < x <= 0.5 else 0.0
 
 
 def serial_penalty_ratio(code: QecCode, p_t: float, p_m: float) -> float:

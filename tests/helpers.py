@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's own code paths: binomial
 coefficients come from Pascal's triangle or factorials, tails from explicit enumeration,
-rounding, compounded failure, link fault rates, the exactly-m event
+rounding, compounded failure, a stack's exact tail, link fault rates, the exactly-m event
 probability, the serial-penalty ratio and the leading-order inversion from
 decimal arithmetic, that ratio's small-rate limit and the leading-order
 block error from exact fractions,
@@ -11,7 +11,8 @@ words from a full sort of every block, encoder validity from a numpy
 stabilizer tableau reduced to row echelon form, and cut costs from a
 per-cut, per-gate side test, with breakpoint names from an enumeration of
 letter strings. The term-by-term float tail is a rounding pin, not an
-oracle: the exact-tail block error must match it bit for bit. The
+oracle: the exact-tail block error must match it bit for bit; so is the
+plain bisection, whose double the exact-mode allowable rate must be. The
 malformed circuit files at the end are shared by the library and CLI
 tests that must both reject them. The paired-Wilson ratio interval, the
 circuit writers and the gate-deletion mutant builder are test tools, not
@@ -30,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from qlink.analytic import p_stack_block_error
 from qlink.cli import main
 from qlink.montecarlo import wilson_interval
 
@@ -166,6 +168,45 @@ def term_by_term_tail(n: int, m: int, q: float) -> float:
     for j in range(m, n + 1):
         total += math.comb(n, j) * q**j * (1.0 - q) ** (n - j)
     return min(total, 1.0)
+
+
+def decimal_stack_tail(levels, p_t: float) -> Decimal:
+    """A stack's exact-tail block error in 60-digit decimal arithmetic, levels inner to outer.
+
+    Pascal's triangle gives the coefficients, and decimal exponents do not
+    underflow, so the only rounding is at the 60th digit.
+    """
+    q = Decimal(p_t)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for code in levels:
+            row = pascal_row(code.n)
+            q = sum(row[j] * q**j * (1 - q) ** (code.n - j) for j in range(code.min_fail, code.n + 1))
+    return q
+
+
+def bisected_allowable_pt(stack, t: float, target_pf: float, mode) -> float:
+    """The exact-mode allowable rate by plain bisection: every midpoint evaluated.
+
+    Not an oracle of the true root: the float tail is monotone only to its
+    rounding, and the bisection's double is the answer by definition, which
+    allowable_pt must give bit for bit while it skips the midpoints its
+    bracket decides. The budget, the (0, 0.5) start, the 1e-9 relative stop
+    and the subnormal break are the library's.
+    """
+    budget = -math.expm1(math.log1p(-target_pf) / t)
+    lo, hi = 0.0, 0.5
+    if p_stack_block_error(stack, hi, mode) <= budget:
+        return hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if p_stack_block_error(stack, mid, mode) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def pattern_tail(n: int, m: int, p: float) -> float:

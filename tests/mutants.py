@@ -74,6 +74,20 @@ MUTANTS = [
            (ANALYTIC_TESTS + "test_certain_events_make_certain_faults_only_where_they_strike",)),
     Mutant(ANALYTIC, "if not math.isfinite(linearized):", "if math.isnan(linearized):",
            (ANALYTIC_TESTS + "test_algorithm_failure_rejects_a_linearization_past_the_float_range",)),
+    # The exact inversion's bracket: skipped midpoints go to the side the bracket proves, the
+    # bracket's ends are evaluated, each must clear the budget by the margin, and the bracket is
+    # wider than the bisection's 1e-9 stop.
+    Mutant(ANALYTIC, "if mid <= a or mid < b and", "if mid >= b or mid > a and",
+           (ANALYTIC_TESTS + "test_exact_inversion_is_the_plain_bisection_bit_for_bit",)),
+    Mutant(ANALYTIC, "if (x and p_stack_block_error(stack, a, ModelMode.EXACT_TAIL) <= budget * (1.0 - _BRACKET_MARGIN)\n"
+                     "            and p_stack_block_error(stack, b, ModelMode.EXACT_TAIL) > budget * (1.0 + _BRACKET_MARGIN)):",
+           "if x:", (ANALYTIC_TESTS + "test_exact_inversion_refuses_a_bracket_that_misses_the_root",)),
+    Mutant(ANALYTIC, "<= budget * (1.0 - _BRACKET_MARGIN)", "<= budget",
+           (ANALYTIC_TESTS + "test_exact_inversion_refuses_a_bracket_end_within_the_margin",)),
+    Mutant(ANALYTIC, "> budget * (1.0 + _BRACKET_MARGIN)", "> budget",
+           (ANALYTIC_TESTS + "test_exact_inversion_refuses_a_bracket_end_within_the_margin",)),
+    Mutant(ANALYTIC, "_BRACKET_WIDTH = 1e-8", "_BRACKET_WIDTH = 1e-9",
+           (ANALYTIC_TESTS + "test_exact_inversion_takes_about_a_dozen_tail_evaluations",)),
     Mutant(ANALYTIC, "budget = -math.expm1(math.log1p(-target_pf) / t)",
            "budget = -math.expm1(math.log1p(-target_pf) * t)",
            (ANALYTIC_TESTS + "test_exact_inversion_finds_the_root_below_float_resolution",

@@ -1,9 +1,12 @@
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 from helpers import (
+    bisected_allowable_pt,
+    decimal_stack_tail,
     event_ratio,
     exact_failure,
     leading_block_error,
@@ -18,6 +21,7 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qlink import analytic
 from qlink.analytic import (
     TABLE3_STACKS,
     LinkParams,
@@ -225,6 +229,99 @@ def test_exact_inversion_terminates_among_subnormal_rates():
 def test_exact_inversion_returns_the_bracket_end_when_it_meets_the_budget():
     # One uncoded step fails with probability p_t, so p_t = 0.5 is within 0.6.
     assert allowable_pt(CodeStack(), 1, 0.6, EXACT) == 0.5
+
+
+# The exact inversion is the plain bisection of tests/helpers.py; its bracket only skips
+# the midpoints whose outcome it has verified, and must never change a bit.
+_BISECTION_GRID_STACKS = (*TABLE3_STACKS, "1-1-1", "1029-1-515", "1029-1-3+1029-1-3",
+                          "23-1-7+23-1-7+23-1-7", "3-1-3+3-1-3+3-1-3+3-1-3")
+
+
+@pytest.mark.parametrize("spec", _BISECTION_GRID_STACKS)
+@pytest.mark.parametrize("t", [1, 1e5, 1e8, 1e11, 1e308])
+@pytest.mark.parametrize("target_pf", [0.999999, 0.1, 1e-3, 1e-6, 5e-324])
+def test_exact_inversion_is_the_plain_bisection_bit_for_bit(spec, t, target_pf):
+    stack = parse_stack(spec)
+    assert allowable_pt(stack, t, target_pf, EXACT) == bisected_allowable_pt(stack, t, target_pf, EXACT)
+
+
+@pytest.mark.parametrize(("spec", "lowest"), [
+    ("7-1-3", 1e-170), ("23-1-7", 1e-50), ("23-1-7+23-1-7", 1e-15), ("3-1-3+3-1-3+3-1-3", 1e-45),
+    ("101-1-51", 1e-14), ("1029-1-515", 0.04),
+])
+def test_exact_tail_stays_within_the_error_bound_the_bracket_assumes(spec, lowest):
+    # 41 rates from lowest to 0.5, against a 60-digit decimal tail: through the normal range
+    # and where the float terms underflow, as 21 q^2 does below 1e-154 and q^258 below 0.064.
+    stack = parse_stack(spec)
+    rel, floor = analytic._tail_error_bound(stack)
+    for k in range(41):
+        p_t = lowest * (0.5 / lowest) ** (k / 40)
+        exact = decimal_stack_tail(stack.levels, p_t)
+        error = abs(Decimal(p_stack_block_error(stack, p_t, EXACT)) - exact)
+        assert error <= Decimal(rel) * exact + Decimal(floor), p_t
+
+
+_SMALL_CODES = st.sampled_from(["1-1-1", "3-1-3", "5-1-3", "7-1-3", "9-1-3", "15-1-7", "23-1-7", "49-1-9"])
+_WIDE_T = st.one_of(st.floats(1.0, 1e308), st.floats(0.0, 308.0).map(lambda e: 10.0**e))
+_ANY_TARGET = st.one_of(st.floats(5e-324, 1.0, exclude_max=True),
+                        st.floats(-323.0, -1e-12).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(_SMALL_CODES, max_size=3), t=_WIDE_T, target_pf=_ANY_TARGET)
+def test_exact_inversion_matches_the_plain_bisection_on_random_stacks(levels, t, target_pf):
+    stack = parse_stack("+".join(levels) or "none")
+    assert allowable_pt(stack, t, target_pf, EXACT) == bisected_allowable_pt(stack, t, target_pf, EXACT)
+
+
+@pytest.fixture
+def tail_calls(monkeypatch):
+    """The rates at which allowable_pt evaluates the stack's block error, in order."""
+    calls = []
+
+    def counted(stack, p_t, mode=LEADING):
+        calls.append(p_t)
+        return p_stack_block_error(stack, p_t, mode)
+
+    monkeypatch.setattr(analytic, "p_stack_block_error", counted)
+    return calls
+
+
+def test_exact_inversion_takes_about_a_dozen_tail_evaluations(tail_calls):
+    # The plain bisection takes 36 to 70 per default table3 cell, 908 for the exact table3.
+    per_cell = {}
+    for spec in TABLE3_STACKS:
+        for t in TABLE3_T:
+            tail_calls.clear()
+            allowable_pt(parse_stack(spec), t, 0.1, EXACT)
+            per_cell[spec, t] = len(tail_calls)
+    assert max(per_cell.values()) <= 16, per_cell
+    tail_calls.clear()
+    table3(mode=EXACT)
+    assert len(tail_calls) <= 300
+
+
+@pytest.mark.parametrize("spec", ["none", "7-1-3", "23-1-7+23-1-7"])
+@pytest.mark.parametrize("factor", [0.5, 1 - 3e-8, 1 + 3e-8, 2.0])
+def test_exact_inversion_refuses_a_bracket_that_misses_the_root(monkeypatch, tail_calls, spec, factor):
+    # A seed 3e-8 or more off the root puts both ends of its 1e-8 bracket on one side:
+    # the ends' check refuses it, and every midpoint is evaluated, as in the plain bisection.
+    stack = parse_stack(spec)
+    plain = bisected_allowable_pt(stack, 1e5, 0.1, EXACT)
+    monkeypatch.setattr(analytic, "_secant_root", lambda stack, budget: plain * factor)
+    assert allowable_pt(stack, 1e5, 0.1, EXACT) == plain
+    assert len(tail_calls) > 30
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_exact_inversion_refuses_a_bracket_end_within_the_margin(monkeypatch, tail_calls, end):
+    # On the empty stack p_e(p) = p, so a seed can place one end of its 1e-8 bracket 5e-10
+    # inside the budget: half the 1e-9 margin, which the end must clear. The bracket is refused.
+    budget = -math.expm1(math.log1p(-0.1) / 1e5)
+    seed = budget * (1 - 5e-10) / (1 - 1e-8) if end == "low" else budget * (1 + 5e-10) / (1 + 1e-8)
+    monkeypatch.setattr(analytic, "_secant_root", lambda stack, budget: seed)
+    assert allowable_pt(CodeStack(), 1e5, 0.1, EXACT) == bisected_allowable_pt(CodeStack(), 1e5, 0.1, EXACT)
+    assert len(tail_calls) > 30
 
 
 def test_algorithm_failure_rejects_a_linearization_past_the_float_range():
