@@ -25,6 +25,7 @@ from .codes import CodeStack, QecCode, _check_int, _Record, _set, parse_stack
 # small; estimates past this threshold are flagged.
 LINEARIZATION_LIMIT = 0.1
 _LOG_MAX = math.log(sys.float_info.max)   # exp() of anything larger overflows
+_NORMAL_MIN = sys.float_info.min
 
 # The exact inversion brackets its root at x (1 -+ _BRACKET_WIDTH) and accepts the bracket only
 # where the tail at its ends clears the budget by the relative _BRACKET_MARGIN: far above the
@@ -118,6 +119,11 @@ def _block_error(n: int, m: int, q: float, mode: ModelMode) -> float:
     LEADING_ORDER is C(n, m) q^m, the single lowest failure mode, and may
     exceed 1, up to inf past the float range; a C(n, m) itself past that
     range is multiplied in logs. EXACT_TAIL is P(X >= m) for X ~ Binomial(n, q).
+    A term whose q^j falls below the normal float range is formed from
+    q = f 2^e, f in [0.5, 1), as C(n, j) f^j (1 - q)^(n - j) scaled by
+    2^(e j) last. Before the scaling it is at least about 2^-n C(n, j), a
+    normal double in every block whose coefficients are doubles, so the
+    term rounds as often as the plain product and underflows only at the end.
     """
     if mode is ModelMode.LEADING_ORDER:
         try:
@@ -133,8 +139,15 @@ def _block_error(n: int, m: int, q: float, mode: ModelMode) -> float:
             return math.exp(log_term) if log_term <= _LOG_MAX else math.inf
     row, p = _binomial_row(n), 1.0 - q
     total = 0.0
-    for j in range(m, n + 1):
+    top = n + 1   # the terms from top on have a q^j below the normal range
+    while top > m and q ** (top - 1) < _NORMAL_MIN:
+        top -= 1
+    for j in range(m, top):
         total += row[j] * q**j * p ** (n - j)
+    if top <= n:   # raise q's mantissa instead, and apply its exponent last
+        mantissa, scale = math.frexp(q)
+        for j in range(top, n + 1):
+            total += math.ldexp(row[j] * mantissa**j * p ** (n - j), scale * j)
     return min(total, 1.0)
 
 

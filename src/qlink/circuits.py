@@ -107,7 +107,10 @@ def cut_table(circuit: EncoderCircuit) -> list[CutCost]:
     step = [0] * (n + 1)   # the CNOTs crossing cut index number step[0] + ... + step[index]
     for gate in circuit.gates:
         if gate.kind is GateKind.CNOT:
-            lo, hi = sorted(position[q] for q in gate.qubits)
+            control, target = gate.qubits
+            lo, hi = position[control], position[target]
+            if lo > hi:
+                lo, hi = hi, lo
             step[lo + 1] += 1
             step[hi + 1] -= 1
     rows, crossing = [], 0

@@ -157,21 +157,59 @@ def _render_report(payload: dict, fmt: str) -> str:
     return _json(payload) + "\n"
 
 
+_FLAT_TYPES = frozenset((str, int, float, bool, type(None)))
+_flat_encoder = None   # json's C encoder for flat reports, built on first use; False where Python has none
+
+
 def _json(value) -> str:
     """The json module's dump of value at indent=2 with allow_nan=False, for str-keyed reports.
 
-    json takes its C encoder only when indent is None, so on Python 3.10
-    and 3.11 an indented dump goes through a generator per value. Here
-    ints and floats, subclasses included, are written by int.__repr__ and
-    float.__repr__, strings by json's ASCII escaper, None and bools as
+    Two routes give the same bytes, exception types and messages. A flat
+    report, a non-empty dict whose keys are exactly str and whose values
+    are exactly str, int, float, bool or None, is written by json's C
+    encoder (_flat_json). Everything else goes through a writer of its
+    own: json takes its C encoder only when indent is None, so on Python
+    3.10 and 3.11 an indented dump goes through a generator per value.
+    Here ints and floats, subclasses included, are written by int.__repr__
+    and float.__repr__, strings by json's ASCII escaper, None and bools as
     null, true and false; a non-finite float raises ValueError and any
     other type TypeError, each with json's message.
     """
+    if type(value) is dict and value:
+        text = _flat_json(value)
+        if text is not None:
+            return text
     from json.encoder import encode_basestring_ascii
 
     parts = []
     _json_parts(value, "\n", parts, encode_basestring_ascii)
     return "".join(parts)
+
+
+def _flat_json(report: dict) -> str | None:
+    """A flat report's JSON through json's C encoder; None where the writer must take it.
+
+    The encoder writes the report on one line with ",\n  " between items,
+    so wrapping its inside in "{\n  " and "\n}" gives json.dumps's indented
+    text. It refuses a non-finite float with a shorter message than
+    json.dumps on Python 3.11, and writes an int key as a string where
+    json.dumps's writer refuses it, so neither reaches it here.
+    """
+    global _flat_encoder
+    for key, item in report.items():
+        if type(key) is not str or type(item) not in _FLAT_TYPES:
+            return None
+    if _flat_encoder is None:
+        from json import encoder
+
+        _flat_encoder = encoder.c_make_encoder is not None and encoder.c_make_encoder(
+            None, None, encoder.encode_basestring_ascii, None, ": ", ",\n  ", False, False, False)
+    if not _flat_encoder:
+        return None
+    try:
+        return "{\n  " + "".join(_flat_encoder(report, 0))[1:-1] + "\n}"
+    except ValueError:   # a non-finite float: the writer raises it with json.dumps's message
+        return None
 
 
 def _json_parts(value, newline: str, parts: list, escape) -> None:
@@ -244,7 +282,8 @@ def _command(name: str, fmt: str, *options):
     required, default and the store_true, store_false and help actions;
     metavar and help shape only the --help page. The body takes the
     options read as keywords and returns a report dict or a (header, rows)
-    table.
+    table. The body also carries the required flags and the ordered
+    (dest, default) pairs, worked out here once rather than on every call.
     """
     options += (
         ("--format", dict(choices=("csv", "json", "text"), default=fmt,
@@ -253,9 +292,14 @@ def _command(name: str, fmt: str, *options):
         ("--help", dict(action="help", help="Show this message and exit.")),
     )
     flags = {flag: (settings.get("dest", flag[2:].replace("-", "_")), settings) for flag, settings in options}
+    required = [flag for flag, (_, settings) in flags.items() if settings.get("required")]
+    defaults = {}   # dest -> default; of two flags that share a dest, the first declared wins
+    for dest, settings in flags.values():
+        if settings.get("action") != "help":
+            defaults.setdefault(dest, settings.get("default"))
 
     def register(body):
-        body.flags = flags
+        body.flags, body.required, body.defaults = flags, required, defaults
         COMMANDS[name] = body
         return body
 
@@ -286,7 +330,8 @@ def _read_options(name: str, args: list[str]) -> dict | None:
     last one wins. A default that is a function is called only when its
     option is absent.
     """
-    flags = COMMANDS[name].flags
+    body = COMMANDS[name]
+    flags = body.flags
     tokens, pairs, unknown = iter(args), [], []
     for token in tokens:
         flag, equals, text = token.partition("=")
@@ -314,13 +359,11 @@ def _read_options(name: str, args: list[str]) -> dict | None:
         else:
             values[dest] = action == "store_true"
     given = {flag for flag, _ in pairs}
-    missing = [flag for flag, (_, settings) in flags.items()
-               if settings.get("required") and flag not in given]
+    missing = [flag for flag in body.required if flag not in given]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    for dest, settings in flags.values():   # of two flags that share a dest, the first declared wins
-        if dest not in values and settings.get("action") != "help":
-            default = settings.get("default")
+    for dest, default in body.defaults.items():
+        if dest not in values:
             values[dest] = default() if callable(default) else default
     return values
 

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import string
+import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
@@ -163,10 +164,17 @@ def term_by_term_tail(n: int, m: int, q: float) -> float:
     Not an oracle of the true tail: it pins how the exact-tail block error
     rounds, so that reusing a coefficient or 1 - q across terms, which must
     not move a bit, is seen to move none. math.comb gives the coefficients.
+    A term whose q^j lies below the normal float range raises q's mantissa
+    instead and applies q's binary exponent last, as the library does.
     """
     total = 0.0
     for j in range(m, n + 1):
-        total += math.comb(n, j) * q**j * (1.0 - q) ** (n - j)
+        power = q**j
+        if power < sys.float_info.min:
+            mantissa, scale = math.frexp(q)
+            total += math.ldexp(math.comb(n, j) * mantissa**j * (1.0 - q) ** (n - j), scale * j)
+        else:
+            total += math.comb(n, j) * power * (1.0 - q) ** (n - j)
     return min(total, 1.0)
 
 

@@ -137,8 +137,15 @@ MUTANTS = [
            (READER_TESTS + "test_each_occurrence_of_a_flag_is_checked_and_the_last_wins",)),
     Mutant(CLI, "values[dest] = default() if callable(default) else default",
            "values[dest] = default() if callable(default) else default\n"
-           "        elif callable(default := settings.get('default')):\n            default()",
+           "        elif callable(default):\n            default()",
            (READER_TESTS + "test_qlink_seed_is_read_only_when_seed_is_absent",)),
+    # Of two flags that share a dest, the first declared sets its default.
+    Mutant(CLI, 'defaults.setdefault(dest, settings.get("default"))', 'defaults[dest] = settings.get("default")',
+           (READER_TESTS + "test_of_two_flags_that_share_a_dest_the_first_declared_default_wins",)),
+    # The required flags are listed once, when the command registers.
+    Mutant(CLI, 'required = [flag for flag, (_, settings) in flags.items() if settings.get("required")]',
+           "required = []",
+           (READER_TESTS + "test_unknown_tokens_are_named_before_a_missing_required_option",)),
     # Unknown tokens are named first, all of them: here only when no known flag came with them.
     Mutant(CLI, "    if unknown:\n", "    if unknown and not pairs:\n",
            (READER_TESTS + "test_unknown_tokens_are_named_before_a_missing_required_option",
@@ -166,16 +173,32 @@ MUTANTS = [
            ("tests/test_cli.py::test_option_literals_match_their_model_sources",)),
     Mutant(CLI, "return 0.0 if number == 0.0 else number", "return number",
            ("tests/test_cli.py::test_negative_zero_is_read_as_zero",)),
+    # A term whose q^j underflows is formed from q's mantissa, and the rest from q^j itself.
+    Mutant(ANALYTIC, "while top > m and q ** (top - 1) < _NORMAL_MIN:", "while False:",
+           (ANALYTIC_TESTS + "test_exact_tail_keeps_its_digits_where_the_powers_underflow",)),
+    Mutant(ANALYTIC, "while top > m and q ** (top - 1) < _NORMAL_MIN:", "while top > m:",
+           (ANALYTIC_TESTS + "test_exact_tail_is_the_term_by_term_sum_bit_for_bit",)),
     # The exact tail forms 1 - q once per call; one ulp off moves the sum.
     Mutant(ANALYTIC, "row, p = _binomial_row(n), 1.0 - q", "row, p = _binomial_row(n), math.nextafter(1.0 - q, 0.0)",
            (ANALYTIC_TESTS + "test_exact_tail_is_the_term_by_term_sum_bit_for_bit",)),
     # A CNOT over positions lo..hi stops crossing after cut hi, not before it.
     Mutant(CIRCUITS, "step[hi + 1] -= 1", "step[hi] -= 1",
            ("tests/test_circuits.py::test_breakpoint_c_and_d_gate_counts",)),
+    # A CNOT's control may sit right of its target in the layout.
+    Mutant(CIRCUITS, "            if lo > hi:\n                lo, hi = hi, lo\n", "",
+           ("tests/test_circuits.py::test_breakpoint_c_and_d_gate_counts",)),
     # The JSON writer escapes to ASCII as json does, and indents a list one level past its key.
     Mutant(CLI, "from json.encoder import encode_basestring_ascii\n",
            "from json.encoder import encode_basestring as encode_basestring_ascii\n",
            ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",)),
+    # Flat reports go to json's C encoder only with str keys, which it would write 1 as "1" without,
+    # and a non-finite float, which it refuses with a shorter message, falls back to the writer.
+    Mutant(CLI, "if type(key) is not str or type(item) not in _FLAT_TYPES:", "if type(item) not in _FLAT_TYPES:",
+           ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",)),
+    Mutant(CLI, "    except ValueError:   # a non-finite float", "    except TypeError:   # a non-finite float",
+           ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",)),
+    Mutant(CLI, "if text is not None:\n            return text", "if False:\n            return text",
+           ("tests/test_cli.py::test_flat_reports_take_the_c_encoder",)),
     Mutant(CLI, 'inner, opener = newline + "  ", "["', 'inner, opener = newline, "["',
            ("tests/test_cli_golden.py::test_cli_transcript[recommend --stack 7-1-3 --tt 1 --tlqec 100 --pt 1e-3]",)),
     Mutant("tests/helpers.py", "return 1.0 / high, 1.0 / low", "return 1.0 / low, 1.0 / high",

@@ -261,6 +261,19 @@ def test_exact_tail_stays_within_the_error_bound_the_bracket_assumes(spec, lowes
         assert error <= Decimal(rel) * exact + Decimal(floor), p_t
 
 
+@pytest.mark.parametrize(("spec", "p_t"), [
+    ("1029-1-515", 0.05), ("1029-1-515", 0.063), ("101-1-51", 1e-12), ("101-1-51", 5e-13),
+])
+def test_exact_tail_keeps_its_digits_where_the_powers_underflow(spec, p_t):
+    # q^258 underflows below q = 0.064 and q^26 below 1.4e-12, while the tail is a normal double:
+    # it must be right to the bound's relative error alone, with no underflow floor.
+    stack = parse_stack(spec)
+    rel, _ = analytic._tail_error_bound(stack)
+    exact = decimal_stack_tail(stack.levels, p_t)
+    assert exact > Decimal(sys.float_info.min)
+    assert abs(Decimal(p_stack_block_error(stack, p_t, EXACT)) - exact) <= Decimal(rel) * exact
+
+
 _SMALL_CODES = st.sampled_from(["1-1-1", "3-1-3", "5-1-3", "7-1-3", "9-1-3", "15-1-7", "23-1-7", "49-1-9"])
 _WIDE_T = st.one_of(st.floats(1.0, 1e308), st.floats(0.0, 308.0).map(lambda e: 10.0**e))
 _ANY_TARGET = st.one_of(st.floats(5e-324, 1.0, exclude_max=True),

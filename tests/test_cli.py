@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib.util
 import io
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON, run_cli
 
 import qlink
-from qlink import analytic, timing, workload
+from qlink import analytic, cli, timing, workload
 from qlink.cli import COMMANDS, _json, main, scientific_int
 from qlink.codes import builtin_codes
 
@@ -414,17 +415,37 @@ DOCUMENTS = st.recursive(SCALARS, lambda children: st.lists(children, max_size=4
                          | st.dictionaries(TEXTS, children, max_size=4), max_leaves=24)
 
 
+FLAT_REPORTS = st.dictionaries(TEXTS, SCALARS, min_size=1, max_size=12)
+
+
+@contextlib.contextmanager
+def no_c_encoder():
+    """As on a Python whose json module has no C encoder."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json.encoder, "c_make_encoder", None)
+        patch.setattr(cli, "_flat_encoder", None)   # built anew on first use
+        yield
+
+
 @settings(max_examples=300, deadline=None)
 @given(DOCUMENTS)
 def test_writer_matches_json_dumps(value):
     assert _json(value) == dumped(value)
 
 
+@settings(max_examples=300, deadline=None)
+@given(FLAT_REPORTS)
+def test_flat_reports_match_json_dumps(value):
+    assert _json(value) == dumped(value)
+    with no_c_encoder():
+        assert _json(value) == dumped(value)
+
+
 class Shade(str, Enum):
     DARK = "d\u00e4rk"
 
 
-@pytest.mark.parametrize("value", [
+CHOSEN_VALUES = [
     [], {}, [[]], [{}], {"a": []}, {"a": {}}, {"": [[], {}, [[{}]]]},
     "\u00e9", ["caf\u00e9", "\ud834"], {"\u00fc": "\x00"},
     np.float64(0.1), [np.float64(-0.0), np.float64(1e300)], np.int64(7), {"n": np.int64(7)},
@@ -432,13 +453,41 @@ class Shade(str, Enum):
     [1, [2, [3, {"four": [5.5, 2**70]}]]],
     float("nan"), {"a": [1.0, float("inf")]}, [[{"x": -math.inf}]], {"a": {"b": math.inf}}, np.float64("nan"),
     {1, 2}, {"s": [set()]}, [b"bytes"], {1: "int key"},
-], ids=repr)
-def test_writer_matches_json_dumps_on_chosen_values(value):
+    # flat reports, which json's C encoder writes where Python has one
+    {"a": float("nan")}, {"a": -math.inf}, {"x": np.float64(0.1)}, {"b": True, "n": None, "s": "\u00e9"},
+    {"shade": Shade.DARK}, {"n": 2**70, "f": -0.0, "t": 5e-324}, {"k": 1, 2: "k"},
+]
+
+
+def assert_like_json_dumps(value):
     got = written(_json, value)
     if isinstance(value, dict) and any(not isinstance(key, str) for key in value):
         assert got[0] is TypeError   # reports have str keys; json would write 1 as "1"
     else:
         assert got == written(dumped, value)
+
+
+@pytest.mark.parametrize("value", CHOSEN_VALUES, ids=repr)
+def test_writer_matches_json_dumps_on_chosen_values(value):
+    assert_like_json_dumps(value)
+
+
+@pytest.mark.parametrize("value", CHOSEN_VALUES, ids=repr)
+def test_writer_matches_json_dumps_on_chosen_values_without_a_c_encoder(value):
+    with no_c_encoder():
+        assert_like_json_dumps(value)
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="this Python has no C json encoder")
+def test_flat_reports_take_the_c_encoder(monkeypatch):
+    def no_writer(*args):
+        raise AssertionError("the writer ran")
+
+    monkeypatch.setattr(cli, "_json_parts", no_writer)
+    assert _json({"a": 1, "b": "c"}) == dumped({"a": 1, "b": "c"})
+    for value in ({"a": [1]}, {"a": np.float64(0.1)}, {"a": math.nan}, {1: "a"}, {}):
+        with pytest.raises(AssertionError, match="the writer ran"):
+            _json(value)
 
 
 # ---------------------------------------------------------------- exit codes

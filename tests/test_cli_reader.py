@@ -228,6 +228,19 @@ def test_help_needs_no_required_option():
     assert agreed("link-timing", "--help", "--bogus") == ("error", "unrecognized arguments: --bogus")
 
 
+def test_of_two_flags_that_share_a_dest_the_first_declared_default_wins(monkeypatch):
+    # As in argparse, which sets each dest's default from the first action that names it.
+    monkeypatch.setattr(cli, "COMMANDS", {})
+
+    @cli._command("pair", "json", ("--on", dict(dest="mode", action="store_true", default="first")),
+                  ("--off", dict(dest="mode", action="store_false", default="second")))
+    def pair_cmd(mode):
+        """A command whose two flags share a dest."""
+
+    assert cli._read_options("pair", []) == {"mode": "first", "format": "json", "out": None}
+    assert cli._read_options("pair", ["--on", "--off"])["mode"] is False
+
+
 def test_qlink_seed_is_read_only_when_seed_is_absent(monkeypatch):
     monkeypatch.setenv("QLINK_SEED", "x")
     assert "('seed', 5)" in agreed("mc", "--pt", "0.1", "--seed", "5")[1]
