@@ -121,10 +121,11 @@ def _fields(record) -> dict:
     payload = {}
     for name in record._fields:
         value = getattr(record, name)
-        if isinstance(value, Enum):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
+        if type(value) not in _FLAT_TYPES:   # a plain scalar is kept as it is
+            if isinstance(value, Enum):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
         payload[name] = value
     return payload
 
@@ -158,7 +159,7 @@ def _render_report(payload: dict, fmt: str) -> str:
 
 
 _FLAT_TYPES = frozenset((str, int, float, bool, type(None)))
-_flat_encoder = None   # json's C encoder for flat reports, built on first use; False where Python has none
+_flat_encoders = None   # json's C encoders for reports and their lists, and its escaper; False without them
 
 
 def _json(value) -> str:
@@ -166,14 +167,14 @@ def _json(value) -> str:
 
     Two routes give the same bytes, exception types and messages. A flat
     report, a non-empty dict whose keys are exactly str and whose values
-    are exactly str, int, float, bool or None, is written by json's C
-    encoder (_flat_json). Everything else goes through a writer of its
-    own: json takes its C encoder only when indent is None, so on Python
-    3.10 and 3.11 an indented dump goes through a generator per value.
-    Here ints and floats, subclasses included, are written by int.__repr__
-    and float.__repr__, strings by json's ASCII escaper, None and bools as
-    null, true and false; a non-finite float raises ValueError and any
-    other type TypeError, each with json's message.
+    are exactly str, int, float, bool or None, or non-empty lists of those,
+    is written by json's C encoder (_flat_json). Everything else goes
+    through a writer of its own: json takes its C encoder only when indent
+    is None, so on Python 3.10 and 3.11 an indented dump goes through a
+    generator per value. Here ints and floats, subclasses included, are
+    written by int.__repr__ and float.__repr__, strings by json's ASCII
+    escaper, None and bools as null, true and false; a non-finite float
+    raises ValueError and any other type TypeError, each with json's message.
     """
     if type(value) is dict and value:
         text = _flat_json(value)
@@ -189,25 +190,54 @@ def _json(value) -> str:
 def _flat_json(report: dict) -> str | None:
     """A flat report's JSON through json's C encoder; None where the writer must take it.
 
-    The encoder writes the report on one line with ",\n  " between items,
-    so wrapping its inside in "{\n  " and "\n}" gives json.dumps's indented
-    text. It refuses a non-finite float with a shorter message than
-    json.dumps on Python 3.11, and writes an int key as a string where
-    json.dumps's writer refuses it, so neither reaches it here.
+    The encoder writes a dict or a list on one line with the item separator
+    it was built with. With ",\n  " a report's inside, wrapped in "{\n  "
+    and "\n}", is json.dumps's indented text; with ",\n    " so is a list's
+    inside, wrapped in "[\n    " and "\n  ]". A report without lists is one
+    call; one with lists is written a run of scalars or a list at a time.
+    The encoder refuses a non-finite float with a shorter message than
+    json.dumps on Python 3.11, writes an int key as a string where
+    json.dumps's writer refuses it, and would write an empty list as
+    "[\n    \n  ]", so none of these reaches it here.
     """
-    global _flat_encoder
+    global _flat_encoders
+    lists = False
     for key, item in report.items():
-        if type(key) is not str or type(item) not in _FLAT_TYPES:
+        if type(key) is not str:
             return None
-    if _flat_encoder is None:
+        if type(item) not in _FLAT_TYPES:
+            if type(item) is not list or not item:
+                return None
+            for entry in item:
+                if type(entry) not in _FLAT_TYPES:
+                    return None
+            lists = True
+    if _flat_encoders is None:
         from json import encoder
 
-        _flat_encoder = encoder.c_make_encoder is not None and encoder.c_make_encoder(
-            None, None, encoder.encode_basestring_ascii, None, ": ", ",\n  ", False, False, False)
-    if not _flat_encoder:
+        make = encoder.c_make_encoder
+        _flat_encoders = make is not None and (
+            make(None, None, encoder.encode_basestring_ascii, None, ": ", ",\n  ", False, False, False),
+            make(None, None, encoder.encode_basestring_ascii, None, ": ", ",\n    ", False, False, False),
+            encoder.encode_basestring_ascii)
+    if not _flat_encoders:
         return None
+    scalars, entries, escape = _flat_encoders
     try:
-        return "{\n  " + "".join(_flat_encoder(report, 0))[1:-1] + "\n}"
+        if not lists:
+            return "{\n  " + "".join(scalars(report, 0))[1:-1] + "\n}"
+        parts, run = [], {}
+        for key, item in report.items():
+            if type(item) is list:
+                if run:
+                    parts.append("".join(scalars(run, 0))[1:-1])
+                    run = {}
+                parts.append(escape(key) + ": [\n    " + "".join(entries(item, 1))[1:-1] + "\n  ]")
+            else:
+                run[key] = item
+        if run:
+            parts.append("".join(scalars(run, 0))[1:-1])
+        return "{\n  " + ",\n  ".join(parts) + "\n}"
     except ValueError:   # a non-finite float: the writer raises it with json.dumps's message
         return None
 

@@ -45,9 +45,10 @@ class _Record:
 
 def _check_int(value: int, name: str, least: int | None = None) -> int:
     """A count, seed or code parameter as a plain int: an int or numpy integer, no float or bool, >= least."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = type(value).__index__(value)
+    if type(value) is not int:   # a bool is not exactly an int either
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = type(value).__index__(value)
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
@@ -63,7 +64,8 @@ class QecCode(_Record):
     __slots__ = _fields = ("n", "k", "d")
 
     def __init__(self, n: int, k: int, d: int):
-        n, k, d = _check_int(n, "n"), _check_int(k, "k"), _check_int(d, "d")
+        if not (type(n) is type(k) is type(d) is int):   # three plain ints need no conversion
+            n, k, d = _check_int(n, "n"), _check_int(k, "k"), _check_int(d, "d")
         if k < 1 or n < k:
             raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
         if d < 1 or d % 2 == 0:
@@ -116,7 +118,7 @@ class CodeStack(_Record):
     def spec(self) -> str:
         if not self.levels:
             return "none"
-        return "+".join(code.spec() for code in self.levels)
+        return "+".join([code.spec() for code in self.levels])
 
     def __len__(self):
         return len(self.levels)
@@ -138,7 +140,7 @@ def parse_code(token: str) -> QecCode:
     if len(parts) != 3:
         raise ValueError(f"bad code token {token!r}, expected n-k-d")
     try:
-        n, k, d = (int(p) for p in parts)
+        n, k, d = map(int, parts)
     except ValueError:
         raise ValueError(f"bad code token {token!r}, expected three integers") from None
     return QecCode(n, k, d)
@@ -151,4 +153,4 @@ def parse_stack(spec: str) -> CodeStack:
         return CodeStack()
     if not text:
         raise ValueError("empty stack spec; use 'none' for no coding")
-    return CodeStack(tuple(parse_code(tok) for tok in text.split("+")))
+    return CodeStack(tuple(map(parse_code, text.split("+"))))

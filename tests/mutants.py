@@ -105,7 +105,9 @@ MUTANTS = [
     Mutant(CIRCUITS, '        qubits = tuple(_check_int(q, "gate operand") for q in qubits)\n', "",
            ("tests/test_circuits.py::test_qubits_must_be_integers",)),
     # A code's n, k and d are integers, and the engine echoes plain ints that json can write.
-    Mutant(CODES, '        n, k, d = _check_int(n, "n"), _check_int(k, "k"), _check_int(d, "d")\n', "",
+    Mutant(CODES, 'n, k, d = _check_int(n, "n"), _check_int(k, "k"), _check_int(d, "d")', "pass",
+           ("tests/test_codes.py::test_code_parameters_must_be_integers",)),
+    Mutant(CODES, "if not (type(n) is type(k) is type(d) is int):", "if not (type(n) is int):",
            ("tests/test_codes.py::test_code_parameters_must_be_integers",)),
     Mutant(ENGINE, 'seed = _check_int(seed, "seed")', '_check_int(seed, "seed")',
            (MC_TESTS + "test_an_estimate_from_numpy_integers_holds_plain_numbers",)),
@@ -193,14 +195,30 @@ MUTANTS = [
            ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",)),
     # Flat reports go to json's C encoder only with str keys, which it would write 1 as "1" without,
     # and a non-finite float, which it refuses with a shorter message, falls back to the writer.
-    Mutant(CLI, "if type(key) is not str or type(item) not in _FLAT_TYPES:", "if type(item) not in _FLAT_TYPES:",
+    Mutant(CLI, "        if type(key) is not str:\n            return None\n", "",
+           ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",)),
+    # A list goes to the C encoder only when it is not empty, which it would write as "[\n    \n  ]",
+    # and holds only exact scalars; its items sit one level deeper than the report's, and a run of
+    # scalars after a list starts afresh.
+    Mutant(CLI, "if type(item) is not list or not item:", "if type(item) is not list:",
+           ("tests/test_cli.py::test_flat_reports_take_the_c_encoder",
+            "tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values")),
+    Mutant(CLI, "if type(entry) not in _FLAT_TYPES:", "if False:",
+           ("tests/test_cli.py::test_flat_reports_take_the_c_encoder",
+            "tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values")),
+    Mutant(CLI, '",\\n    ", False, False, False)', '",\\n  ", False, False, False)',
+           ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",
+            "tests/test_cli_golden.py::test_cli_transcript[recommend --stack 23-1-7 --tt 1 --tlqec 0 --pt 1e-3 "
+            "--pm 1e-3 --format json]")),
+    Mutant(CLI, "                    run = {}\n", "",
            ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",)),
     Mutant(CLI, "    except ValueError:   # a non-finite float", "    except TypeError:   # a non-finite float",
            ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",)),
     Mutant(CLI, "if text is not None:\n            return text", "if False:\n            return text",
            ("tests/test_cli.py::test_flat_reports_take_the_c_encoder",)),
     Mutant(CLI, 'inner, opener = newline + "  ", "["', 'inner, opener = newline, "["',
-           ("tests/test_cli_golden.py::test_cli_transcript[recommend --stack 7-1-3 --tt 1 --tlqec 100 --pt 1e-3]",)),
+           ("tests/test_cli.py::test_writer_matches_json_dumps_on_chosen_values",
+            "tests/test_cli_golden.py::test_cli_transcript[table3 --stack none,7-1-3+23-1-7 --t 1e5,1e8 --format json]")),
     Mutant("tests/helpers.py", "return 1.0 / high, 1.0 / low", "return 1.0 / low, 1.0 / high",
            (MC_TESTS + "test_serial_penalty_ci_inverts_the_paired_wilson_interval",)),
     # A C(n, m) with no double: the leading order multiplies it in logs, clamps to inf past the
@@ -221,7 +239,7 @@ MUTANTS = [
            (ANALYTIC_TESTS + "test_exact_tail_names_a_block_too_wide_for_doubles", WIDE_CLI)),
     Mutant(ANALYTIC, "            share = math.inf\n", "            share = 0.0\n",
            (ANALYTIC_TESTS + "test_penalty_ratio_of_a_block_too_wide_for_doubles_matches_decimal",)),
-    Mutant(ANALYTIC, " - math.log(math.comb(n, m)))", ")",
+    Mutant(ANALYTIC, " - math.log(whole))", ")",
            (ANALYTIC_TESTS + "test_penalty_ratio_of_a_block_too_wide_for_doubles_matches_decimal",)),
     Mutant(ANALYTIC, "if p_t == 1.0 or w == 0.0 or p_t == 0.0 and p_m == 1.0:",
            "if p_t == 1.0 or p_t == 0.0 and (w == 0.0 or p_m == 1.0):",
@@ -239,6 +257,22 @@ MUTANTS = [
     Mutant(CODES, "if least is not None and value < least:", "if False:",
            ("tests/test_circuits.py::test_cycle_costs_reject_zero_counts",
             "tests/test_cli.py::test_cut_rejects_a_circuit_without_qubits")),
-    Mutant(CODES, "    value = type(value).__index__(value)\n", "",
+    Mutant(CODES, "        value = type(value).__index__(value)\n", "",
            ("tests/test_integer_counts.py::test_numpy_integer_counts_are_stored_as_plain_ints",)),
+    # Only an exact int skips the type checks: a bool is an int too, and is refused.
+    Mutant(CODES, "if type(value) is not int:", "if not isinstance(value, int):",
+           ("tests/test_codes.py::test_code_parameters_must_be_integers",)),
+    # The ratio's i-th share pairs C(n, i) with C(n, m - i), and it checks p_m itself, as the link it
+    # no longer builds did.
+    Mutant(ANALYTIC, "share = ways[i] * ways[m - i] / whole", "share = ways[i] * ways[i] / whole",
+           (ANALYTIC_TESTS + "test_penalty_ratio_frozen_values",)),
+    Mutant(ANALYTIC, '    _check_prob(p_m, "p_m")\n    n, m = code.n, code.min_fail\n',
+           "    n, m = code.n, code.min_fail\n",
+           (ANALYTIC_TESTS + "test_serial_penalty_ratio_rejects_a_negative_memory_rate",)),
+    # The penalty ratio's wait rate is the serial link's union rate: 0 for a qubit that never waits.
+    Mutant(ANALYTIC, "    if n == 1:\n        return 0.0, 0.0\n", "",
+           (ANALYTIC_TESTS + "test_wait_rate_is_the_serial_links_fault_probability_bit_for_bit",)),
+    # Five secant steps leave a wide block's rate outside the bracket it needs.
+    Mutant(ANALYTIC, "for _ in range(8):", "for _ in range(5):",
+           (ANALYTIC_TESTS + "test_exact_inversion_of_a_wide_block_takes_a_dozen_or_so_tail_evaluations",)),
 ]

@@ -314,6 +314,16 @@ def test_exact_inversion_takes_about_a_dozen_tail_evaluations(tail_calls):
     assert len(tail_calls) <= 300
 
 
+@pytest.mark.parametrize("spec", ["101-1-51", "201-1-101"])
+def test_exact_inversion_of_a_wide_block_takes_a_dozen_or_so_tail_evaluations(tail_calls, spec):
+    # At t = 10 the leading-order guess is far off, and the secant takes six or seven steps
+    # to a rate the bracket accepts; stopped after five, it missed and bisected plainly (40).
+    stack = parse_stack(spec)
+    found = allowable_pt(stack, 10, 0.1, EXACT)
+    assert len(tail_calls) <= 16, len(tail_calls)
+    assert found == bisected_allowable_pt(stack, 10, 0.1, EXACT)
+
+
 @pytest.mark.parametrize("spec", ["none", "7-1-3", "23-1-7+23-1-7"])
 @pytest.mark.parametrize("factor", [0.5, 1 - 3e-8, 1 + 3e-8, 2.0])
 def test_exact_inversion_refuses_a_bracket_that_misses_the_root(monkeypatch, tail_calls, spec, factor):
@@ -580,6 +590,16 @@ def test_certain_events_make_certain_faults_only_where_they_strike():
 
 
 # --------------------------------------------------------- serial penalty ratio
+@pytest.mark.parametrize("p_m", [0.0, -0.0, 5e-324, 1e-300, 1e-5, 0.5, 1 - 2**-53, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 23, 2001])
+def test_wait_rate_is_the_serial_links_fault_probability_bit_for_bit(n, p_m):
+    # The ratio forms w without building a link; the link's own union rate is the definition.
+    w, log_clear = analytic._wait_rate(n, p_m)
+    assert w.hex() == LinkParams(0.0, p_m).fault_probability(n).hex()
+    if n > 1:
+        assert log_clear == ((n - 1) * math.log1p(-p_m) if p_m < 1.0 else -math.inf)
+
+
 def test_penalty_ratio_collapses_without_memory_errors():
     for spec, p in (("7-1-3", 0.01), ("23-1-7", 0.003)):
         assert serial_penalty_ratio(parse_code(spec), p, 0.0) == 1.0

@@ -416,6 +416,9 @@ DOCUMENTS = st.recursive(SCALARS, lambda children: st.lists(children, max_size=4
 
 
 FLAT_REPORTS = st.dictionaries(TEXTS, SCALARS, min_size=1, max_size=12)
+# Reports whose values are scalars or lists of scalars, as recommend's reasons are; an empty list
+# takes the writer.
+LISTED_REPORTS = st.dictionaries(TEXTS, SCALARS | st.lists(SCALARS, max_size=4), min_size=1, max_size=8)
 
 
 @contextlib.contextmanager
@@ -423,7 +426,7 @@ def no_c_encoder():
     """As on a Python whose json module has no C encoder."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(json.encoder, "c_make_encoder", None)
-        patch.setattr(cli, "_flat_encoder", None)   # built anew on first use
+        patch.setattr(cli, "_flat_encoders", None)   # built anew on first use
         yield
 
 
@@ -436,6 +439,14 @@ def test_writer_matches_json_dumps(value):
 @settings(max_examples=300, deadline=None)
 @given(FLAT_REPORTS)
 def test_flat_reports_match_json_dumps(value):
+    assert _json(value) == dumped(value)
+    with no_c_encoder():
+        assert _json(value) == dumped(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LISTED_REPORTS)
+def test_reports_with_lists_of_scalars_match_json_dumps(value):
     assert _json(value) == dumped(value)
     with no_c_encoder():
         assert _json(value) == dumped(value)
@@ -456,6 +467,10 @@ CHOSEN_VALUES = [
     # flat reports, which json's C encoder writes where Python has one
     {"a": float("nan")}, {"a": -math.inf}, {"x": np.float64(0.1)}, {"b": True, "n": None, "s": "\u00e9"},
     {"shade": Shade.DARK}, {"n": 2**70, "f": -0.0, "t": 5e-324}, {"k": 1, 2: "k"},
+    # reports with lists of scalars, which it writes too, and lists that only the writer takes
+    {"a": [1]}, {"a": [1, 2.5, None]}, {"a": 1, "l": ["x", True], "b": "c"}, {"l": [0.1, "\u00e9"], "m": [-0.0]},
+    {"a": [np.float64(0.1), 2]}, {"a": [np.int64(7)]}, {"a": [Shade.DARK, "x"]}, {"a": [[1, 2]]}, {"a": [{"b": 1}]},
+    {"a": [1, float("nan")]}, {"a": 1, "l": [2], "m": []},
 ]
 
 
@@ -484,8 +499,10 @@ def test_flat_reports_take_the_c_encoder(monkeypatch):
         raise AssertionError("the writer ran")
 
     monkeypatch.setattr(cli, "_json_parts", no_writer)
-    assert _json({"a": 1, "b": "c"}) == dumped({"a": 1, "b": "c"})
-    for value in ({"a": [1]}, {"a": np.float64(0.1)}, {"a": math.nan}, {1: "a"}, {}):
+    for value in ({"a": 1, "b": "c"}, {"a": [1]}, {"a": 1, "l": ["x", 2.5, None], "b": True}, {"l": [1], "m": [2, 3]}):
+        assert _json(value) == dumped(value)
+    for value in ({"a": []}, {"a": [[1]]}, {"a": [{}]}, {"a": {"b": 1}}, {"a": (1,)}, {"a": [np.float64(0.1)]},
+                  {"a": np.float64(0.1)}, {"a": [1.0, math.inf]}, {"a": math.nan}, {1: "a"}, {"a": [1], 1: "a"}, {}):
         with pytest.raises(AssertionError, match="the writer ran"):
             _json(value)
 
