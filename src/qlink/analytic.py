@@ -329,7 +329,7 @@ def _secant_root(stack: CodeStack, budget: float) -> float:
     Starts from the leading-order root of the budget and takes secant steps
     on log p_e against log p_t, the first with the small-rate slope, the
     product of the levels' m (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4), evaluating the tail at most eight times. The
+    Derivatives, 1973, ch. 4), evaluating the tail at most ten times. The
     rate a step s reaches is off the root by about c s s', s' the step
     before (1 for the first), where c is half the curve's bend over its
     slope: about 0.6 on 101-1-51, though 4 on 1029-1-515. So the steps stop
@@ -338,7 +338,7 @@ def _secant_root(stack: CodeStack, budget: float) -> float:
     x = _leading_root(stack, 1.0, budget)
     slope, last, prior = math.prod(code.min_fail for code in stack.levels), None, 1.0
     log_budget = math.log(budget)
-    for _ in range(8):
+    for _ in range(10):
         if not 0.0 < x <= 0.5:
             return 0.0
         p_e = p_stack_block_error(stack, x, ModelMode.EXACT_TAIL)

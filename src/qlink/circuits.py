@@ -103,21 +103,20 @@ def cut_table(circuit: EncoderCircuit) -> list[CutCost]:
     min(index, n - index) qubits; an even split builds on side A.
     """
     position = {qubit: i for i, qubit in enumerate(circuit.qubit_order)}
-    n = circuit.n_qubits
+    n, cnot = circuit.n_qubits, GateKind.CNOT
     step = [0] * (n + 1)   # the CNOTs crossing cut index number step[0] + ... + step[index]
     for gate in circuit.gates:
-        if gate.kind is GateKind.CNOT:
+        if gate.kind is cnot:
             control, target = gate.qubits
             lo, hi = position[control], position[target]
             if lo > hi:
                 lo, hi = hi, lo
             step[lo + 1] += 1
             step[hi + 1] -= 1
-    rows, crossing = [], 0
+    rows, crossing, to_a, to_b = [], 0, Direction.B_TO_A, Direction.A_TO_B
     for index in range(1, n):
         crossing += step[index]
-        rows.append(CutCost(index, crossing, min(index, n - index),
-                            Direction.B_TO_A if index < n - index else Direction.A_TO_B))
+        rows.append(CutCost(index, crossing, min(index, n - index), to_a if index < n - index else to_b))
     return rows
 
 
@@ -264,23 +263,32 @@ def dqec_budget(circuit: EncoderCircuit, syndromes: int = 6, repeats: int = 2) -
     measured in motion pays a strategy's cost summed over all n - 1 cuts.
     The worst single correction block sits at the widest cut and pays its
     teledata cost for every measurement.
+
+    These are cut_table's sums in closed form. A CNOT over layout positions
+    lo..hi crosses the hi - lo cuts between them. The teledata costs
+    min(i, n - i) of cuts i = 1..n-1 add up to n^2 // 4. The centre cut,
+    index (n + 1) // 2, is also the widest, and ships n // 2 qubits.
     """
-    if circuit.n_qubits < 2:
+    n = circuit.n_qubits
+    if n < 2:
         raise ValueError("in-motion correction needs at least two qubits")
     syndromes = _check_int(syndromes, "syndromes", 1)
     repeats = _check_int(repeats, "repeats", 1)
-    table = cut_table(circuit)
+    position = {qubit: i for i, qubit in enumerate(circuit.qubit_order)}
+    telegate, cnot = 0, GateKind.CNOT
+    for gate in circuit.gates:
+        if gate.kind is cnot:
+            control, target = gate.qubits
+            telegate += abs(position[control] - position[target])
+    teledata = n * n // 4
     measurements = syndromes * repeats
-    telegate = sum(row.telegate_eprs for row in table)
-    teledata = sum(row.teledata_eprs for row in table)
-    center = table[(circuit.n_qubits - 1) // 2]   # cut index (n + 1) // 2
     return DqecBudget(
         per_syndrome_telegate=telegate,
         per_syndrome_teledata=teledata,
         per_cycle_telegate=measurements * telegate,
         per_cycle_teledata=measurements * teledata,
-        static_cycle_at_center_cut=measurements * center.teledata_eprs,
-        worst_case_block_teleports=measurements * max(row.teledata_eprs for row in table),
+        static_cycle_at_center_cut=measurements * (n // 2),
+        worst_case_block_teleports=measurements * (n // 2),
         syndromes=syndromes,
         repeats=repeats,
     )

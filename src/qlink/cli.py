@@ -109,6 +109,12 @@ def _env_seed() -> int:
 
 
 def _fmt_number(value) -> str:
+    """A table or text cell: exact strs as they are, bools as true and false, floats to 10 digits."""
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is int:
+        return int.__repr__(value)
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
@@ -312,8 +318,10 @@ def _command(name: str, fmt: str, *options):
     required, default and the store_true, store_false and help actions;
     metavar and help shape only the --help page. The body takes the
     options read as keywords and returns a report dict or a (header, rows)
-    table. The body also carries the required flags and the ordered
-    (dest, default) pairs, worked out here once rather than on every call.
+    table. What the reader needs is worked out here once rather than on
+    every call: each flag's (dest, action, type, choices) as the body's
+    table, the required flags, the plain defaults by dest, and the
+    (dest, function) pairs of the defaults that are functions.
     """
     options += (
         ("--format", dict(choices=("csv", "json", "text"), default=fmt,
@@ -322,33 +330,22 @@ def _command(name: str, fmt: str, *options):
         ("--help", dict(action="help", help="Show this message and exit.")),
     )
     flags = {flag: (settings.get("dest", flag[2:].replace("-", "_")), settings) for flag, settings in options}
+    table = {flag: (dest, settings.get("action"), settings.get("type"), settings.get("choices"))
+             for flag, (dest, settings) in flags.items()}
     required = [flag for flag, (_, settings) in flags.items() if settings.get("required")]
     defaults = {}   # dest -> default; of two flags that share a dest, the first declared wins
     for dest, settings in flags.values():
         if settings.get("action") != "help":
             defaults.setdefault(dest, settings.get("default"))
+    plain = {dest: default for dest, default in defaults.items() if not callable(default)}
+    deferred = tuple((dest, default) for dest, default in defaults.items() if callable(default))
 
     def register(body):
-        body.flags, body.required, body.defaults = flags, required, defaults
+        body.flags, body.table, body.required, body.plain, body.deferred = flags, table, required, plain, deferred
         COMMANDS[name] = body
         return body
 
     return register
-
-
-def _value(flag: str, settings: dict, text: str):
-    """One occurrence's value: converted by the option's type, then checked against its choices."""
-    kind, value = settings.get("type"), text
-    if kind is not None:
-        try:
-            value = kind(text)
-        except ValueError as exc:
-            raise UsageError(f"argument {flag}: {exc}") from None
-    choices = settings.get("choices")
-    if choices is not None and value not in choices:
-        raise UsageError(f"argument {flag}: invalid choice: {value!r} "
-                         f"(choose from {', '.join(map(repr, choices))})")
-    return value
 
 
 def _read_options(name: str, args: list[str]) -> dict | None:
@@ -356,31 +353,40 @@ def _read_options(name: str, args: list[str]) -> dict | None:
 
     An option that takes a value takes the token after it, even one that
     looks like an option, such as -1e-5. Every unknown token is named
-    first; then each occurrence is converted and checked in turn, and the
-    last one wins. A default that is a function is called only when its
-    option is absent.
+    first; then each occurrence is converted by its type, checked against
+    its choices and stored in turn, and the last one wins. A default that
+    is a function is called only when its option is absent.
     """
     body = COMMANDS[name]
-    flags = body.flags
+    table = body.table
     tokens, pairs, unknown = iter(args), [], []
     for token in tokens:
         flag, equals, text = token.partition("=")
-        if flag not in flags:
+        entry = table.get(flag)
+        if entry is None:
             unknown.append(token)
         elif equals:
             pairs.append((flag, text))
         else:   # the next token if the option takes a value; None stands for no value
-            pairs.append((flag, None if "action" in flags[flag][1] else next(tokens, None)))
+            pairs.append((flag, None if entry[1] else next(tokens, None)))
     if unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-    values = {}
+    values = body.plain.copy()   # main pops format and out from what it is handed
     for flag, text in pairs:
-        dest, settings = flags[flag]
-        action = settings.get("action")
+        dest, action, kind, choices = table[flag]
         if action is None:
             if text is None:
                 raise UsageError(f"argument {flag}: expected one argument")
-            values[dest] = _value(flag, settings, text)
+            value = text
+            if kind is not None:
+                try:
+                    value = kind(text)
+                except ValueError as exc:
+                    raise UsageError(f"argument {flag}: {exc}") from None
+            if choices is not None and value not in choices:
+                raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                                 f"(choose from {', '.join(map(repr, choices))})")
+            values[dest] = value
         elif text is not None:
             raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
         elif action == "help":
@@ -388,13 +394,14 @@ def _read_options(name: str, args: list[str]) -> dict | None:
             return None
         else:
             values[dest] = action == "store_true"
-    given = {flag for flag, _ in pairs}
-    missing = [flag for flag in body.required if flag not in given]
-    if missing:
-        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    for dest, default in body.defaults.items():
+    if body.required:
+        given = {flag for flag, _ in pairs}
+        missing = [flag for flag in body.required if flag not in given]
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    for dest, default in body.deferred:
         if dest not in values:
-            values[dest] = default() if callable(default) else default
+            values[dest] = default()
     return values
 
 

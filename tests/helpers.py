@@ -10,14 +10,16 @@ Monte Carlo counts from whole-block draws decoded once per rate, critical
 words from a full sort of every block, encoder validity from a numpy
 stabilizer tableau reduced to row echelon form, and cut costs from a
 per-cut, per-gate side test, with breakpoint names from an enumeration of
-letter strings. The term-by-term float tail is a rounding pin, not an
-oracle: the exact-tail block error must match it bit for bit; so is the
-plain bisection, whose double the exact-mode allowable rate must be. The
-malformed circuit files at the end are shared by the library and CLI
+letter strings, and the in-motion budget from sums over those costs. The
+term-by-term float tail is a rounding pin, not an oracle: the exact-tail
+block error must match it bit for bit; so is the plain bisection, whose
+double the exact-mode allowable rate must be. The malformed circuit
+files at the end are shared by the library and CLI
 tests that must both reject them. The paired-Wilson ratio interval, the
 circuit writers and the gate-deletion mutant builder are test tools, not
 oracles: the library neither pairs estimates nor writes circuit files. So
-is the in-process CLI runner at the very end.
+are the CLI's former cell formatter, kept as a pin for the exact-type
+dispatch, and the in-process CLI runner at the very end.
 """
 import contextlib
 import io
@@ -398,6 +400,30 @@ def reference_cut_table(circuit) -> list[tuple[str, int, int, str]]:
         teledata, direction = (left, "B->A") if left < right else (right, "A->B")
         rows.append((breakpoint_name(index), crossing, teledata, direction))
     return rows
+
+
+def budget_from_cut_table(rows, syndromes: int, repeats: int) -> dict:
+    """dqec_budget's fields as sums and maxima over (breakpoint, telegate, teledata, direction) rows.
+
+    The centre cut is index (n + 1) // 2, row (n - 1) // 2 of the n - 1 rows.
+    """
+    measurements = syndromes * repeats
+    telegate = sum(row[1] for row in rows)
+    teledata = sum(row[2] for row in rows)
+    return {"per_syndrome_telegate": telegate, "per_syndrome_teledata": teledata,
+            "per_cycle_telegate": measurements * telegate, "per_cycle_teledata": measurements * teledata,
+            "static_cycle_at_center_cut": measurements * rows[len(rows) // 2][2],
+            "worst_case_block_teleports": measurements * max(row[2] for row in rows),
+            "syndromes": syndromes, "repeats": repeats}
+
+
+def reference_fmt_number(value) -> str:
+    """A table or text cell as the CLI wrote it before its exact-type dispatch: the cells' pin."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
 
 
 # A three-qubit circuit file, and files that int() and tuple() coercion once

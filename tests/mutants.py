@@ -130,16 +130,14 @@ MUTANTS = [
     Mutant(CIRCUITS, "if TYPE_CHECKING:   # only load_circuit's annotation names it", "if True:   #", (LOADS,)),
     # The option reader: each occurrence in turn, the last one wins; required options, choices,
     # and a default that is a function called only when its option is absent.
-    Mutant(CLI, "            values[dest] = _value(flag, settings, text)",
-           "            values.setdefault(dest, _value(flag, settings, text))",
+    Mutant(CLI, "            values[dest] = value\n", "            values.setdefault(dest, value)\n",
            (READER_TESTS + "test_each_occurrence_of_a_flag_is_checked_and_the_last_wins",)),
-    Mutant(CLI, "    if missing:\n", "    if False:\n",
+    Mutant(CLI, "        if missing:\n", "        if False:\n",
            (READER_TESTS + "test_unknown_tokens_are_named_before_a_missing_required_option",)),
     Mutant(CLI, "if choices is not None and value not in choices:", "if False:",
            (READER_TESTS + "test_each_occurrence_of_a_flag_is_checked_and_the_last_wins",)),
-    Mutant(CLI, "values[dest] = default() if callable(default) else default",
-           "values[dest] = default() if callable(default) else default\n"
-           "        elif callable(default):\n            default()",
+    Mutant(CLI, "        if dest not in values:\n            values[dest] = default()\n",
+           "        values[dest] = default()\n",
            (READER_TESTS + "test_qlink_seed_is_read_only_when_seed_is_absent",)),
     # Of two flags that share a dest, the first declared sets its default.
     Mutant(CLI, 'defaults.setdefault(dest, settings.get("default"))', 'defaults[dest] = settings.get("default")',
@@ -148,6 +146,16 @@ MUTANTS = [
     Mutant(CLI, 'required = [flag for flag, (_, settings) in flags.items() if settings.get("required")]',
            "required = []",
            (READER_TESTS + "test_unknown_tokens_are_named_before_a_missing_required_option",)),
+    # Each flag's (dest, action, type, choices) is resolved when the command registers.
+    Mutant(CLI, 'settings.get("type"), settings.get("choices"))', 'settings.get("type"), None)',
+           (READER_TESTS + "test_each_commands_resolved_table_matches_its_flags",
+            READER_TESTS + "test_each_occurrence_of_a_flag_is_checked_and_the_last_wins")),
+    # A default that is a function is not a plain default, which would be handed on uncalled.
+    Mutant(CLI, "if not callable(default)}", "}",
+           (READER_TESTS + "test_each_commands_resolved_table_matches_its_flags",)),
+    # main pops format and out from the values it is handed, so they start from a copy of the defaults.
+    Mutant(CLI, "    values = body.plain.copy()", "    values = body.plain",
+           (READER_TESTS + "test_a_command_read_twice_in_one_process_keeps_its_defaults",)),
     # Unknown tokens are named first, all of them: here only when no known flag came with them.
     Mutant(CLI, "    if unknown:\n", "    if unknown and not pairs:\n",
            (READER_TESTS + "test_unknown_tokens_are_named_before_a_missing_required_option",
@@ -158,10 +166,10 @@ MUTANTS = [
     Mutant(CLI, "else next(tokens, None)", 'else next((t for t in tokens if not t.startswith("-")), None)',
            (READER_TESTS + "test_a_value_that_looks_like_an_option_is_taken",)),
     # --help prints when the reader reaches it, not before the values ahead of it are read.
-    Mutant(CLI, "    values = {}\n",
+    Mutant(CLI, "    values = body.plain.copy()",
            '    if any(flag == "--help" for flag, _ in pairs):\n'
            "        sys.stdout.write(_help_page(name))\n        return None\n"
-           "    values = {}\n",
+           "    values = body.plain.copy()",
            (READER_TESTS + "test_help_after_a_bad_value_reports_the_value",)),
     # The help page wraps at argparse's 54 columns from column 24.
     Mutant(CLI, '["help"] % settings, 54)', '["help"] % settings, 55)',
@@ -175,6 +183,11 @@ MUTANTS = [
            ("tests/test_cli.py::test_option_literals_match_their_model_sources",)),
     Mutant(CLI, "return 0.0 if number == 0.0 else number", "return number",
            ("tests/test_cli.py::test_negative_zero_is_read_as_zero",)),
+    # Only an exact str or int skips the cell rules: a bool is an int, a str-mixin enum member a str.
+    Mutant(CLI, "    if kind is int:\n", "    if isinstance(value, int):\n",
+           ("tests/test_cli.py::test_table_cells_match_their_reference",)),
+    Mutant(CLI, "    if kind is str:\n", "    if isinstance(value, str):\n",
+           ("tests/test_cli.py::test_table_cells_match_their_reference",)),
     # A term whose q^j underflows is formed from q's mantissa, and the rest from q^j itself.
     Mutant(ANALYTIC, "while top > m and q ** (top - 1) < _NORMAL_MIN:", "while False:",
            (ANALYTIC_TESTS + "test_exact_tail_keeps_its_digits_where_the_powers_underflow",)),
@@ -253,6 +266,22 @@ MUTANTS = [
            ("tests/test_circuits.py::test_cycle_counts_must_be_integers",)),
     Mutant(CIRCUITS, '    repeats = _check_int(repeats, "repeats", 1)\n', "",
            ("tests/test_circuits.py::test_cycle_counts_must_be_integers",)),
+    # The budget in closed form: n^2 // 4 teledata pairs over the cuts (which n^2 - 1 over 4 gives only
+    # at odd n), n // 2 at the centre and at the widest cut, and a CNOT's span whichever way it points.
+    Mutant(CIRCUITS, "teledata = n * n // 4", "teledata = (n * n - 1) // 4",
+           ("tests/test_circuits.py::test_budget_is_the_cut_tables_sums_on_named_circuits",)),
+    Mutant(CIRCUITS, "static_cycle_at_center_cut=measurements * (n // 2)",
+           "static_cycle_at_center_cut=measurements * ((n + 1) // 2)",
+           ("tests/test_circuits.py::test_budget_is_the_cut_tables_sums_on_named_circuits",
+            "tests/test_circuits.py::test_static_cycle_cost_at_center_cut")),
+    Mutant(CIRCUITS, "worst_case_block_teleports=measurements * (n // 2)",
+           "worst_case_block_teleports=measurements * ((n + 1) // 2)",
+           ("tests/test_circuits.py::test_budget_is_the_cut_tables_sums_on_named_circuits",
+            "tests/test_circuits.py::test_inmotion_costs")),
+    Mutant(CIRCUITS, "telegate += abs(position[control] - position[target])",
+           "telegate += position[target] - position[control]",
+           ("tests/test_circuits.py::test_budget_is_the_cut_tables_sums_on_named_circuits",
+            "tests/test_circuits.py::test_inmotion_costs")),
     # _check_int is the one integer rule: it enforces a floor when given one, and returns a plain int.
     Mutant(CODES, "if least is not None and value < least:", "if False:",
            ("tests/test_circuits.py::test_cycle_costs_reject_zero_counts",
@@ -272,7 +301,7 @@ MUTANTS = [
     # The penalty ratio's wait rate is the serial link's union rate: 0 for a qubit that never waits.
     Mutant(ANALYTIC, "    if n == 1:\n        return 0.0, 0.0\n", "",
            (ANALYTIC_TESTS + "test_wait_rate_is_the_serial_links_fault_probability_bit_for_bit",)),
-    # Five secant steps leave a wide block's rate outside the bracket it needs.
-    Mutant(ANALYTIC, "for _ in range(8):", "for _ in range(5):",
+    # Eight secant steps leave the widest block's rate outside the bracket it needs at t = 1.
+    Mutant(ANALYTIC, "for _ in range(10):", "for _ in range(8):",
            (ANALYTIC_TESTS + "test_exact_inversion_of_a_wide_block_takes_a_dozen_or_so_tail_evaluations",)),
 ]

@@ -314,14 +314,16 @@ def test_exact_inversion_takes_about_a_dozen_tail_evaluations(tail_calls):
     assert len(tail_calls) <= 300
 
 
-@pytest.mark.parametrize("spec", ["101-1-51", "201-1-101"])
-def test_exact_inversion_of_a_wide_block_takes_a_dozen_or_so_tail_evaluations(tail_calls, spec):
+@pytest.mark.parametrize(("spec", "t"), [("101-1-51", 10), ("201-1-101", 10), ("1029-1-515", 1)],
+                         ids=["101-1-51", "201-1-101", "1029-1-515-t1"])
+def test_exact_inversion_of_a_wide_block_takes_a_dozen_or_so_tail_evaluations(tail_calls, spec, t):
     # At t = 10 the leading-order guess is far off, and the secant takes six or seven steps
     # to a rate the bracket accepts; stopped after five, it missed and bisected plainly (40).
+    # 1029-1-515 at t = 1 bends harder and needs nine; stopped after eight, it took 42.
     stack = parse_stack(spec)
-    found = allowable_pt(stack, 10, 0.1, EXACT)
+    found = allowable_pt(stack, t, 0.1, EXACT)
     assert len(tail_calls) <= 16, len(tail_calls)
-    assert found == bisected_allowable_pt(stack, 10, 0.1, EXACT)
+    assert found == bisected_allowable_pt(stack, t, 0.1, EXACT)
 
 
 @pytest.mark.parametrize("spec", ["none", "7-1-3", "23-1-7+23-1-7"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import (
     MALFORMED_CIRCUIT_JSON,
+    budget_from_cut_table,
     circuit_to_dict,
     reference_cut_table,
     reference_validate,
@@ -185,9 +186,9 @@ def test_no_crossing_gates_costs_nothing():
 
 
 @st.composite
-def _layout_circuits(draw):
-    """1 to 12 qubits in a random layout, with a random H/CNOT list (maybe empty)."""
-    n = draw(st.integers(1, 12))
+def _layout_circuits(draw, least=1):
+    """least (1 by default) to 12 qubits in a random layout, with a random H/CNOT list (maybe empty)."""
+    n = draw(st.integers(least, 12))
     h = st.integers(0, n - 1).map(lambda q: Gate(GateKind.H, (q,)))
     cnot = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(
         lambda qs: Gate(GateKind.CNOT, tuple(qs))
@@ -196,16 +197,20 @@ def _layout_circuits(draw):
     return EncoderCircuit(n, tuple(draw(st.permutations(range(n)))), tuple(gates))
 
 
+def _table_rows(circuit):
+    """cut_table's rows in the per-cut reference's (breakpoint, telegate, teledata, direction) form."""
+    return [(row.label, row.telegate_eprs, row.teledata_eprs, row.teledata_direction.value)
+            for row in cut_table(circuit)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(circuit=_layout_circuits())
 @example(circuit=EncoderCircuit(1, (0,), ()))
 @example(circuit=default_steane_encoder())
 @example(circuit=EncoderCircuit(30, tuple(range(30)), tuple(Gate(GateKind.CNOT, (q, q + 1)) for q in range(29))))
 def test_cut_table_matches_per_cut_reference(circuit):
-    table = cut_table(circuit)
-    assert [row.index for row in table] == list(range(1, circuit.n_qubits))
-    rows = [(row.label, row.telegate_eprs, row.teledata_eprs, row.teledata_direction.value) for row in table]
-    assert rows == reference_cut_table(circuit)
+    assert [row.index for row in cut_table(circuit)] == list(range(1, circuit.n_qubits))
+    assert _table_rows(circuit) == reference_cut_table(circuit)
 
 
 # ---------------------------------------------------------------- cycle costs
@@ -230,6 +235,39 @@ def test_inmotion_costs():
     assert (budget.per_syndrome_teledata, budget.per_cycle_teledata) == (12, 144)
     assert budget.worst_case_block_teleports == 36
     assert (budget.syndromes, budget.repeats) == (6, 2)
+
+
+# A CNOT whose control sits right of its target in the layout, an even and an odd width, and the
+# narrowest block: the closed form must give the cut table's sums on each.
+_BUDGET_CIRCUITS = {
+    "steane": default_steane_encoder(),
+    "two": EncoderCircuit(2, (1, 0), (Gate(GateKind.CNOT, (0, 1)),)),
+    "even": EncoderCircuit(8, (7, 0, 6, 1, 5, 2, 4, 3), tuple(Gate(GateKind.CNOT, (q, 7 - q)) for q in range(8))),
+    "odd": EncoderCircuit(5, (4, 3, 2, 1, 0), (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 3)),
+                                              Gate(GateKind.CNOT, (4, 1)))),
+}
+
+
+def _budget_fields(circuit, syndromes, repeats):
+    budget = dqec_budget(circuit, syndromes, repeats)
+    return {name: getattr(budget, name) for name in budget._fields}
+
+
+@pytest.mark.parametrize("name", sorted(_BUDGET_CIRCUITS))
+@pytest.mark.parametrize(("syndromes", "repeats"), [(1, 1), (6, 2), (3, 5)])
+def test_budget_is_the_cut_tables_sums_on_named_circuits(name, syndromes, repeats):
+    circuit = _BUDGET_CIRCUITS[name]
+    expected = budget_from_cut_table(reference_cut_table(circuit), syndromes, repeats)
+    assert _budget_fields(circuit, syndromes, repeats) == expected
+    assert budget_from_cut_table(_table_rows(circuit), syndromes, repeats) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=_layout_circuits(least=2), syndromes=st.integers(1, 9), repeats=st.integers(1, 9))
+def test_budget_is_the_cut_tables_sums(circuit, syndromes, repeats):
+    budget = _budget_fields(circuit, syndromes, repeats)
+    assert budget == budget_from_cut_table(_table_rows(circuit), syndromes, repeats)
+    assert budget == budget_from_cut_table(reference_cut_table(circuit), syndromes, repeats)
 
 
 def test_cycle_costs_reject_zero_counts():

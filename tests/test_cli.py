@@ -7,7 +7,7 @@ import math
 import os
 import subprocess
 import sys
-from enum import Enum
+from enum import Enum, IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON, run_cli
+from helpers import CIRCUIT_JSON, MALFORMED_CIRCUIT_JSON, reference_fmt_number, run_cli
 
 import qlink
 from qlink import analytic, cli, timing, workload
@@ -505,6 +505,19 @@ def test_flat_reports_take_the_c_encoder(monkeypatch):
                   {"a": np.float64(0.1)}, {"a": [1.0, math.inf]}, {"a": math.nan}, {1: "a"}, {"a": [1], 1: "a"}, {}):
         with pytest.raises(AssertionError, match="the writer ran"):
             _json(value)
+
+
+class Rank(IntEnum):
+    HIGH = 3
+
+
+@pytest.mark.parametrize("value", [
+    True, False, 0, -7, 10**30, 0.1, -0.0, 1e300, "café", Shade.DARK, Rank.HIGH,
+    np.bool_(True), np.int64(-7), np.float64(0.1),
+], ids=repr)
+def test_table_cells_match_their_reference(value):
+    # Exact strs and ints take a shortcut; bools, floats, subclasses and numpy scalars do not.
+    assert cli._fmt_number(value) == reference_fmt_number(value)
 
 
 # ---------------------------------------------------------------- exit codes

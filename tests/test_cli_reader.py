@@ -248,3 +248,26 @@ def test_qlink_seed_is_read_only_when_seed_is_absent(monkeypatch):
         "error", "argument --seed (from QLINK_SEED): 'x' is not an integer")
     monkeypatch.setenv("QLINK_SEED", "12")
     assert "('seed', 12)" in agreed("mc", "--pt", "0.1")[1]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_each_commands_resolved_table_matches_its_flags(name):
+    # The reader works from what _command resolved once; it must say what the option table says.
+    body = COMMANDS[name]
+    assert list(body.table) == list(body.flags)
+    for flag, (dest, settings) in body.flags.items():
+        assert body.table[flag] == (dest, settings.get("action"), settings.get("type"), settings.get("choices"))
+    dests = {dest for dest, settings in body.flags.values() if settings.get("action") != "help"}
+    assert set(body.plain) | {dest for dest, _ in body.deferred} == dests
+    assert not set(body.plain) & {dest for dest, _ in body.deferred}
+    assert not any(callable(default) for default in body.plain.values())
+
+
+def test_a_command_read_twice_in_one_process_keeps_its_defaults(capsys):
+    # main pops format and out from what the reader hands it; the next call must still see them.
+    assert cli.main(["dqec-cost"]) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["dqec-cost"]) == 0
+    assert capsys.readouterr().out == first and first.startswith("{\n")
+    assert "('pt', 0.1)" in reading("analyze", ["--t", "1", "--pt", "0.1"])[1]
+    assert "('pt', None)" in reading("analyze", ["--t", "1"])[1]
