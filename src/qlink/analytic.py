@@ -27,11 +27,9 @@ LINEARIZATION_LIMIT = 0.1
 _LOG_MAX = math.log(sys.float_info.max)   # exp() of anything larger overflows
 _NORMAL_MIN = sys.float_info.min
 
-# The exact inversion brackets its root at x (1 -+ _BRACKET_WIDTH) and accepts the bracket only
-# where the tail at its ends clears the budget by the relative _BRACKET_MARGIN: far above the
-# float tail's error, far below the width, and the width well above the bisection's 1e-9 stop.
-_BRACKET_WIDTH = 1e-8
-_BRACKET_MARGIN = 1e-9
+# The exact inversion brackets the secant's root x at x (1 -+ _BRACKET_WIDTH): a quarter of the
+# bisection's 1e-9 relative stop, so at most two of its midpoints fall inside and need evaluating.
+_BRACKET_WIDTH = 2.5e-10
 
 # Default axes of the allowable-error-rate reference table: the three
 # workload sizes crossed with no coding, the two stock codes, and all four
@@ -238,7 +236,9 @@ def allowable_pt(
     only to within its rounding, so the bisection is the definition of the
     answer; a verified bracket (_bracket) only spares it the evaluations
     whose outcome is already known, and the result is the plain bisection's
-    double.
+    double. The bracket is a quarter of the bisection's last cell, so an
+    inversion pays for the secant's steps, the bracket's two ends and at
+    most two midpoints: 3 to 7 tail evaluations per default table3 cell.
     """
     if not 1 <= t < math.inf:   # the exact budget turns an infinite or nan t into a silent answer
         raise ValueError(f"need t >= 1, got {t}" if t < 1 else f"need a finite t, got {t}")
@@ -286,23 +286,47 @@ def _leading_root(stack: CodeStack, t: float, target_pf: float) -> float:
 def _bracket(stack: CodeStack, budget: float) -> tuple[float, float]:
     """Rates (a, b) around the exact-tail root: p_e <= budget at every rate up to a, above it from b on.
 
-    The float tail is not monotone: adjacent rates can give block errors a
-    few 1e-15 relative out of order. So a bracket a = x (1 - w), b = x (1 + w)
-    around the secant root x is accepted only where p_e(a) <= budget (1 - k)
-    and p_e(b) > budget (1 + k), with w = _BRACKET_WIDTH and k =
-    _BRACKET_MARGIN, and where k / 8 bounds the tail's error at every rate:
-    then each rate below a evaluates within budget and each above b past it,
-    as the bisection would find. (0, inf) stands for no bracket.
+    The float tail F is not monotone: adjacent rates can give block errors
+    a few 1e-15 relative out of order. But the true tail P is increasing,
+    and F is within r P + f of it at every rate (_tail_error_bound). So the
+    bracket a = x (1 - w), b = x (1 + w) around the secant root x, each end
+    at least one double off x, is accepted only where F(a) <= B (1 - k) and
+    F(b) > B (1 + k), for the budget B, w = _BRACKET_WIDTH and the margin
+    k = 8 (r + f / B). As F >= 0, that needs k <= 1, so r <= 1/8, and at
+    every rate p <= a
+
+        F(p) <= (1 + r) P(a) + f <= (1 + r) / (1 - r) (B (1 - k) + f) + f
+             <= B (1 - k + 3 r + 3 f / B) <= B,
+
+    while at every rate p >= b
+
+        F(p) >= (1 - r) P(b) - f > (1 - r) / (1 + r) (B (1 + k) - f) - f
+             >= B (1 + k - 4 r - 2 f / B) > B:
+
+    each rate below a evaluates within the budget and each above b past
+    it, as the bisection would find. The 4 (r + f / B) or more left over
+    covers the rounding of B (1 -+ k); the empty stack's tail is exact, and
+    its k is 0.
+
+    Since p d/dp P(X >= m) = m P(X = m) <= m P, the tail moves by a factor
+    of at most about 1 + w S across a bracket end, S the product of the
+    levels' m, so no bracket is tried unless k < w S: where the floor f
+    dominates a tiny budget, the inversion is the plain bisection without
+    a secant step. (0, inf) stands for no bracket.
     """
     for code in stack.levels:
         _binomial_row(code.n)   # names a block too wide for doubles before any C(n, m) is formed
+    if not budget > 0.0:
+        return 0.0, math.inf
     rel, floor = _tail_error_bound(stack)
-    if not (budget > 0.0 and rel <= _BRACKET_MARGIN / 8 and floor <= _BRACKET_MARGIN / 8 * budget):
+    margin = 8.0 * (rel + floor / budget)
+    if not margin < _BRACKET_WIDTH * math.prod(code.min_fail for code in stack.levels):
         return 0.0, math.inf
     x = _secant_root(stack, budget)
-    a, b = x * (1.0 - _BRACKET_WIDTH), x * (1.0 + _BRACKET_WIDTH)
-    if (x and p_stack_block_error(stack, a, ModelMode.EXACT_TAIL) <= budget * (1.0 - _BRACKET_MARGIN)
-            and p_stack_block_error(stack, b, ModelMode.EXACT_TAIL) > budget * (1.0 + _BRACKET_MARGIN)):
+    a = min(x * (1.0 - _BRACKET_WIDTH), math.nextafter(x, 0.0))   # among subnormals x (1 -+ w) is x
+    b = max(x * (1.0 + _BRACKET_WIDTH), math.nextafter(x, 1.0))
+    if (x and p_stack_block_error(stack, a, ModelMode.EXACT_TAIL) <= budget * (1.0 - margin)
+            and p_stack_block_error(stack, b, ModelMode.EXACT_TAIL) > budget * (1.0 + margin)):
         return a, b
     return 0.0, math.inf
 
@@ -310,16 +334,33 @@ def _bracket(stack: CodeStack, budget: float) -> tuple[float, float]:
 def _tail_error_bound(stack: CodeStack) -> tuple[float, float]:
     """(r, f): the float exact tail is within p_e r + f of the true p_e at every rate.
 
-    Carried level by level, inner to outer. Each term rounds within n - j + 7
-    units of 2^-53 and the positive sum adds n more, and an input error r
-    grows at most m-fold, since p d/dp P(X >= m) = m P(X = m). Underflow
-    adds at most 2^(n + 3) units of 2^-1074, and an absolute input error f
-    grows at most n-fold, since d/dp P(X >= m) = n P(Bin(n - 1, p) = m - 1).
+    Carried level by level, inner to outer, for rate q, p = 1 - q and
+    q = f' 2^e, f' in [0.5, 1), as _block_error forms its terms. Each term
+    rounds within n - j + 7 units of 2^-53 and the positive sum adds n
+    more, and an input error r grows at most m-fold, since p d/dp P(X >= m)
+    = m P(X = m). An absolute input error f grows at most n-fold, since
+    d/dp P(X >= m) = n P(Bin(n - 1, p) = m - 1).
+
+    A rounding below the normal range errs by up to 2^-1074 absolute
+    instead, and a sum that lands there is exact. A term's last rounding,
+    its product or its scaling by 2^(e j), costs one unit. A product
+    below the range before that scaling is then multiplied by 2^(e j) <= 1:
+    one unit more. A power f'^j below the range (j > 1022) is multiplied
+    by C(n, j) p^(n - j) 2^(e j): with e <= -1 that is below 2^(60 - 1023)
+    for n <= 1029, the widest block whose coefficients are doubles, so
+    well under a unit. Hence 3 units per term, 3 (n + 1 - m) per level.
+
+    What is left is a factor below the range that later factors multiply
+    by at most C(n, j): p^(n - j), or f'^j with e = 0. All terms together
+    then err by at most 2^n units. That takes q >= 1/2, or p^(n - m) below
+    2^-1022 with p > 1/2, so n - m > 1022, m <= 6 and q > 0.49. As d is
+    odd and at most n, m <= (n + 1) / 2, and P(X >= m) >= 1/2 in both
+    cases: the error is below 2^(n + 1 - 1074) P, which r carries.
     """
     rel = floor = 0.0
     for code in stack.levels:
-        rel = code.min_fail * rel + 2 * (code.n + 4) * 2.0**-53
-        floor = code.n * floor + math.ldexp(1.0, code.n + 3 - 1074)
+        rel = code.min_fail * rel + 2 * (code.n + 4) * 2.0**-53 + math.ldexp(1.0, code.n + 1 - 1074)
+        floor = code.n * floor + 3 * (code.n + 1 - code.min_fail) * 2.0**-1074
     return rel, floor
 
 
@@ -333,7 +374,9 @@ def _secant_root(stack: CodeStack, budget: float) -> float:
     rate a step s reaches is off the root by about c s s', s' the step
     before (1 for the first), where c is half the curve's bend over its
     slope: about 0.6 on 101-1-51, though 4 on 1029-1-515. So the steps stop
-    once |s s'| is below w / 2, and _bracket checks the rate either way.
+    once |s s'| is below w / 2, w = _BRACKET_WIDTH, and _bracket checks the
+    rate either way. 1029-1-515 at t = 1, target 0.1, takes nine evaluations
+    to meet that rule at w = 2.5e-10; at w = 1e-11 ten are not enough.
     """
     x = _leading_root(stack, 1.0, budget)
     slope, last, prior = math.prod(code.min_fail for code in stack.levels), None, 1.0

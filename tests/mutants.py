@@ -75,19 +75,38 @@ MUTANTS = [
     Mutant(ANALYTIC, "if not math.isfinite(linearized):", "if math.isnan(linearized):",
            (ANALYTIC_TESTS + "test_algorithm_failure_rejects_a_linearization_past_the_float_range",)),
     # The exact inversion's bracket: skipped midpoints go to the side the bracket proves, the
-    # bracket's ends are evaluated, each must clear the budget by the margin, and the bracket is
-    # wider than the bisection's 1e-9 stop.
+    # bracket's ends are evaluated, and each must clear the budget by the margin the tail's error
+    # bound sets, its underflow floor and its factor of 8 included. The bracket is narrower than
+    # the bisection's last cell, at least a double wide on each side, and tried only where the
+    # tail can move by the margin across it.
     Mutant(ANALYTIC, "if mid <= a or mid < b and", "if mid >= b or mid > a and",
            (ANALYTIC_TESTS + "test_exact_inversion_is_the_plain_bisection_bit_for_bit",)),
-    Mutant(ANALYTIC, "if (x and p_stack_block_error(stack, a, ModelMode.EXACT_TAIL) <= budget * (1.0 - _BRACKET_MARGIN)\n"
-                     "            and p_stack_block_error(stack, b, ModelMode.EXACT_TAIL) > budget * (1.0 + _BRACKET_MARGIN)):",
+    Mutant(ANALYTIC, "if (x and p_stack_block_error(stack, a, ModelMode.EXACT_TAIL) <= budget * (1.0 - margin)\n"
+                     "            and p_stack_block_error(stack, b, ModelMode.EXACT_TAIL) > budget * (1.0 + margin)):",
            "if x:", (ANALYTIC_TESTS + "test_exact_inversion_refuses_a_bracket_that_misses_the_root",)),
-    Mutant(ANALYTIC, "<= budget * (1.0 - _BRACKET_MARGIN)", "<= budget",
+    Mutant(ANALYTIC, "<= budget * (1.0 - margin)", "<= budget",
            (ANALYTIC_TESTS + "test_exact_inversion_refuses_a_bracket_end_within_the_margin",)),
-    Mutant(ANALYTIC, "> budget * (1.0 + _BRACKET_MARGIN)", "> budget",
+    Mutant(ANALYTIC, "> budget * (1.0 + margin)", "> budget",
            (ANALYTIC_TESTS + "test_exact_inversion_refuses_a_bracket_end_within_the_margin",)),
-    Mutant(ANALYTIC, "_BRACKET_WIDTH = 1e-8", "_BRACKET_WIDTH = 1e-9",
+    Mutant(ANALYTIC, "margin = 8.0 * (rel + floor / budget)", "margin = 8.0 * rel",
+           (ANALYTIC_TESTS + "test_exact_inversion_refuses_a_bracket_end_within_the_margin",)),
+    Mutant(ANALYTIC, "margin = 8.0 * (rel + floor / budget)", "margin = 1.0 * (rel + floor / budget)",
+           (ANALYTIC_TESTS + "test_exact_inversion_refuses_a_bracket_end_within_the_margin",)),
+    Mutant(ANALYTIC, "_BRACKET_WIDTH = 2.5e-10", "_BRACKET_WIDTH = 1e-9",
            (ANALYTIC_TESTS + "test_exact_inversion_takes_about_a_dozen_tail_evaluations",)),
+    # Too narrow a bracket for the secant's ten steps to reach on the widest block at t = 1 (43).
+    Mutant(ANALYTIC, "_BRACKET_WIDTH = 2.5e-10", "_BRACKET_WIDTH = 1e-11",
+           (ANALYTIC_TESTS + "test_exact_inversion_of_a_wide_block_takes_a_dozen_or_so_tail_evaluations",)),
+    Mutant(ANALYTIC, "    if not margin < _BRACKET_WIDTH * math.prod(code.min_fail for code in stack.levels):\n"
+                     "        return 0.0, math.inf\n", "",
+           (ANALYTIC_TESTS + "test_exact_inversion_tries_no_bracket_past_the_tails_reach",)),
+    Mutant(ANALYTIC, "    a = min(x * (1.0 - _BRACKET_WIDTH), math.nextafter(x, 0.0))   # among subnormals x (1 -+ w) is x\n"
+                     "    b = max(x * (1.0 + _BRACKET_WIDTH), math.nextafter(x, 1.0))\n",
+           "    a, b = x * (1.0 - _BRACKET_WIDTH), x * (1.0 + _BRACKET_WIDTH)\n",
+           (ANALYTIC_TESTS + "test_exact_inversion_brackets_a_subnormal_root_by_its_neighbours",)),
+    # The error bound's underflow floor: without it the float tail leaves the bound where it underflows.
+    Mutant(ANALYTIC, "floor = code.n * floor + 3 * (code.n + 1 - code.min_fail) * 2.0**-1074", "floor = code.n * floor",
+           (ANALYTIC_TESTS + "test_exact_tail_stays_within_the_error_bound_where_it_underflows",)),
     Mutant(ANALYTIC, "budget = -math.expm1(math.log1p(-target_pf) / t)",
            "budget = -math.expm1(math.log1p(-target_pf) * t)",
            (ANALYTIC_TESTS + "test_exact_inversion_finds_the_root_below_float_resolution",

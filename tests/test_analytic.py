@@ -261,6 +261,27 @@ def test_exact_tail_stays_within_the_error_bound_the_bracket_assumes(spec, lowes
         assert error <= Decimal(rel) * exact + Decimal(floor), p_t
 
 
+@pytest.mark.parametrize(("spec", "lowest", "highest"), [
+    ("101-1-51", 4e-14, 2e-13), ("1029-1-515", 0.006, 0.0072), ("7-1-3+1029-1-3", 0.3, 0.5),
+])
+def test_exact_tail_stays_within_the_error_bound_where_it_underflows(spec, lowest, highest):
+    # 21 rates across the range where the tail itself passes 2^-1022, a 60-digit decimal tail
+    # against the float one. Every term's q^j underflows there (below 1.4e-12 and 0.064), and
+    # the bound's floor is a few thousand units of 2^-1074, not 2^(n + 3). The outer 1029-1-3
+    # gets q from 0.67 up, where (1 - q)^(n - j) underflows beside a normal q^j.
+    stack = parse_stack(spec)
+    rel, floor = analytic._tail_error_bound(stack)
+    assert floor < 1e-318
+    seen = set()
+    for k in range(21):
+        p_t = lowest * (highest / lowest) ** (k / 20)
+        exact = decimal_stack_tail(stack.levels, p_t)
+        found = p_stack_block_error(stack, p_t, EXACT)
+        seen.add(found < sys.float_info.min)
+        assert abs(Decimal(found) - exact) <= Decimal(rel) * exact + Decimal(floor), p_t
+    assert seen == ({False} if spec.startswith("7-1-3+") else {True, False})
+
+
 @pytest.mark.parametrize(("spec", "p_t"), [
     ("1029-1-515", 0.05), ("1029-1-515", 0.063), ("101-1-51", 1e-12), ("101-1-51", 5e-13),
 ])
@@ -302,24 +323,30 @@ def tail_calls(monkeypatch):
 
 def test_exact_inversion_takes_about_a_dozen_tail_evaluations(tail_calls):
     # The plain bisection takes 36 to 70 per default table3 cell, 908 for the exact table3.
+    # With a bracket a quarter of the bisection's last cell, a cell takes 3 to 7 (114 in all);
+    # the former 1e-8 bracket left 5 to 7 midpoints inside it, for 9 to 12 (218).
     per_cell = {}
     for spec in TABLE3_STACKS:
         for t in TABLE3_T:
             tail_calls.clear()
             allowable_pt(parse_stack(spec), t, 0.1, EXACT)
             per_cell[spec, t] = len(tail_calls)
-    assert max(per_cell.values()) <= 16, per_cell
+    assert max(per_cell.values()) <= 8, per_cell
     tail_calls.clear()
     table3(mode=EXACT)
-    assert len(tail_calls) <= 300
+    assert len(tail_calls) <= 130
 
 
-@pytest.mark.parametrize(("spec", "t"), [("101-1-51", 10), ("201-1-101", 10), ("1029-1-515", 1)],
-                         ids=["101-1-51", "201-1-101", "1029-1-515-t1"])
+@pytest.mark.parametrize(("spec", "t"), [("101-1-51", 10), ("201-1-101", 10), ("1029-1-515", 1),
+                                         ("1029-1-515", 3), ("1029-1-515", 30), ("1029-1-515", 1e5)],
+                         ids=["101-1-51", "201-1-101", "1029-1-515-t1", "1029-1-515-t3", "1029-1-515-t30",
+                              "1029-1-515-t1e5"])
 def test_exact_inversion_of_a_wide_block_takes_a_dozen_or_so_tail_evaluations(tail_calls, spec, t):
     # At t = 10 the leading-order guess is far off, and the secant takes six or seven steps
     # to a rate the bracket accepts; stopped after five, it missed and bisected plainly (40).
-    # 1029-1-515 at t = 1 bends harder and needs nine; stopped after eight, it took 42.
+    # 1029-1-515 at t = 1 bends harder and needs nine; stopped after eight, it took 42. At
+    # t >= 3 its budget is below 1.8e-3, where an underflow floor of 2^(n + 3) units of
+    # 2^-1074 refused every bracket (33 evaluations); the once-rounded terms need 3 (n + 1 - m).
     stack = parse_stack(spec)
     found = allowable_pt(stack, t, 0.1, EXACT)
     assert len(tail_calls) <= 16, len(tail_calls)
@@ -329,7 +356,7 @@ def test_exact_inversion_of_a_wide_block_takes_a_dozen_or_so_tail_evaluations(ta
 @pytest.mark.parametrize("spec", ["none", "7-1-3", "23-1-7+23-1-7"])
 @pytest.mark.parametrize("factor", [0.5, 1 - 3e-8, 1 + 3e-8, 2.0])
 def test_exact_inversion_refuses_a_bracket_that_misses_the_root(monkeypatch, tail_calls, spec, factor):
-    # A seed 3e-8 or more off the root puts both ends of its 1e-8 bracket on one side:
+    # A seed 3e-8 or more off the root puts both ends of its 2.5e-10 bracket on one side:
     # the ends' check refuses it, and every midpoint is evaluated, as in the plain bisection.
     stack = parse_stack(spec)
     plain = bisected_allowable_pt(stack, 1e5, 0.1, EXACT)
@@ -338,15 +365,55 @@ def test_exact_inversion_refuses_a_bracket_that_misses_the_root(monkeypatch, tai
     assert len(tail_calls) > 30
 
 
+def _last_rate_within(stack, level: float) -> float:
+    """The largest rate in [0, 0.5) whose float block error is at most level, to adjacent doubles."""
+    lo, hi = 0.0, 0.5
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if p_stack_block_error(stack, mid, EXACT) <= level:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @pytest.mark.parametrize("end", ["low", "high"])
-def test_exact_inversion_refuses_a_bracket_end_within_the_margin(monkeypatch, tail_calls, end):
-    # On the empty stack p_e(p) = p, so a seed can place one end of its 1e-8 bracket 5e-10
-    # inside the budget: half the 1e-9 margin, which the end must clear. The bracket is refused.
-    budget = -math.expm1(math.log1p(-0.1) / 1e5)
-    seed = budget * (1 - 5e-10) / (1 - 1e-8) if end == "low" else budget * (1 + 5e-10) / (1 + 1e-8)
+@pytest.mark.parametrize("t", [1e5, 1e308], ids=["relative", "floor"])
+def test_exact_inversion_refuses_a_bracket_end_within_the_margin(monkeypatch, tail_calls, end, t):
+    # A seed puts one end of its bracket where 7-1-3's tail is k / 2 inside the budget, k the
+    # margin its error bound sets: relative at a budget of 1e-6, the underflow floor at 1e-309
+    # (8.5e-14 of the budget against 2.4e-15). The end clears k / 8, and the margin without
+    # its floor, but not k: the bracket is refused, and every midpoint is evaluated.
+    budget = -math.expm1(math.log1p(-0.1) / t)
+    rel, floor = analytic._tail_error_bound(STEANE)
+    margin = 8 * (rel + floor / budget)
+    width = analytic._BRACKET_WIDTH
+    if end == "low":
+        seed = _last_rate_within(STEANE, budget * (1 - margin / 2)) / (1 - width)
+        clearance = 1 - p_stack_block_error(STEANE, seed * (1 - width), EXACT) / budget
+    else:
+        seed = math.nextafter(_last_rate_within(STEANE, budget * (1 + margin / 2)), 1.0) / (1 + width)
+        clearance = p_stack_block_error(STEANE, seed * (1 + width), EXACT) / budget - 1
+    assert margin / 4 <= clearance < margin
     monkeypatch.setattr(analytic, "_secant_root", lambda stack, budget: seed)
-    assert allowable_pt(CodeStack(), 1e5, 0.1, EXACT) == bisected_allowable_pt(CodeStack(), 1e5, 0.1, EXACT)
+    assert allowable_pt(STEANE, t, 0.1, EXACT) == bisected_allowable_pt(STEANE, t, 0.1, EXACT)
     assert len(tail_calls) > 30
+
+
+def test_exact_inversion_tries_no_bracket_past_the_tails_reach(monkeypatch):
+    # At a budget of 1e-318 the floor of 7-1-3's tail error, 18 units of 2^-1074, is a margin
+    # of 7e-4, while its tail moves by at most about w S = 5e-10 across a bracket end: no
+    # bracket could pass, so no secant step is taken and every midpoint is evaluated.
+    monkeypatch.setattr(analytic, "_secant_root", lambda stack, budget: pytest.fail("secant step taken"))
+    assert allowable_pt(STEANE, 1e308, 1e-10, EXACT) == bisected_allowable_pt(STEANE, 1e308, 1e-10, EXACT)
+
+
+def test_exact_inversion_brackets_a_subnormal_root_by_its_neighbours(tail_calls):
+    # Near 1e-318, x (1 -+ 2.5e-10) rounds to x itself; the bracket's ends are the doubles
+    # next to x instead, and the inversion does not fall back to the plain bisection's 1074.
+    found = allowable_pt(CodeStack(), 1e308, 1e-10, EXACT)
+    assert len(tail_calls) <= 8, len(tail_calls)
+    assert found == bisected_allowable_pt(CodeStack(), 1e308, 1e-10, EXACT)
 
 
 def test_algorithm_failure_rejects_a_linearization_past_the_float_range():
